@@ -7,6 +7,10 @@ keeps one full copy of S (the partner value is tau of it), a fixed tuple
 keeps a copy of the fixed subgroup.  That makes the cochain group an
 honest direct sum, so Smith-form arithmetic applies directly.
 
+The orbit basis and the assembly of matrices on it are written once, for
+any fibre: SBlocks here, and the rational representation fibre of
+proper.py, which uses the same construction.
+
 The differential is the alternating sum over the face maps; cohomology
 is kernel-mod-image computed exactly over Z (or over Q for rational
 coefficients, which are routed through the representation machinery).
@@ -19,13 +23,20 @@ from .nerve import nerve, face
 
 
 class SBlocks:
-    """Per-coefficient-group data shared by all levels: the S block, the
-    fixed-subgroup block, the embedding, and a solver for corestriction
-    into fixed coordinates."""
+    """The integral fibre: per-coefficient-group data shared by all levels.
+
+    A free orbit stores one copy of S (the S block); a fixed orbit stores
+    fixed-subgroup coordinates, mapped into S by the embedding, and
+    to_fixed_coords corestricts an S-value into them.  The fibre is the
+    same at every object, so the anchor arguments of the fibre interface
+    used by OrbitBasis are ignored."""
+
+    zeros = staticmethod(exact.zeros)
 
     def __init__(self, S):
         self.S = S
         self.k = S.ngens
+        self.identity = exact.eye(self.k)
         self.moduli_S = [0] * S.free_rank + list(S.invariant_factors)
         fixed, E = S.fixed_part()
         self.fixed = fixed
@@ -50,62 +61,188 @@ class SBlocks:
             return None
         return tuple(int(v) for v in sol[:self.k_fixed])
 
+    def element(self, value):
+        return self.S.reduce_tuple(value)
+
+    def embedding(self, x):
+        return self.embed
+
+    def partner(self, x):
+        return self.S.tau
+
+    def fixed_coords(self, x, vec):
+        return self.to_fixed_coords(vec)
+
 
 class Orbit:
-    __slots__ = ("kind", "rep", "partner")
+    __slots__ = ("kind", "rep", "partner", "anchor")
 
-    def __init__(self, kind, rep, partner):
+    def __init__(self, kind, rep, partner, anchor):
         self.kind = kind        # 'free' | 'fixed'
         self.rep = rep          # tuple index in the nerve level
         self.partner = partner  # == rep for fixed orbits
+        self.anchor = anchor    # object whose fibre holds the value at rep
 
 
-class LevelBasis:
-    """Orbit basis of the degree-n real cochain group."""
+class OrbitBasis:
+    """Orbit basis of degree-n real cochains with values in a fibre.
 
-    def __init__(self, groupoid, sblocks, n):
-        self.groupoid = groupoid
-        self.sb = sblocks
-        self.n = n
-        self.level = nerve(groupoid, n)
+    The value at a tuple lies in the fibre over its anchor: the source of
+    the last arrow (the object itself in degree 0).  A fibre supplies `k`
+    (the width of a free orbit), `zeros`, `identity`, `element` (coerce a
+    value), `embedding(x)` (the fixed vectors at a rho-fixed object x, as
+    columns), `partner(x)` (the map from the value at a representative with
+    anchor x to the value at its partner) and `fixed_coords(x, vec)` (the
+    coordinates of a fixed vector in `embedding(x)`, or None)."""
+
+    def __init__(self, level, fibre):
+        self.groupoid = level.groupoid
+        self.fibre = fibre
+        self.n = level.n
+        self.level = level
+        G = level.groupoid
+        anchors = level.entries[:, 0] if level.n == 0 else G.src[level.entries[:, -1]]
         self.orbits = []
         self.orbit_of = {}    # tuple index -> (orbit id, 'rep'|'partner')
         seen = set()
-        for i in range(len(self.level)):
+        for i in range(len(level)):
             if i in seen:
                 continue
-            j = self.level.rho_index(i)
+            j = level.rho_index(i)
+            oid = len(self.orbits)
             if j == i:
-                oid = len(self.orbits)
-                self.orbits.append(Orbit("fixed", i, i))
+                self.orbits.append(Orbit("fixed", i, i, int(anchors[i])))
                 self.orbit_of[i] = (oid, "rep")
                 seen.add(i)
             else:
                 rep, partner = (i, j) if i < j else (j, i)
-                oid = len(self.orbits)
-                self.orbits.append(Orbit("free", rep, partner))
+                self.orbits.append(Orbit("free", rep, partner, int(anchors[rep])))
                 self.orbit_of[rep] = (oid, "rep")
                 self.orbit_of[partner] = (oid, "partner")
                 seen.update((rep, partner))
         self.offsets = []
-        self.moduli = []
+        self.widths = []
         pos = 0
         for o in self.orbits:
+            w = fibre.k if o.kind == "free" else fibre.embedding(o.anchor).shape[1]
             self.offsets.append(pos)
-            if o.kind == "free":
-                pos += self.sb.k
-                self.moduli.extend(self.sb.moduli_S)
-            else:
-                pos += self.sb.k_fixed
-                self.moduli.extend(self.sb.moduli_fixed)
+            self.widths.append(w)
+            pos += w
         self.total = pos
 
     def width(self, oid):
-        return self.sb.k if self.orbits[oid].kind == "free" else self.sb.k_fixed
+        return self.widths[oid]
 
     def counts(self):
         free = sum(1 for o in self.orbits if o.kind == "free")
         return free, len(self.orbits) - free
+
+    def value_expression(self, tuple_index):
+        """(offset, M): the fibre value at this nerve tuple equals
+        M @ stored-coordinates-of-its-orbit, placed at the offset."""
+        oid, role = self.orbit_of[tuple_index]
+        o = self.orbits[oid]
+        if o.kind == "fixed":
+            M = self.fibre.embedding(o.anchor)
+        elif role == "rep":
+            M = self.fibre.identity
+        else:
+            M = self.fibre.partner(o.anchor)
+        return self.offsets[oid], M
+
+    def corestrict(self, oid, X):
+        """Stored coordinates of the fixed orbit oid for the fibre-valued
+        columns X; None if some column is not fixed."""
+        o = self.orbits[oid]
+        W = self.fibre.zeros(self.widths[oid], X.shape[1])
+        for c in range(X.shape[1]):
+            w = self.fibre.fixed_coords(o.anchor, X[:, c])
+            if w is None:
+                return None
+            W[:, c] = w
+        return W
+
+    def from_values(self, value_fn):
+        """Stored coordinates of the cochain whose value at each orbit
+        representative is value_fn(tuple); the value at a fixed tuple must
+        be fixed by the involution."""
+        def blocks(tup, anchor):
+            value = self.fibre.element(value_fn(tup))
+            return [(0, np.array(value, dtype=object).reshape(-1, 1))]
+        return assemble(self, 1, blocks, ValueError)[:, 0]
+
+
+def assemble(dst, ncols, blocks, error=AssertionError):
+    """The matrix with a row block per orbit of dst and ncols columns.
+
+    blocks(tup, anchor) gives, for the representative tuple of an orbit,
+    (first column, fibre-valued block) pairs.  A free orbit stores the
+    blocks as they are.  A fixed orbit stores the corestriction of their
+    nonzero columns; a zero column stays zero, exactly, since the
+    corestriction of 0 is 0.  A nonzero column that is not fixed raises
+    error."""
+    A = dst.fibre.zeros(dst.total, ncols)
+    for oid, o in enumerate(dst.orbits):
+        tup = dst.level.tuple_at(o.rep)
+        r = dst.offsets[oid]
+        for c, X in blocks(tup, o.anchor):
+            w = dst.widths[oid]
+            if o.kind == "free":
+                A[r:r + w, c:c + X.shape[1]] = X
+                continue
+            cols = [j for j in range(X.shape[1]) if any(v != 0 for v in X[:, j])]
+            if not cols:
+                continue
+            W = dst.corestrict(oid, X[:, cols])
+            if W is None:
+                raise error(f"value at fixed tuple {tup} is not fixed by the involution")
+            A[r:r + w, [c + j for j in cols]] = W
+    return A
+
+
+def face_sum(src, terms):
+    """Group the sum of coef * L @ (value of src at tuple i), over the
+    (i, coef, L) in terms, by source orbit: (first column, block) pairs for
+    the orbits the terms hit.  L is None for the identity."""
+    fibre = src.fibre
+    blocks = {}
+    for i, coef, L in terms:
+        off, M = src.value_expression(i)
+        if not M.shape[1]:
+            continue
+        if off not in blocks:
+            blocks[off] = fibre.zeros(fibre.k, M.shape[1])
+        blocks[off] += coef * (M if L is None else L @ M)
+    return blocks.items()
+
+
+def coboundary_matrix(src, dst, last_face=None):
+    """Matrix of d: C^n -> C^(n+1), the alternating sum of the face maps,
+    in the orbit bases src (degree n) and dst (degree n+1).  last_face(tup),
+    if given, is the fibre map applied to the value at the last face of tup,
+    which is anchored at another object."""
+    G, n = src.groupoid, src.n
+
+    def blocks(tup, anchor):
+        terms = []
+        for i in range(n + 2):
+            fi = src.level.index_of(face(G, n + 1, i, tup))
+            L = last_face(tup) if last_face is not None and i == n + 1 else None
+            terms.append((fi, 1 if i % 2 == 0 else -1, L))
+        return face_sum(src, terms)
+
+    return assemble(dst, src.total, blocks)
+
+
+class LevelBasis(OrbitBasis):
+    """Orbit basis of the degree-n real cochain group (integral fibre)."""
+
+    def __init__(self, groupoid, sblocks, n):
+        OrbitBasis.__init__(self, nerve(groupoid, n), sblocks)
+        self.moduli = []
+        for o in self.orbits:
+            self.moduli.extend(sblocks.moduli_S if o.kind == "free"
+                               else sblocks.moduli_fixed)
 
     def presentation(self):
         """The cochain group as an abelian group presentation."""
@@ -136,18 +273,6 @@ class LevelBasis:
             out.append(int(v) % d if d > 0 else int(v))
         return np.array(out, dtype=object)
 
-    def value_expression(self, tuple_index):
-        """(offset, M): the S-value at this nerve tuple equals
-        M @ stored-coordinates-of-its-orbit, placed at the offset."""
-        oid, role = self.orbit_of[tuple_index]
-        o = self.orbits[oid]
-        off = self.offsets[oid]
-        if o.kind == "fixed":
-            return off, self.sb.embed
-        if role == "rep":
-            return off, exact.eye(self.sb.k)
-        return off, self.sb.S.tau
-
     def value_at(self, vector, tup):
         """Evaluate a stored coordinate vector at a nerve tuple; returns
         the S-element as a reduced tuple."""
@@ -155,8 +280,8 @@ class LevelBasis:
         off, M = self.value_expression(i)
         w = M.shape[1]
         coords = np.array(list(vector[off:off + w]), dtype=object)
-        val = M @ coords if w else exact.zeros(self.sb.k, 1)[:, 0]
-        return self.sb.S.reduce_tuple(tuple(val))
+        val = M @ coords if w else exact.zeros(self.fibre.k, 1)[:, 0]
+        return self.fibre.S.reduce_tuple(tuple(val))
 
 
 class RealCochain:
@@ -221,56 +346,13 @@ class RealComplex:
         """Build a cochain from an S-valued function on nerve tuples; the
         function is sampled at orbit representatives (fixed tuples must
         land in the fixed subgroup)."""
-        basis = self.basis(n)
-        vec = exact.zeros(basis.total, 1)[:, 0]
-        for oid, o in enumerate(basis.orbits):
-            tup = basis.level.tuple_at(o.rep)
-            val = self.S.reduce_tuple(value_fn(tup))
-            off = basis.offsets[oid]
-            if o.kind == "free":
-                for i, v in enumerate(val):
-                    vec[off + i] = v
-            else:
-                w = self.sb.to_fixed_coords(val)
-                if w is None:
-                    raise ValueError(
-                        f"value at fixed tuple {tup} is not tau-fixed")
-                for i, v in enumerate(w):
-                    vec[off + i] = v
-        return RealCochain(self, n, vec)
+        return RealCochain(self, n, self.basis(n).from_values(value_fn))
 
     def differential_matrix(self, n):
         """Integer matrix of d: CR^n -> CR^(n+1) in the orbit bases."""
-        if n in self._diffs:
-            return self._diffs[n]
-        src = self.basis(n)
-        dst = self.basis(n + 1)
-        D = exact.zeros(dst.total, src.total)
-        G = self.groupoid
-        for oid, o in enumerate(dst.orbits):
-            tup = dst.level.tuple_at(o.rep)
-            # alternating sum of face values as an S-valued expression
-            X = exact.zeros(self.sb.k, src.total)
-            for i in range(n + 2):
-                ftup = face(G, n + 1, i, tup)
-                fi = src.level.index_of(ftup)
-                off, M = src.value_expression(fi)
-                w = M.shape[1]
-                sign = 1 if i % 2 == 0 else -1
-                X[:, off:off + w] += sign * M
-            off_dst = dst.offsets[oid]
-            if o.kind == "free":
-                D[off_dst:off_dst + self.sb.k, :] = X
-            else:
-                for c in range(src.total):
-                    wcol = self.sb.to_fixed_coords(X[:, c])
-                    if wcol is None:
-                        raise AssertionError(
-                            "differential broke the reality constraint")
-                    for rr, v in enumerate(wcol):
-                        D[off_dst + rr, c] = v
-        self._diffs[n] = D
-        return D
+        if n not in self._diffs:
+            self._diffs[n] = coboundary_matrix(self.basis(n), self.basis(n + 1))
+        return self._diffs[n]
 
     def d(self, cochain):
         n = cochain.degree
@@ -364,33 +446,28 @@ class CohomologyGroup:
 
 # -- module-level convenience API --------------------------------------
 
+def _complex(groupoid, S):
+    """RealComplex for integral S; for rational S the representation
+    complex of the constant fibre Q^(p+q) with involution diag(1_p, -1_q)."""
+    if S.mode == "rational":
+        from .proper import RepComplex
+        from .coefficients import RealRepresentation
+        return RepComplex(groupoid, RealRepresentation.trivial(groupoid, *_pq_of(S)))
+    return RealComplex(groupoid, S)
+
+
 def cochain_group(groupoid, S, n):
     """The degree-n real cochain group; returns the LevelBasis, whose
     presentation is S^(#free orbits) + fixed(S)^(#fixed tuples)."""
-    if S.mode == "rational":
-        from .proper import RepComplex
-        from .coefficients import RealRepresentation
-        rep = RealRepresentation.trivial(groupoid, *_pq_of(S))
-        return RepComplex(groupoid, rep).basis(n)
-    return RealComplex(groupoid, S).basis(n)
+    return _complex(groupoid, S).basis(n)
 
 
 def differential(groupoid, S, n):
-    if S.mode == "rational":
-        from .proper import RepComplex
-        from .coefficients import RealRepresentation
-        rep = RealRepresentation.trivial(groupoid, *_pq_of(S))
-        return RepComplex(groupoid, rep).differential_matrix(n)
-    return RealComplex(groupoid, S).differential_matrix(n)
+    return _complex(groupoid, S).differential_matrix(n)
 
 
 def cohomology(groupoid, S, n):
-    if S.mode == "rational":
-        from .proper import RepComplex
-        from .coefficients import RealRepresentation
-        rep = RealRepresentation.trivial(groupoid, *_pq_of(S))
-        return RepComplex(groupoid, rep).cohomology(n)
-    return RealComplex(groupoid, S).cohomology(n)
+    return _complex(groupoid, S).cohomology(n)
 
 
 def _pq_of(S):

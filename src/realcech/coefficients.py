@@ -63,22 +63,14 @@ class RealCoefficientGroup:
 
     def _check_involution(self):
         R = self.relations()
-        solver = exact.IntSolver(R) if R.shape[1] else None
         # tau preserves the relation lattice
-        for j in range(R.shape[1]):
-            img = self.tau @ R[:, j]
-            if solver.solve(img) is None:
-                raise ValueError("tau does not preserve the torsion relations")
+        img = self.tau @ R
+        if not all(self.is_zero(img[:, j]) for j in range(img.shape[1])):
+            raise ValueError("tau does not preserve the torsion relations")
         # tau^2 = identity modulo relations
-        T2 = self.tau @ self.tau
-        I = exact.eye(self.ngens)
-        for j in range(self.ngens):
-            diff = T2[:, j] - I[:, j]
-            if solver is None:
-                if any(v != 0 for v in diff):
-                    raise ValueError("tau is not 2-periodic")
-            elif solver.solve(diff) is None:
-                raise ValueError("tau is not 2-periodic")
+        diff = self.tau @ self.tau - exact.eye(self.ngens)
+        if not all(self.is_zero(diff[:, j]) for j in range(self.ngens)):
+            raise ValueError("tau is not 2-periodic")
 
     # -- element helpers (tuples of python ints) ------------------------
 
@@ -90,6 +82,12 @@ class RealCoefficientGroup:
         for j, d in enumerate(self.invariant_factors):
             out[self.free_rank + j] %= d
         return tuple(out)
+
+    def is_zero(self, vec):
+        """Whether the integer vector lies in the relation lattice, which is
+        diagonal: free coordinates vanish, torsion ones are divisible by
+        their invariant factor."""
+        return all(v == 0 for v in self.reduce_tuple(vec))
 
     def add_tuples(self, a, b):
         return self.reduce_tuple(tuple(x + y for x, y in zip(a, b)))
@@ -349,19 +347,19 @@ class RealRepresentation:
                 bad.append(f"action of unit({x}) is not the identity")
         for g in range(G.n_arrows):
             gi = G.inv[g]
-            if not _is_identity(_mat(self.action[g]) @ _mat(self.action[gi])):
+            if not _is_identity(self.action[g] @ self.action[gi]):
                 bad.append(f"action of {g} is not invertible via inv({g})")
         for g in range(G.n_arrows):
             for h in range(G.n_arrows):
                 k = G.comp[g, h]
                 if k < 0:
                     continue
-                lhs = _mat(self.action[g]) @ _mat(self.action[h])
+                lhs = self.action[g] @ self.action[h]
                 if not _mat_eq(lhs, self.action[k]):
                     bad.append(f"functoriality fails at ({g},{h})")
         for x in range(G.n_objects):
             rx = int(G.rho_obj[x])
-            if not _is_identity(_mat(self.nu[rx]) @ _mat(self.nu[x])):
+            if not _is_identity(self.nu[rx] @ self.nu[x]):
                 bad.append(f"nu is not 2-periodic at object {x}")
             if rx == x:
                 # signature of the fiberwise involution must be (p, q)
@@ -371,15 +369,11 @@ class RealRepresentation:
                                f"({self.p},{self.q})")
         for g in range(G.n_arrows):
             rg = int(G.rho_arr[g])
-            lhs = _mat(self.nu[int(G.tgt[g])]) @ _mat(self.action[g])
-            rhs = _mat(self.action[rg]) @ _mat(self.nu[int(G.src[g])])
+            lhs = self.nu[int(G.tgt[g])] @ self.action[g]
+            rhs = self.action[rg] @ self.nu[int(G.src[g])]
             if not _mat_eq(lhs, rhs):
                 bad.append(f"action is not Real at arrow {g}")
         return bad
-
-
-def _mat(M):
-    return M
 
 
 def _mat_eq(A, B):

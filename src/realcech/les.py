@@ -44,30 +44,17 @@ class CoefficientSES:
     def validate(self):
         bad = []
         sp, sm, sd = self.s_prime, self.s_mid, self.s_dprime
+        maps = ((self.i, sp, sm, "i"), (self.p, sm, sd, "p"))
         # maps must send relations into relations (well-defined group homs)
-        for mat, src, dst, name in ((self.i, sp, sm, "i"), (self.p, sm, sd, "p")):
-            solver = exact.IntSolver(dst.relations()) if dst.invariant_factors else None
-            R = src.relations()
-            for j in range(R.shape[1]):
-                img = mat @ R[:, j]
-                if solver is None:
-                    if any(v != 0 for v in img):
-                        bad.append(f"{name} is not well defined")
-                elif solver.solve(img) is None:
-                    bad.append(f"{name} is not well defined")
+        for mat, src, dst, name in maps:
+            img = mat @ src.relations()
+            bad.extend(f"{name} is not well defined"
+                       for j in range(img.shape[1]) if not dst.is_zero(img[:, j]))
         # equivariance
-        for mat, src, dst, name in ((self.i, sp, sm, "i"), (self.p, sm, sd, "p")):
-            lhs = mat @ src.tau
-            rhs = dst.tau @ mat
-            diff = lhs - rhs
-            solver = exact.IntSolver(dst.relations()) if dst.invariant_factors else None
-            for j in range(diff.shape[1]):
-                col = diff[:, j]
-                if solver is None:
-                    if any(v != 0 for v in col):
-                        bad.append(f"{name} is not involution-equivariant")
-                elif solver.solve(col) is None:
-                    bad.append(f"{name} is not involution-equivariant")
+        for mat, src, dst, name in maps:
+            diff = mat @ src.tau - dst.tau @ mat
+            bad.extend(f"{name} is not involution-equivariant"
+                       for j in range(diff.shape[1]) if not dst.is_zero(diff[:, j]))
         # exactness on finite groups by enumeration (all our uses are finite)
         if sp.is_finite() and sm.is_finite() and sd.is_finite():
             img_i = {sm.reduce_tuple(tuple(self.i @ np.array(e, dtype=object)))
@@ -100,33 +87,20 @@ def induced_cochain_map(groupoid, s_a, s_b, f, n):
     ba, bb = cxa.basis(n), cxb.basis(n)
     assert len(ba.orbits) == len(bb.orbits)
     F = exact.zeros(bb.total, ba.total)
-    R_b = s_b.relations()
-    fixed_solver = None
-    if bb.sb.k_fixed:
-        aug = np.concatenate([bb.sb.embed, R_b], axis=1) \
-            if R_b.shape[1] else bb.sb.embed
-        fixed_solver = exact.IntSolver(aug)
     for oid, (oa, ob) in enumerate(zip(ba.orbits, bb.orbits)):
         assert oa.kind == ob.kind and oa.rep == ob.rep
         off_a, off_b = ba.offsets[oid], bb.offsets[oid]
         if oa.kind == "free":
-            F[off_b:off_b + bb.sb.k, off_a:off_a + ba.sb.k] = f
+            F[off_b:off_b + bb.fibre.k, off_a:off_a + ba.fibre.k] = f
         else:
-            X = f @ ba.sb.embed  # S_b-values of the a-side fixed generators
+            X = f @ ba.fibre.embed  # S_b-values of the a-side fixed generators
             for c in range(X.shape[1]):
-                if bb.sb.k_fixed == 0:
-                    # target fixed subgroup trivial: the value must vanish
-                    col = s_b.reduce_tuple(tuple(X[:, c]))
-                    if any(v != 0 for v in col):
-                        raise SequenceError(
-                            "map does not respect the fixed subgroups")
-                    continue
-                sol = fixed_solver.solve(X[:, c])
+                sol = bb.fibre.to_fixed_coords(X[:, c])
                 if sol is None:
                     raise SequenceError(
                         "map does not respect the fixed subgroups")
-                for r in range(bb.sb.k_fixed):
-                    F[off_b + r, off_a + c] = sol[r]
+                for r, v in enumerate(sol):
+                    F[off_b + r, off_a + c] = v
     return F, cxa, cxb
 
 
@@ -149,14 +123,13 @@ class ConnectingMap:
         ses = self.ses
         bd = self.cx_dp.basis(self.n)
         bm = self.cx_mid.basis(self.n)
-        R_m = ses.s_mid.relations()
         aug_free = np.concatenate([ses.p, ses.s_dprime.relations()], axis=1) \
             if ses.s_dprime.relations().shape[1] else ses.p
         free_solver = exact.IntSolver(aug_free)
         # fixed lift: find w in fixed(S) with p(embed_m w) = embed_d u
-        Em = bm.sb.embed
-        Ed = bd.sb.embed
-        if bm.sb.k_fixed:
+        Em = bm.fibre.embed
+        Ed = bd.fibre.embed
+        if bm.fibre.k_fixed:
             mat = ses.p @ Em
             aug = np.concatenate([mat, ses.s_dprime.relations()], axis=1) \
                 if ses.s_dprime.relations().shape[1] else mat
@@ -167,14 +140,14 @@ class ConnectingMap:
         for oid, (od, om) in enumerate(zip(bd.orbits, bm.orbits)):
             off_d, off_m = bd.offsets[oid], bm.offsets[oid]
             if od.kind == "free":
-                for c in range(bd.sb.k):
-                    sol = free_solver.solve(exact.eye(bd.sb.k)[:, c])
+                for c in range(bd.fibre.k):
+                    sol = free_solver.solve(exact.eye(bd.fibre.k)[:, c])
                     if sol is None:
                         raise SequenceError("p is not surjective on S''")
-                    for r in range(bm.sb.k):
+                    for r in range(bm.fibre.k):
                         L[off_m + r, off_d + c] = sol[r]
             else:
-                for c in range(bd.sb.k_fixed):
+                for c in range(bd.fibre.k_fixed):
                     target = Ed[:, c]
                     if fixed_solver is None:
                         col = self.ses.s_dprime.reduce_tuple(tuple(target))
@@ -188,7 +161,7 @@ class ConnectingMap:
                         raise SequenceError(
                             "equivariant lift obstructed: fixed values of "
                             "S'' have no fixed preimage in S")
-                    for r in range(bm.sb.k_fixed):
+                    for r in range(bm.fibre.k_fixed):
                         L[off_m + r, off_d + c] = sol[r]
         self.lift_matrix = L
 
@@ -202,8 +175,8 @@ class ConnectingMap:
         bm1 = self.cx_mid.basis(self.n + 1)
         bp1 = self.cx_p.basis(self.n + 1)
         self._bm1, self._bp1 = bm1, bp1
-        if bp1.sb.k_fixed:
-            mat = ses.i @ bp1.sb.embed
+        if bp1.fibre.k_fixed:
+            mat = ses.i @ bp1.fibre.embed
             aug2 = np.concatenate([mat, R_m], axis=1) if R_m.shape[1] else mat
             self._fixed_co = exact.IntSolver(aug2)
         else:
@@ -223,18 +196,17 @@ class ConnectingMap:
         for oid, (om, op) in enumerate(zip(bm1.orbits, bp1.orbits)):
             off_m, off_p = bm1.offsets[oid], bp1.offsets[oid]
             if om.kind == "free":
-                val = z[off_m:off_m + bm1.sb.k]
+                val = z[off_m:off_m + bm1.fibre.k]
                 sol = self._free_co.solve(val)
                 if sol is None:
                     raise SequenceError("snake value is not in the image of i")
-                for r in range(bp1.sb.k):
+                for r in range(bp1.fibre.k):
                     out[off_p + r] = sol[r]
             else:
-                u = z[off_m:off_m + bm1.sb.k_fixed]
-                val = bm1.sb.embed @ u if bm1.sb.k_fixed else \
+                u = z[off_m:off_m + bm1.fibre.k_fixed]
+                val = bm1.fibre.embed @ u if bm1.fibre.k_fixed else \
                     exact.zeros(self.ses.s_mid.ngens, 1)[:, 0]
                 if self._fixed_co is None:
-                    col = self.ses.s_mid.reduce_tuple(tuple(val))
                     # must be i(0) = 0 modulo relations after corestriction
                     sol0 = self._free_co.solve(np.array(list(val), dtype=object))
                     if sol0 is None:
@@ -244,7 +216,7 @@ class ConnectingMap:
                 if sol is None:
                     raise SequenceError(
                         "snake value escapes the fixed part of S'")
-                for r in range(bp1.sb.k_fixed):
+                for r in range(bp1.fibre.k_fixed):
                     out[off_p + r] = sol[r]
         return out
 

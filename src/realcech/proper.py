@@ -25,7 +25,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import exact
-from .nerve import nerve, face
+from .cochains import OrbitBasis, assemble, coboundary_matrix, face_sum
+from .nerve import face, nerve  # noqa: F401 -- bench/spans.py patches both names here
 
 
 def canonical_cutoff(groupoid):
@@ -51,99 +52,46 @@ def verify_cutoff(groupoid, cutoff):
     return bad
 
 
-def _anchor(groupoid, n, tup):
-    if n == 0:
-        return int(tup[0])
-    return int(groupoid.src[tup[-1]])
+class RepFibre:
+    """The rational fibre: the representation space Q^dim over each object.
 
+    A free orbit stores the value at its representative; the partner
+    value is nu of it.  A fixed orbit stores coordinates in the +1
+    eigenbasis of nu at its (rho-fixed) anchor object."""
 
-class RepLevelBasis:
-    """Orbit basis of degree-n representation-valued real cochains."""
+    zeros = staticmethod(exact.frac_zeros)
 
-    def __init__(self, rep, n):
+    def __init__(self, rep):
         self.rep = rep
-        G = rep.groupoid
-        self.groupoid = G
-        self.n = n
-        self.level = nerve(G, n)
-        self.dim = rep.dim
-        self.orbits = []      # (kind, rep_index, partner_index)
-        self.orbit_of = {}
+        self.k = rep.dim
+        self.identity = exact.as_frac_matrix(exact.eye(rep.dim))
         self._fixed_basis = {}
-        seen = set()
-        for i in range(len(self.level)):
-            if i in seen:
-                continue
-            j = self.level.rho_index(i)
-            if j == i:
-                oid = len(self.orbits)
-                self.orbits.append(("fixed", i, i))
-                self.orbit_of[i] = (oid, "rep")
-                seen.add(i)
-            else:
-                a, b = (i, j) if i < j else (j, i)
-                oid = len(self.orbits)
-                self.orbits.append(("free", a, b))
-                self.orbit_of[a] = (oid, "rep")
-                self.orbit_of[b] = (oid, "partner")
-                seen.update((a, b))
-        self.offsets = []
-        pos = 0
-        self.widths = []
-        for kind, ri, _ in self.orbits:
-            self.offsets.append(pos)
-            if kind == "free":
-                w = self.dim
-            else:
-                x = _anchor(G, n, self.level.tuple_at(ri))
-                w = self._plus_eigenbasis(x).shape[1]
-            self.widths.append(w)
-            pos += w
-        self.total = pos
 
-    def _plus_eigenbasis(self, x):
+    def element(self, value):
+        return [Fraction(v) for v in value]
+
+    def embedding(self, x):
         """Columns spanning {v : nu_x v = v} for a rho-fixed object x."""
         if x not in self._fixed_basis:
-            nu = self.rep.nu[x]
-            C = nu - exact.as_frac_matrix(np.eye(self.dim, dtype=np.int64))
-            self._fixed_basis[x] = exact.frac_kernel(C)
+            self._fixed_basis[x] = exact.frac_kernel(self.rep.nu[x] - self.identity)
         return self._fixed_basis[x]
 
-    def value_expression(self, tuple_index):
-        """(offset, M): fiber value at the tuple = M @ stored coords."""
-        oid, role = self.orbit_of[tuple_index]
-        kind, ri, _ = self.orbits[oid]
-        off = self.offsets[oid]
-        if kind == "fixed":
-            x = _anchor(self.groupoid, self.n, self.level.tuple_at(ri))
-            return off, self._plus_eigenbasis(x)
-        if role == "rep":
-            return off, exact.as_frac_matrix(np.eye(self.dim, dtype=np.int64))
-        x = _anchor(self.groupoid, self.n, self.level.tuple_at(ri))
-        return off, self.rep.nu[x]
+    def partner(self, x):
+        return self.rep.nu[x]
 
-    def corestrict(self, oid, X):
-        """Express fiber-valued columns X in the stored coordinates of a
-        fixed orbit (solving against the +1 eigenbasis)."""
-        kind, ri, _ = self.orbits[oid]
-        assert kind == "fixed"
-        x = _anchor(self.groupoid, self.n, self.level.tuple_at(ri))
-        F = self._plus_eigenbasis(x)
-        W = exact.frac_zeros(F.shape[1], X.shape[1])
-        for c in range(X.shape[1]):
-            sol = exact.frac_solve(F, X[:, c])
-            if sol is None:
-                raise AssertionError("value escaped the fixed subspace")
-            W[:, c] = sol
-        return W
+    def fixed_coords(self, x, vec):
+        return exact.frac_solve(self.embedding(x), vec)
 
-    # API parity with the integral LevelBasis
-    def counts(self):
-        free = sum(1 for k, _, _ in self.orbits if k == "free")
-        return free, len(self.orbits) - free
 
-    def presentation_key(self):
-        return (self.total, ())
+class RepLevelBasis(OrbitBasis):
+    """Orbit basis of degree-n representation-valued real cochains."""
+
+    def __init__(self, fibre, n):
+        OrbitBasis.__init__(self, nerve(fibre.rep.groupoid, n), fibre)
+
+    # bound on this class as well, so that bench/spans.py counts rational
+    # corestriction apart from the integral kind
+    corestrict = OrbitBasis.corestrict
 
 
 class RepComplex:
@@ -153,76 +101,44 @@ class RepComplex:
         self.groupoid = groupoid
         self.rep = rep
         self.cutoff = cutoff if cutoff is not None else canonical_cutoff(groupoid)
+        self.fibre = RepFibre(rep)
         self._bases = {}
         self._diffs = {}
         self._homos = {}
 
     def basis(self, n):
         if n not in self._bases:
-            self._bases[n] = RepLevelBasis(self.rep, n)
+            self._bases[n] = RepLevelBasis(self.fibre, n)
         return self._bases[n]
 
     def differential_matrix(self, n):
-        if n in self._diffs:
-            return self._diffs[n]
-        src = self.basis(n)
-        dst = self.basis(n + 1)
-        G = self.groupoid
-        dim = self.rep.dim
-        D = exact.frac_zeros(dst.total, src.total)
-        for oid, (kind, ri, _) in enumerate(dst.orbits):
-            tup = dst.level.tuple_at(ri)
-            X = exact.frac_zeros(dim, src.total)
-            for k in range(n + 2):
-                ftup = face(G, n + 1, k, tup)
-                fi = src.level.index_of(ftup)
-                off, M = src.value_expression(fi)
-                sign = Fraction(1 if k % 2 == 0 else -1)
-                if k == n + 1:
-                    M = self.rep.act_inv(tup[-1]) @ M
-                w = M.shape[1]
-                if w:
-                    X[:, off:off + w] += sign * M
-            off_dst = dst.offsets[oid]
-            if kind == "free":
-                D[off_dst:off_dst + dim, :] = X
-            else:
-                W = dst.corestrict(oid, X)
-                D[off_dst:off_dst + W.shape[0], :] = W
-        self._diffs[n] = D
-        return D
+        if n not in self._diffs:
+            # the last face is anchored at tgt(g_(n+1)); act^-1 moves it back
+            self._diffs[n] = coboundary_matrix(
+                self.basis(n), self.basis(n + 1),
+                last_face=lambda tup: self.rep.act_inv(tup[-1]))
+        return self._diffs[n]
 
     def contraction_matrix(self, n):
         """h: C^(n+1) -> C^n (requires the cutoff; exact rationals)."""
         if n in self._homos:
             return self._homos[n]
         src = self.basis(n + 1)
-        dst = self.basis(n)
         G = self.groupoid
-        dim = self.rep.dim
-        H = exact.frac_zeros(dst.total, src.total)
         sign = Fraction(1 if (n + 1) % 2 == 0 else -1)
-        for oid, (kind, ri, _) in enumerate(dst.orbits):
-            tup = dst.level.tuple_at(ri)
-            x = _anchor(G, n, tup)
-            X = exact.frac_zeros(dim, src.total)
+
+        def blocks(tup, x):
+            terms = []
             for gamma in G.arrows_into(x):
-                longer = tuple(tup) + (int(gamma),) if n >= 1 else (int(gamma),)
-                li = src.level.index_of(longer)
-                off, M = src.value_expression(li)
-                w = M.shape[1]
-                if not w:
-                    continue
+                gamma = int(gamma)
+                longer = tuple(tup) + (gamma,) if n >= 1 else (gamma,)
                 weight = self.cutoff[int(G.src[gamma])]
-                X[:, off:off + w] += sign * weight * (self.rep.act(int(gamma)) @ M)
-            off_dst = dst.offsets[oid]
-            if kind == "free":
-                H[off_dst:off_dst + dim, :] = X
-            else:
-                W = dst.corestrict(oid, X)
-                H[off_dst:off_dst + W.shape[0], :] = W
-        self._homos[n] = H
-        return H
+                terms.append((src.level.index_of(longer), sign * weight,
+                              self.rep.act(gamma)))
+            return face_sum(src, terms)
+
+        self._homos[n] = assemble(self.basis(n), src.total, blocks)
+        return self._homos[n]
 
     def cohomology(self, n):
         return RationalCohomology(self, n)
@@ -244,18 +160,7 @@ class RepComplex:
 
     def from_values(self, n, value_fn):
         """Cochain vector from a fiber-valued function on nerve tuples."""
-        basis = self.basis(n)
-        vec = exact.frac_zeros(basis.total, 1)[:, 0]
-        for oid, (kind, ri, _) in enumerate(basis.orbits):
-            tup = basis.level.tuple_at(ri)
-            val = np.array([Fraction(v) for v in value_fn(tup)], dtype=object)
-            off = basis.offsets[oid]
-            if kind == "free":
-                vec[off:off + basis.dim] = val
-            else:
-                W = basis.corestrict(oid, val.reshape(-1, 1))
-                vec[off:off + W.shape[0]] = W[:, 0]
-        return vec
+        return self.basis(n).from_values(value_fn)
 
 
 class RationalCohomology:
@@ -293,33 +198,44 @@ def _lcm_denominator(M):
     return out
 
 
-def _scaled_int64(M, scale):
-    A = np.empty(M.shape, dtype=np.int64)
-    for i in range(M.shape[0]):
-        for j in range(M.shape[1]):
-            val = M[i, j] * scale
-            assert val.denominator == 1
-            assert abs(val.numerator) < (1 << 40)
-            A[i, j] = int(val)
+def _scaled(M, scale):
+    """M * scale as Python ints; the scale must clear every denominator."""
+    A = np.empty(M.shape, dtype=object)
+    for idx, v in np.ndenumerate(M):
+        val = v * scale
+        assert val.denominator == 1
+        A[idx] = int(val)
     return A
+
+
+def _max_abs(A):
+    return max((abs(v) for v in A.flat), default=0)
 
 
 def homotopy_identity_matrices(complex_, n):
     """(h d + d h, expected multiple of identity) on degree n >= 1,
-    computed with cleared denominators in C-speed integer arithmetic."""
+    computed with cleared denominators; in C-speed int64 arithmetic when a
+    bound on every entry proves that nothing can overflow, else in Python
+    ints."""
     D_n = complex_.differential_matrix(n)
     D_prev = complex_.differential_matrix(n - 1)
     H_n = complex_.contraction_matrix(n)      # C^(n+1) -> C^n
     H_prev = complex_.contraction_matrix(n - 1)  # C^n -> C^(n-1)
     a = max(_lcm_denominator(D_n), _lcm_denominator(D_prev))
     b = max(_lcm_denominator(H_n), _lcm_denominator(H_prev))
-    Dn = _scaled_int64(D_n, a)
-    Dp = _scaled_int64(D_prev, a)
-    Hn = _scaled_int64(H_n, b)
-    Hp = _scaled_int64(H_prev, b)
+    Dn = _scaled(D_n, a)
+    Dp = _scaled(D_prev, a)
+    Hn = _scaled(H_n, b)
+    Hp = _scaled(H_prev, b)
     total = complex_.basis(n).total
+    tops = [_max_abs(M) for M in (Dn, Dp, Hn, Hp)]
+    top_Dn, top_Dp, top_Hn, top_Hp = tops
+    # |entry of Hn @ Dn + Dp @ Hp| <= inner dim * max|H| * max|D|, per product
+    bound = Hn.shape[1] * top_Hn * top_Dn + Dp.shape[1] * top_Dp * top_Hp
+    dtype = np.int64 if max(bound, a * b, *tops) <= 1 << 62 else object
+    Dn, Dp, Hn, Hp = (M.astype(dtype) for M in (Dn, Dp, Hn, Hp))
     lhs = Hn @ Dn + Dp @ Hp
-    rhs = (a * b) * np.eye(total, dtype=np.int64)
+    rhs = (a * b) * np.eye(total, dtype=np.int64).astype(dtype)
     return lhs, rhs
 
 

@@ -27,6 +27,17 @@ class TestStandardInstances:
         with pytest.raises(ValueError):
             make_standard("nonsense")
 
+    def test_tau_must_preserve_the_relations(self):
+        # swapping the generators of Z/2 + Z/4 sends 2*e_0 = 0 to 2*e_1 != 0
+        with pytest.raises(ValueError, match="tau does not preserve the torsion relations"):
+            RealCoefficientGroup(0, [2, 4], [[0, 1], [1, 0]])
+
+    @pytest.mark.parametrize("free_rank, factors", [(0, [5]), (1, [])])
+    def test_tau_must_be_an_involution(self, free_rank, factors):
+        # multiplication by 2 squares to 4, which is 1 neither mod 5 nor in Z
+        with pytest.raises(ValueError, match="tau is not 2-periodic"):
+            RealCoefficientGroup(free_rank, factors, [[2]])
+
     def test_tau_involutive_on_generators(self, presets):
         for name, S in presets:
             T2 = S.tau @ S.tau

@@ -30,6 +30,17 @@ class TestSequenceValidation:
         with pytest.raises(SequenceError):
             CoefficientSES(mu2t, sign4, mu2t, [[1]], [[1]])
 
+    def test_map_must_respect_the_relations(self):
+        # x1: Z/2 -> Z/4 sends the relation 2 to 2, which is not 0 in Z/4
+        with pytest.raises(SequenceError, match="i is not well defined"):
+            CoefficientSES(mu2t, mu4t, mu2t, [[1]], [[1]])
+
+    def test_map_must_commute_with_the_involutions(self):
+        # the identity Z_sign -> Z_trivial: i(tau s) = -s but tau(i s) = s
+        zsign, ztriv = make_standard("Z_sign"), make_standard("Z_trivial")
+        with pytest.raises(SequenceError, match="i is not involution-equivariant"):
+            CoefficientSES(zsign, ztriv, make_standard("mu(1)_trivial"), [[1]], [])
+
 
 class TestConnecting:
     def test_zero_maps_to_zero(self):

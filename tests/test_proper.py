@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from realcech import standard
 from realcech.coefficients import RealRepresentation, make_standard
 from realcech.cochains import cohomology
 from realcech.proper import (RepComplex, canonical_cutoff,
-                             contraction_is_homotopy, vanishing_check,
+                             contraction_is_homotopy,
+                             homotopy_identity_matrices, vanishing_check,
                              verify_cutoff)
 
 
@@ -179,3 +181,22 @@ class TestVanishing:
                 hb = H @ z
                 assert all((cx.differential_matrix(n - 1) @ hb)[i] == z[i]
                            for i in range(total)), name
+
+
+class _OneByOneComplex:
+    """A stand-in complex: every d and h is the 1x1 matrix [2**39]."""
+
+    def differential_matrix(self, n):
+        return np.array([[Fraction(2 ** 39)]], dtype=object)
+
+    contraction_matrix = differential_matrix
+
+    def basis(self, n):
+        return SimpleNamespace(total=1)
+
+
+def test_homotopy_identity_does_not_overflow_int64():
+    # each product is 2**78, far past int64; the sum must be exact
+    lhs, rhs = homotopy_identity_matrices(_OneByOneComplex(), 1)
+    assert lhs[0, 0] == 2 ** 79
+    assert rhs[0, 0] == 1
