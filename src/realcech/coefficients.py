@@ -324,7 +324,7 @@ class RealRepresentation:
     def trivial(cls, groupoid, p, q):
         """Constant fibers Q^(p+q), trivial action, nu = diag(1_p, -1_q)."""
         dim = p + q
-        ident = exact.as_frac_matrix(np.eye(dim, dtype=np.int64))
+        ident = exact.as_frac_matrix(exact.eye(dim))
         nu0 = exact.frac_zeros(dim, dim)
         for i in range(dim):
             nu0[i, i] = Fraction(1 if i < p else -1)

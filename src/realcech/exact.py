@@ -2,9 +2,13 @@
 
 Smith normal form, Diophantine solving, integer kernels, and presentation
 of quotient lattices as abelian groups (free rank + invariant factors).
-All integer work uses arbitrary-precision Python ints inside numpy object
-arrays, so intermediate swell is harmless.  Rational work uses
-fractions.Fraction end to end; no floating point anywhere.
+Integer results are arbitrary-precision Python ints inside numpy object
+arrays, so intermediate swell is harmless.  The Smith form reduces its
+working matrix D with vectorised numpy operations on an int64 copy, and
+promotes D to Python ints before any update whose result could reach
+2^62; the transforms are Python ints throughout, and the returned
+matrices are those of the scalar elimination, entry for entry.  Rational
+work uses fractions.Fraction end to end; no floating point anywhere.
 
 Everything here is a pure function of its inputs; concurrent use is safe.
 """
@@ -27,12 +31,21 @@ def as_int_matrix(rows):
 
 
 def zeros(m, n):
-    return np.zeros((m, n), dtype=object) + 0
+    return np.zeros((m, n), dtype=object)
 
 
 def eye(n):
-    return np.array([[1 if i == j else 0 for j in range(n)] for i in range(n)],
-                    dtype=object) if n else np.zeros((0, 0), dtype=object)
+    return np.identity(n, dtype=object)
+
+
+# |entries| of an int64 working matrix stay below this, so no product or
+# sum formed from them within a bound checked first can wrap
+_LIMIT = 1 << 62
+
+
+def _top(A):
+    """max |a| over the entries of A as a Python int (0 if A is empty)."""
+    return max(int(A.max()), -int(A.min())) if A.size else 0
 
 
 def _xgcd(a, b):
@@ -50,147 +63,161 @@ def _xgcd(a, b):
     return g, x, y
 
 
-def smith_normal_form(mat, need_u=True, need_v=True, need_inverses=False):
+def _pivot(D, t):
+    """(i, j) of the first entry of least nonzero |value| in D[t:, t:] in
+    row-major order, or None if that block is zero."""
+    A = D[t:, t:]
+    rows, cols = np.nonzero(A)
+    if not rows.size:
+        return None
+    k = np.argmin(np.abs(A[rows, cols]))
+    return t + rows[k], t + cols[k]
+
+
+def _indivisible_row(D, t):
+    """The first row below t holding an entry of D[t+1:, t+1:] that the
+    pivot D[t, t] does not divide, or None."""
+    p = D[t, t]
+    if p == 1:
+        return None
+    B = D[t + 1:, t + 1:]
+    rows, cols = np.nonzero(B)
+    bad = (B[rows, cols] % p).nonzero()[0]
+    return t + 1 + rows[bad[0]] if bad.size else None
+
+
+def _swap(X, t, i, T, Tinv):
+    """Swap rows t and i of X (active columns t: only) and of T, and
+    columns t and i of Tinv."""
+    if i == t:
+        return
+    X[[t, i], t:] = X[[i, t], t:]
+    if T is not None:
+        T[[t, i], :] = T[[i, t], :]
+    if Tinv is not None:
+        Tinv[:, [t, i]] = Tinv[:, [i, t]]
+
+
+def _clear_below(X, t, T, Tinv):
+    """Zero X[t+1:, t] by row operations against row t; return X, which
+    is a copy promoted to Python ints if an update could leave int64.
+
+    The rows are visited top to bottom, as a scalar loop would.  A row
+    whose entry the current pivot divides gets row_i -= q * row_t; such
+    operations commute until the pivot row changes, so each run of them
+    is one outer-product update.  Any other row takes a 2x2 gcd step with
+    row t, which makes the pivot their gcd.  T follows the row operations
+    and Tinv the inverse column operations.  Columns left of t are zero
+    in rows t and below, so only the active columns t: are touched.
+    """
+    start = t + 1
+    while True:
+        idx = start + X[start:, t].nonzero()[0]
+        if not idx.size:
+            return X
+        bad = (X[idx, t] % X[t, t]).nonzero()[0]
+        stop = bad[0] if bad.size else idx.size
+        if stop:
+            rows = idx[:stop]
+            q = X[rows, t] // X[t, t]
+            # only the columns where row t is nonzero change
+            cols = t + X[t, t:].nonzero()[0]
+            block = rows[:, None], cols
+            if X.dtype != object and (
+                    _top(X[block]) + _top(q) * _top(X[t, cols]) >= _LIMIT):
+                X, q = X.astype(object), q.astype(object)
+            X[block] -= np.outer(q, X[t, cols])
+            q = q.astype(object)
+            if T is not None:
+                cols = T[t].nonzero()[0]
+                T[rows[:, None], cols] -= np.outer(q, T[t, cols])
+            if Tinv is not None:
+                Tinv[:, t] += Tinv[:, rows] @ q
+        if not bad.size:
+            return X
+        i = idx[stop]
+        g, x, y = _xgcd(int(X[t, t]), int(X[i, t]))
+        a, b = int(X[t, t]) // g, int(X[i, t]) // g
+        if X.dtype != object:
+            ht, hi = _top(X[t, t:]), _top(X[i, t:])
+            if max(abs(x) * ht + abs(y) * hi, abs(b) * ht + abs(a) * hi) >= _LIMIT:
+                X = X.astype(object)
+        # rows (t, i) <- (x*t + y*i, -b*t + a*i); det = 1
+        X[t, t:], X[i, t:] = x * X[t, t:] + y * X[i, t:], -b * X[t, t:] + a * X[i, t:]
+        if T is not None:
+            T[t, :], T[i, :] = x * T[t, :] + y * T[i, :], -b * T[t, :] + a * T[i, :]
+        if Tinv is not None:
+            # inverse of [[x, y], [-b, a]] is [[a, -y], [b, x]]
+            Tinv[:, t], Tinv[:, i] = (a * Tinv[:, t] + b * Tinv[:, i],
+                                      -y * Tinv[:, t] + x * Tinv[:, i])
+        start = i + 1
+
+
+def smith_normal_form(mat, need_u=True, need_v=True, need_inverses=False,
+                      v_rows=None):
     """Return (U, D, V) with U @ mat @ V == D, U and V unimodular.
 
     D is diagonal with a divisibility chain d_1 | d_2 | ... and d_i >= 0.
     With need_inverses, returns (U, D, V, Uinv, Vinv) instead.
-    Pivoting picks the minimal nonzero absolute value to limit swell.
+    Pivoting picks the first minimal nonzero absolute value in row-major
+    order to limit swell.  With v_rows, V holds only its first v_rows
+    rows (column operations act on each row of V on its own).  The
+    results equal, entry for entry, those of the scalar elimination kept
+    as an oracle in tests/oracles.py.
     """
-    D = as_int_matrix(mat).copy()
-    m, n = D.shape
+    M = as_int_matrix(mat)
+    m, n = M.shape
+    # the working copy of D: int64 unless an entry is already past _LIMIT
+    D = M.astype(np.int64) if _top(M) < _LIMIT else np.frompyfunc(int, 1, 1)(M)
     U = eye(m) if (need_u or need_inverses) else None
-    V = eye(n) if (need_v or need_inverses) else None
+    V = None
+    if need_v or need_inverses:
+        V = np.eye(n if v_rows is None else v_rows, n, dtype=object)
     Uinv = eye(m) if need_inverses else None
     Vinv = eye(n) if need_inverses else None
-
-    def row_op(i, j, q):
-        # row_i -= q * row_j
-        D[i, :] -= q * D[j, :]
-        if U is not None:
-            U[i, :] -= q * U[j, :]
-        if Uinv is not None:
-            Uinv[:, j] += q * Uinv[:, i]
-
-    def col_op(i, j, q):
-        D[:, i] -= q * D[:, j]
-        if V is not None:
-            V[:, i] -= q * V[:, j]
-        if Vinv is not None:
-            Vinv[j, :] += q * Vinv[i, :]
-
-    def swap_rows(i, j):
-        if i == j:
-            return
-        D[[i, j], :] = D[[j, i], :]
-        if U is not None:
-            U[[i, j], :] = U[[j, i], :]
-        if Uinv is not None:
-            Uinv[:, [i, j]] = Uinv[:, [j, i]]
-
-    def swap_cols(i, j):
-        if i == j:
-            return
-        D[:, [i, j]] = D[:, [j, i]]
-        if V is not None:
-            V[:, [i, j]] = V[:, [j, i]]
-        if Vinv is not None:
-            Vinv[[i, j], :] = Vinv[[j, i], :]
-
-    def negate_row(i):
-        D[i, :] = -D[i, :]
-        if U is not None:
-            U[i, :] = -U[i, :]
-        if Uinv is not None:
-            Uinv[:, i] = -Uinv[:, i]
+    # column operations on D are row operations on D.T
+    VT = V.T if V is not None else None
+    VinvT = Vinv.T if Vinv is not None else None
 
     t = 0
-    limit = min(m, n)
-    while t < limit:
-        # locate minimal-absolute-value nonzero pivot in D[t:, t:]
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = D[i, j]
-                if v != 0 and (best is None or abs(v) < best[0]):
-                    best = (abs(v), i, j)
-                    if best[0] == 1:
-                        break
-            if best is not None and best[0] == 1:
-                break
-        if best is None:
+    while t < min(m, n):
+        pivot = _pivot(D, t)
+        if pivot is None:
             break
-        swap_rows(t, best[1])
-        swap_cols(t, best[2])
+        _swap(D, t, pivot[0], U, Uinv)
+        _swap(D.T, t, pivot[1], VT, VinvT)
         while True:
-            # clear column t
-            for i in range(t + 1, m):
-                if D[i, t] == 0:
-                    continue
-                if D[i, t] % D[t, t] == 0:
-                    row_op(i, t, D[i, t] // D[t, t])
-                else:
-                    g, x, y = _xgcd(D[t, t], D[i, t])
-                    a, b = D[t, t] // g, D[i, t] // g
-                    # rows (t, i) <- ((x*t + y*i), (-b*t + a*i)); det = 1
-                    rt = x * D[t, :] + y * D[i, :]
-                    ri = -b * D[t, :] + a * D[i, :]
-                    D[t, :], D[i, :] = rt, ri
-                    if U is not None:
-                        ut = x * U[t, :] + y * U[i, :]
-                        ui = -b * U[t, :] + a * U[i, :]
-                        U[t, :], U[i, :] = ut, ui
-                    if Uinv is not None:
-                        # inverse of [[x, y], [-b, a]] is [[a, -y], [b, x]]
-                        ct = a * Uinv[:, t] + b * Uinv[:, i]
-                        ci = -y * Uinv[:, t] + x * Uinv[:, i]
-                        Uinv[:, t], Uinv[:, i] = ct, ci
-            if any(D[i, t] != 0 for i in range(t + 1, m)):
-                continue
-            # clear row t
-            for j in range(t + 1, n):
-                if D[t, j] == 0:
-                    continue
-                if D[t, j] % D[t, t] == 0:
-                    col_op(j, t, D[t, j] // D[t, t])
-                else:
-                    g, x, y = _xgcd(D[t, t], D[t, j])
-                    a, b = D[t, t] // g, D[t, j] // g
-                    ct = x * D[:, t] + y * D[:, j]
-                    cj = -b * D[:, t] + a * D[:, j]
-                    D[:, t], D[:, j] = ct, cj
-                    if V is not None:
-                        vt = x * V[:, t] + y * V[:, j]
-                        vj = -b * V[:, t] + a * V[:, j]
-                        V[:, t], V[:, j] = vt, vj
-                    if Vinv is not None:
-                        rt = a * Vinv[t, :] + b * Vinv[j, :]
-                        rj = -y * Vinv[t, :] + x * Vinv[j, :]
-                        Vinv[t, :], Vinv[j, :] = rt, rj
-            if all(D[i, t] == 0 for i in range(t + 1, m)):
-                if all(D[t, j] == 0 for j in range(t + 1, n)):
-                    break
-        if D[t, t] < 0:
-            negate_row(t)
-        # enforce divisibility: D[t,t] must divide everything below-right
-        bad = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if D[i, j] % D[t, t] != 0:
-                    bad = i
-                    break
-            if bad is not None:
+            D = _clear_below(D, t, U, Uinv)
+            D = _clear_below(D.T, t, VT, VinvT).T
+            # a gcd step on columns can refill column t
+            if not D[t + 1:, t].nonzero()[0].size:
                 break
-        if bad is not None:
-            # fold the offending row into row t and redo this pivot
-            D[t, :] += D[bad, :]
+        if D[t, t] < 0:
+            D[t, t] = -D[t, t]
             if U is not None:
-                U[t, :] += U[bad, :]
+                U[t, :] = -U[t, :]
             if Uinv is not None:
-                Uinv[:, bad] -= Uinv[:, t]
+                Uinv[:, t] = -Uinv[:, t]
+        i = _indivisible_row(D, t)
+        if i is not None:
+            # fold the offending row into row t and redo this pivot
+            if D.dtype != object and _top(D[t, t:]) + _top(D[i, t:]) >= _LIMIT:
+                D = D.astype(object)
+            D[t, t:] += D[i, t:]
+            if U is not None:
+                U[t, :] += U[i, :]
+            if Uinv is not None:
+                Uinv[:, i] -= Uinv[:, t]
             continue
         t += 1
 
+    if D.dtype != object:
+        # D is diagonal by now: drop the int64 copy before the object one
+        # is allocated, so that the two never coexist
+        d = np.diagonal(D).astype(object)
+        del D
+        D = zeros(m, n)
+        D[range(len(d)), range(len(d))] = d
     if need_inverses:
         return U, D, V, Uinv, Vinv
     return (U if need_u else None), D, (V if need_v else None)
@@ -201,18 +228,20 @@ def diagonal_of(D):
     return [D[i, i] for i in range(min(m, n))]
 
 
-def int_kernel(mat):
-    """Basis (columns) of the integer kernel {x : mat @ x == 0}."""
+def int_kernel(mat, rows=None):
+    """Basis (columns) of the integer kernel {x : mat @ x == 0}; with
+    `rows`, only the first `rows` coordinates of each basis vector."""
     M = as_int_matrix(mat)
     m, n = M.shape
+    r = n if rows is None else rows
     if n == 0:
         return zeros(0, 0)
     if m == 0:
-        return eye(n)
-    _, D, V = smith_normal_form(M, need_u=False)
+        return np.eye(r, n, dtype=object)
+    _, D, V = smith_normal_form(M, need_u=False, v_rows=r)
     diag = diagonal_of(D)
     cols = [j for j in range(n) if j >= len(diag) or diag[j] == 0]
-    return V[:, cols] if cols else zeros(n, 0)
+    return V[:, cols] if cols else zeros(r, 0)
 
 
 class IntSolver:
@@ -373,10 +402,8 @@ def lattice_mod_relations(constraint, relations, modulus_relations):
     MR = as_int_matrix(modulus_relations)
     n = C.shape[1]
     stacked = np.concatenate([C, MR], axis=1) if MR.shape[1] else C
-    ker = int_kernel(stacked)
-    B = ker[:n, :] if ker.shape[1] else zeros(n, 0)
-    # the projected columns may be dependent; re-extract a lattice basis
-    B = lattice_basis(B)
+    # the projected kernel columns may be dependent; re-extract a basis
+    B = lattice_basis(int_kernel(stacked, rows=n))
     return AbelianGroupPresentation(B, relations)
 
 
@@ -412,7 +439,9 @@ def as_frac_matrix(rows):
     out = np.empty(M.shape, dtype=object)
     for i in range(M.shape[0]):
         for j in range(M.shape[1]):
-            out[i, j] = Fraction(M[i, j])
+            v = M[i, j]
+            # a numpy integer numerator would wrap silently past 2^63
+            out[i, j] = Fraction(int(v) if isinstance(v, np.integer) else v)
     return out
 
 

@@ -104,6 +104,7 @@ class RepComplex:
         self.fibre = RepFibre(rep)
         self._bases = {}
         self._diffs = {}
+        self._ranks = {}
         self._homos = {}
 
     def basis(self, n):
@@ -118,6 +119,12 @@ class RepComplex:
                 self.basis(n), self.basis(n + 1),
                 last_face=lambda tup: self.rep.act_inv(tup[-1]))
         return self._diffs[n]
+
+    def differential_rank(self, n):
+        """Rank of d^n over Q, computed once per degree."""
+        if n not in self._ranks:
+            self._ranks[n] = exact.frac_rank(self.differential_matrix(n))
+        return self._ranks[n]
 
     def contraction_matrix(self, n):
         """h: C^(n+1) -> C^n (requires the cutoff; exact rationals)."""
@@ -169,13 +176,8 @@ class RationalCohomology:
     def __init__(self, complex_, n):
         self.complex = complex_
         self.degree = n
-        basis = complex_.basis(n)
-        D_n = complex_.differential_matrix(n)
-        self.rank_kernel = basis.total - exact.frac_rank(D_n)
-        if n == 0:
-            self.rank_image = 0
-        else:
-            self.rank_image = exact.frac_rank(complex_.differential_matrix(n - 1))
+        self.rank_kernel = complex_.basis(n).total - complex_.differential_rank(n)
+        self.rank_image = complex_.differential_rank(n - 1) if n else 0
         self.free_rank = self.rank_kernel - self.rank_image
         self.invariant_factors = []
 

@@ -1,10 +1,11 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from realcech import io, standard
+from realcech import cli, io, standard
 from realcech.cochains import RealComplex
 from realcech.coefficients import make_standard
 
@@ -202,3 +203,20 @@ class TestCommands:
                 "--coeff", "mu(4)_conj", "--n", "1")
         assert r.returncode == 0
         assert "torsion" in r.stdout
+
+
+def test_cohomology_working_set(tmp_path, capsys):
+    # the Smith form of the 243x324 matrix [D_3 | R_4] sets the peak
+    path = write(tmp_path, "pair3.json",
+                 io.groupoid_to_json(standard.pair_groupoid(3)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert cli.main(["cohomology", path, "--coeff", "mu(4)_conj",
+                         "--n", "3"]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert json.loads(capsys.readouterr().out) == {"free_rank": 0, "torsion": []}
+    assert peak < 3.2 * 2 ** 20

@@ -1,9 +1,12 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 
+import oracles
 from realcech import exact
+from realcech.cochains import RealComplex
 
 
 def random_matrix(rng, m, n, lo=-6, hi=6):
@@ -124,3 +127,112 @@ def test_lattice_basis():
     B = exact.lattice_basis([[2, 4], [0, 0]])
     assert B.shape == (2, 1)
     assert abs(B[0, 0]) == 2 and B[1, 0] == 0
+
+
+# -- the vectorised Smith form against the scalar oracle ---------------
+
+FLAG_SETS = [dict(need_u=u, need_v=v, need_inverses=i)
+             for u, v, i in itertools.product([False, True], repeat=3)]
+
+
+def assert_same_snf(got, want):
+    """Entry-for-entry equality, every entry a Python int."""
+    assert len(got) == len(want)
+    for A, B in zip(got, want):
+        if B is None:
+            assert A is None
+            continue
+        assert A.dtype == object and A.shape == B.shape
+        assert all(type(x) is int for x in A.flat)
+        assert [int(x) for x in A.flat] == [int(x) for x in B.flat]
+
+
+def oracle_cases(rng):
+    """Random matrices whose elimination takes unit pivots, gcd steps or
+    fold-backs, plus empty shapes and zero rows or columns."""
+    yield from (exact.zeros(m, n) for m, n in [(0, 0), (0, 3), (3, 0)])
+    yield exact.as_int_matrix([[2, 0], [0, 3]])     # fold-back
+    for _ in range(60):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        yield exact.as_int_matrix([[rng.choice([0, 0, 0, 1, -1, 2])
+                                    for _ in range(n)] for _ in range(m)])
+        yield exact.as_int_matrix([[rng.choice([0, 2, -3, 4, 6, -9, 10, 15])
+                                    for _ in range(n)] for _ in range(m)])
+        diag = exact.zeros(m, n)
+        for i in range(min(m, n)):
+            diag[i, i] = rng.choice([0, 2, 3, 5, 4, 9])
+        yield diag[rng.sample(range(m), m)][:, rng.sample(range(n), n)]
+        M = random_matrix(rng, m, n)
+        M[rng.randrange(m), :] = 0
+        M[:, rng.randrange(n)] = 0
+        yield M
+
+
+def test_snf_matches_scalar_oracle_on_random_matrices():
+    rng = random.Random(4)
+    for M in oracle_cases(rng):
+        flags = rng.choice(FLAG_SETS)
+        assert_same_snf(exact.smith_normal_form(M, **flags),
+                        oracles.smith_normal_form(M, **flags))
+
+
+def kernel_matrices(corpus, presets, top):
+    """The distinct [D_n | R_next] matrices whose kernels cohomology
+    presents, with the column count of D_n."""
+    seen = set()
+    for _, g in corpus:
+        for _, S in presets:
+            cx = RealComplex(g, S)
+            for n in range(top + 1):
+                R = cx.basis(n + 1).relation_matrix()
+                D = cx.differential_matrix(n)
+                M = np.concatenate([D, R], axis=1) if R.shape[1] else D
+                key = (M.shape, tuple(M.flat))
+                if key not in seen:
+                    seen.add(key)
+                    yield M, D.shape[1]
+
+
+def test_snf_matches_scalar_oracle_on_cohomology_kernels(corpus, presets):
+    for M, _ in kernel_matrices(corpus, presets, 3):
+        assert_same_snf(exact.smith_normal_form(M, need_u=False),
+                        oracles.smith_normal_form(M, need_u=False))
+
+
+def test_kernel_rows_are_a_prefix(corpus, presets):
+    rng = random.Random(11)
+    cases = [(random_matrix(rng, 3, 5), r) for r in (0, 2, 5)]
+    cases += list(kernel_matrices(corpus, presets, 2))
+    for M, r in cases:
+        assert_same_snf([exact.int_kernel(M, rows=r)], [exact.int_kernel(M)[:r]])
+
+
+def test_snf_starts_in_python_ints_past_int64():
+    rng = random.Random(2)
+    for _ in range(20):
+        M = random_matrix(rng, 3, 4)
+        M[rng.randrange(3), rng.randrange(4)] = rng.choice([2 ** 63, -2 ** 64 - 3])
+        for flags in FLAG_SETS:
+            assert_same_snf(exact.smith_normal_form(M, **flags),
+                            oracles.smith_normal_form(M, **flags))
+
+
+def test_snf_promotes_before_int64_wraps():
+    # coprime pivots near 2^40: the fold-back and gcd steps reach 2^80
+    p, q = 2 ** 40 + 15, 2 ** 41 + 21
+    M = exact.as_int_matrix([[p, 0], [0, q]])
+    got = exact.smith_normal_form(M, need_inverses=True)
+    assert exact.diagonal_of(got[1]) == [1, p * q]
+    assert_same_snf(got, oracles.smith_normal_form(M, need_inverses=True))
+    rng = random.Random(3)
+    for _ in range(20):
+        M = random_matrix(rng, 3, 3, -2 ** 40, 2 ** 40)
+        want = oracles.smith_normal_form(M, need_inverses=True)
+        assert max(abs(x) for x in want[1].flat) >= 2 ** 62    # D itself
+        assert_same_snf(exact.smith_normal_form(M, need_inverses=True), want)
+
+
+def test_frac_matrix_of_int64_does_not_wrap():
+    x = exact.as_frac_matrix(np.array([[2 ** 40]], dtype=np.int64))[0, 0]
+    assert x ** 2 == 2 ** 80
+    assert type(x.numerator) is int

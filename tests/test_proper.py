@@ -200,3 +200,19 @@ def test_homotopy_identity_does_not_overflow_int64():
     lhs, rhs = homotopy_identity_matrices(_OneByOneComplex(), 1)
     assert lhs[0, 0] == 2 ** 79
     assert rhs[0, 0] == 1
+
+
+def test_vanishing_check_ranks_each_differential_once(monkeypatch):
+    from realcech import exact
+    calls = []
+    frac_rank = exact.frac_rank
+    monkeypatch.setattr(exact, "frac_rank",
+                        lambda M: calls.append(M.shape) or frac_rank(M))
+    z3 = standard.cyclic_group(3)
+    report = vanishing_check(z3, RealRepresentation.trivial(z3, 1, 1), 3)
+    assert len(calls) == 4
+    assert report == [
+        {"degree": 1, "rank_kernel": 0, "rank_image": 0, "free_rank": 0},
+        {"degree": 2, "rank_kernel": 3, "rank_image": 3, "free_rank": 0},
+        {"degree": 3, "rank_kernel": 6, "rank_image": 6, "free_rank": 0},
+    ]
