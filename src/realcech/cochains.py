@@ -39,27 +39,15 @@ class SBlocks:
         self.identity = exact.eye(self.k)
         self.moduli_S = [0] * S.free_rank + list(S.invariant_factors)
         fixed, E = S.fixed_part()
-        self.fixed = fixed
-        self.embed = E  # k x k_fixed
-        self.k_fixed = fixed.ngens
+        self.embed = E  # k x (generators of the fixed subgroup)
         self.moduli_fixed = [0] * fixed.free_rank + list(fixed.invariant_factors)
-        R_S = S.relations()
-        if self.k_fixed:
-            aug = np.concatenate([E, R_S], axis=1) if R_S.shape[1] else E
-            self._fixed_solver = exact.IntSolver(aug)
-        else:
-            self._fixed_solver = None
+        self._fixed_solver = exact.IntSolver(E, S.relations())
 
     def to_fixed_coords(self, vec):
         """Express an S-element lying in the fixed subgroup in fixed
         coordinates; None if it is not fixed."""
-        if self.k_fixed == 0:
-            reduced = self.S.reduce_tuple(vec)
-            return () if all(v == 0 for v in reduced) else None
-        sol = self._fixed_solver.solve(np.array(list(vec), dtype=object))
-        if sol is None:
-            return None
-        return tuple(int(v) for v in sol[:self.k_fixed])
+        sol = self._fixed_solver.solve(vec)
+        return None if sol is None else tuple(int(v) for v in sol)
 
     def element(self, value):
         return self.S.reduce_tuple(value)
@@ -330,6 +318,7 @@ class RealComplex:
         self.sb = SBlocks(S)
         self._bases = {}
         self._diffs = {}
+        self._solvers = {}
 
     def basis(self, n):
         if n not in self._bases:
@@ -373,20 +362,14 @@ class RealComplex:
         starts at degree 0, so a 0-cochain is a coboundary only if it is
         zero; the witness returned in that case is the zero 0-cochain."""
         n = cochain.degree
-        basis = self.basis(n)
         if n == 0:
-            reduced = basis.reduce(cochain.vector)
-            if all(v == 0 for v in reduced):
-                return self.zero_cochain(0)
-            return None
-        D = self.differential_matrix(n - 1)
-        R = basis.relation_matrix()
-        prev = self.basis(n - 1)
-        aug = np.concatenate([D, R], axis=1) if R.shape[1] else D
-        sol = exact.solve_int(aug, cochain.vector)
-        if sol is None:
-            return None
-        return RealCochain(self, n - 1, sol[:prev.total])
+            zero = self.basis(0).in_relation_lattice(cochain.vector)
+            return self.zero_cochain(0) if zero else None
+        if n not in self._solvers:
+            self._solvers[n] = exact.IntSolver(self.differential_matrix(n - 1),
+                                               self.basis(n).relation_matrix())
+        sol = self._solvers[n].solve(cochain.vector)
+        return None if sol is None else RealCochain(self, n - 1, sol)
 
     def cohomology(self, n):
         return CohomologyGroup(self, n)

@@ -245,17 +245,27 @@ def int_kernel(mat, rows=None):
 
 
 class IntSolver:
-    """Precomputed SNF factorisation for repeated solves of M x = b over Z."""
+    """Precomputed SNF factorisation for repeated solves of M x = b over Z.
 
-    def __init__(self, mat):
-        self.M = as_int_matrix(mat)
-        self.m, self.n = self.M.shape
-        U, D, V = smith_normal_form(self.M)
+    With `relations` R, solves M x = b modulo the column span of R: the
+    factorisation is that of [M | R], and a solution keeps only the
+    coordinates of M's columns.  An M with no columns needs no special
+    case: b is then solvable exactly when it lies in span(R)."""
+
+    def __init__(self, mat, relations=None):
+        M = as_int_matrix(mat)
+        n = M.shape[1]
+        if relations is not None:
+            M = np.concatenate([M, as_int_matrix(relations)], axis=1)
+        self.m, self.n = M.shape
+        # column operations act on each row of V on its own, so its
+        # first n rows are those of the full transform
+        U, D, V = smith_normal_form(M, v_rows=n)
         self.U, self.D, self.V = U, D, V
         self.diag = diagonal_of(D)
 
     def solve(self, b):
-        """A particular integer solution of M x = b, or None."""
+        """A particular integer solution of M x = b (mod R), or None."""
         b = np.array([v for v in b], dtype=object)
         if self.n == 0:
             return zeros(0, 1)[:, 0] if all(v == 0 for v in b) else None
@@ -270,11 +280,6 @@ class IntSolver:
                 if c[i] != 0:
                     return None
         return self.V @ y
-
-
-def solve_int(mat, b):
-    """One-shot integer solve of mat @ x = b; returns x or None."""
-    return IntSolver(mat).solve(b)
 
 
 class AbelianGroupPresentation:

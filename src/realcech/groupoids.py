@@ -7,9 +7,18 @@ stored as index arrays, composition as a full table (-1 = undefined).
 Values are immutable after construction.
 """
 
+import os
+
 import numpy as np
 
-MAX_ARROWS = 1 << 16
+
+def max_arrows():
+    """The cap on arrows in a groupoid: RGC_MAX_ARROWS, or 65536 if it is
+    unset or not an integer."""
+    try:
+        return int(os.environ.get("RGC_MAX_ARROWS", 1 << 16))
+    except ValueError:
+        return 1 << 16
 
 
 def _freeze(arr):
@@ -33,8 +42,9 @@ class FiniteRealGroupoid:
         self.src = _freeze(src)
         self.tgt = _freeze(tgt)
         self.n_arrows = len(self.src)
-        if self.n_arrows > MAX_ARROWS:
-            raise ValueError(f"too many arrows ({self.n_arrows} > {MAX_ARROWS})")
+        cap = max_arrows()
+        if self.n_arrows > cap:
+            raise ValueError(f"too many arrows ({self.n_arrows} > {cap})")
         if len(self.tgt) != self.n_arrows:
             raise ValueError("src/tgt length mismatch")
         self.unit = _freeze(unit)
@@ -238,34 +248,26 @@ def cover_groupoid(groupoid, cover):
     return out, iota
 
 
+def discrete_space(n_points, rho=None):
+    """A set as a groupoid: unit arrows only."""
+    ident = list(range(n_points))
+    table = np.full((n_points, n_points), -1, dtype=np.int64)
+    for x in range(n_points):
+        table[x, x] = x
+    rho = list(rho) if rho is not None else ident
+    return FiniteRealGroupoid(n_points, ident, ident, ident, table, ident,
+                              rho, rho)
+
+
 def cech_groupoid(pi, rho_y, rho_x, n_x):
     """Pair groupoid of the fibered product of a surjection pi: Y -> X.
 
     Arrows are pairs (y1, y2) with pi(y1) == pi(y2); the involution acts
-    componentwise.  pi must commute with the involutions and be onto."""
-    pi = np.asarray(pi, dtype=np.int64)
-    rho_y = np.asarray(rho_y, dtype=np.int64)
-    rho_x = np.asarray(rho_x, dtype=np.int64)
-    n_y = len(pi)
+    componentwise.  pi must commute with the involutions and be onto.
+    This is the pullback of the discrete space X along pi."""
     if set(int(v) for v in pi) != set(range(n_x)):
         raise ValueError("map is not surjective")
-    for y in range(n_y):
-        if pi[rho_y[y]] != rho_x[pi[y]]:
-            raise ValueError(f"involution mismatch at {y}")
-    arrows = [(y1, y2) for y1 in range(n_y) for y2 in range(n_y)
-              if pi[y1] == pi[y2]]
-    arr_index = {a: i for i, a in enumerate(arrows)}
-    src = [y2 for (y1, y2) in arrows]
-    tgt = [y1 for (y1, y2) in arrows]
-    unit = [arr_index[(y, y)] for y in range(n_y)]
-    inv = [arr_index[(y2, y1)] for (y1, y2) in arrows]
-    table = np.full((len(arrows), len(arrows)), -1, dtype=np.int64)
-    for i, (y1, y2) in enumerate(arrows):
-        for i2, (z1, z2) in enumerate(arrows):
-            if y2 == z1:
-                table[i, i2] = arr_index[(y1, z2)]
-    rho_arr = [arr_index[(int(rho_y[y1]), int(rho_y[y2]))] for (y1, y2) in arrows]
-    return FiniteRealGroupoid(n_y, src, tgt, unit, table, inv, rho_y, rho_arr)
+    return pullback_groupoid(discrete_space(n_x, rho_x), pi, rho_y)
 
 
 def pullback_groupoid(groupoid, phi, rho_z):

@@ -17,19 +17,12 @@ from fractions import Fraction
 import numpy as np
 
 from .coefficients import RealCoefficientGroup, RealRepresentation, make_standard
-from .groupoids import FiniteRealGroupoid, RealCover
+from .groupoids import FiniteRealGroupoid, RealCover, max_arrows
 from .cochains import RealComplex
 
 
 class FormatError(ValueError):
     pass
-
-
-def max_arrows():
-    try:
-        return int(os.environ.get("RGC_MAX_ARROWS", 1 << 16))
-    except ValueError:
-        return 1 << 16
 
 
 def _resolve(ref, base_dir="."):

@@ -13,7 +13,7 @@ rather than silently producing garbage.  Independence of the chosen lift
 import numpy as np
 
 from . import exact
-from .cochains import RealComplex
+from .cochains import RealComplex, assemble
 
 
 class SequenceError(ValueError):
@@ -85,27 +85,39 @@ def induced_cochain_map(groupoid, s_a, s_b, f, n):
     cxa = RealComplex(groupoid, s_a)
     cxb = RealComplex(groupoid, s_b)
     ba, bb = cxa.basis(n), cxb.basis(n)
-    assert len(ba.orbits) == len(bb.orbits)
-    F = exact.zeros(bb.total, ba.total)
-    for oid, (oa, ob) in enumerate(zip(ba.orbits, bb.orbits)):
-        assert oa.kind == ob.kind and oa.rep == ob.rep
-        off_a, off_b = ba.offsets[oid], bb.offsets[oid]
-        if oa.kind == "free":
-            F[off_b:off_b + bb.fibre.k, off_a:off_a + ba.fibre.k] = f
-        else:
-            X = f @ ba.fibre.embed  # S_b-values of the a-side fixed generators
-            for c in range(X.shape[1]):
-                sol = bb.fibre.to_fixed_coords(X[:, c])
-                if sol is None:
-                    raise SequenceError(
-                        "map does not respect the fixed subgroups")
-                for r, v in enumerate(sol):
-                    F[off_b + r, off_a + c] = v
-    return F, cxa, cxb
+    f = exact.as_int_matrix(f)
+
+    def blocks(tup, anchor):
+        off, M = ba.value_expression(ba.level.index_of(tup))
+        return [(off, f @ M)]
+
+    def error(message):
+        raise SequenceError("map does not respect the fixed subgroups")
+
+    return assemble(bb, ba.total, blocks, error), cxa, cxb
+
+
+def _solve_columns(A, relations, B, message):
+    """X with A @ X = B modulo span(relations); SequenceError(message) if
+    some column of B has no solution."""
+    solver = exact.IntSolver(A, relations)
+    X = exact.zeros(A.shape[1], B.shape[1])
+    for c in range(B.shape[1]):
+        x = solver.solve(B[:, c])
+        if x is None:
+            raise SequenceError(message)
+        X[:, c] = x
+    return X
 
 
 class ConnectingMap:
-    """The snake map HR^n(S'') -> HR^(n+1)(S') for one groupoid degree."""
+    """The snake map HR^n(S'') -> HR^(n+1)(S') for one groupoid degree.
+
+    Both orbit kinds are handled alike: at the representative of an orbit
+    the stored coordinates map to the fibre value by the matrix of
+    OrbitBasis.value_expression, which is the identity on a free orbit
+    and the fixed-part embedding on a fixed one, and is the same for
+    every orbit of a kind."""
 
     def __init__(self, ses, groupoid, n):
         self.ses = ses
@@ -119,68 +131,39 @@ class ConnectingMap:
 
     def _build_lift(self):
         """Coordinate lift CR^n(S'') -> CR^n(S) through p, orbit-wise and
-        involution-equivariantly."""
+        involution-equivariantly: one block per orbit kind, solved when
+        an orbit of that kind first needs it."""
         ses = self.ses
         bd = self.cx_dp.basis(self.n)
         bm = self.cx_mid.basis(self.n)
-        aug_free = np.concatenate([ses.p, ses.s_dprime.relations()], axis=1) \
-            if ses.s_dprime.relations().shape[1] else ses.p
-        free_solver = exact.IntSolver(aug_free)
-        # fixed lift: find w in fixed(S) with p(embed_m w) = embed_d u
-        Em = bm.fibre.embed
-        Ed = bd.fibre.embed
-        if bm.fibre.k_fixed:
-            mat = ses.p @ Em
-            aug = np.concatenate([mat, ses.s_dprime.relations()], axis=1) \
-                if ses.s_dprime.relations().shape[1] else mat
-            fixed_solver = exact.IntSolver(aug)
-        else:
-            fixed_solver = None
+        messages = {"free": "p is not surjective on S''",
+                    "fixed": "equivariant lift obstructed: fixed values of "
+                             "S'' have no fixed preimage in S"}
+        blocks = {}
         L = exact.zeros(bm.total, bd.total)
-        for oid, (od, om) in enumerate(zip(bd.orbits, bm.orbits)):
-            off_d, off_m = bd.offsets[oid], bm.offsets[oid]
-            if od.kind == "free":
-                for c in range(bd.fibre.k):
-                    sol = free_solver.solve(exact.eye(bd.fibre.k)[:, c])
-                    if sol is None:
-                        raise SequenceError("p is not surjective on S''")
-                    for r in range(bm.fibre.k):
-                        L[off_m + r, off_d + c] = sol[r]
-            else:
-                for c in range(bd.fibre.k_fixed):
-                    target = Ed[:, c]
-                    if fixed_solver is None:
-                        col = self.ses.s_dprime.reduce_tuple(tuple(target))
-                        if any(v != 0 for v in col):
-                            raise SequenceError(
-                                "equivariant lift obstructed: fixed values of "
-                                "S'' have no fixed preimage in S")
-                        continue
-                    sol = fixed_solver.solve(target)
-                    if sol is None:
-                        raise SequenceError(
-                            "equivariant lift obstructed: fixed values of "
-                            "S'' have no fixed preimage in S")
-                    for r in range(bm.fibre.k_fixed):
-                        L[off_m + r, off_d + c] = sol[r]
+        for oid, o in enumerate(bd.orbits):
+            if o.kind not in blocks:
+                _, Md = bd.value_expression(o.rep)
+                _, Mm = bm.value_expression(o.rep)
+                blocks[o.kind] = _solve_columns(ses.p @ Mm, ses.s_dprime.relations(),
+                                                Md, messages[o.kind])
+            X = blocks[o.kind]
+            off_m, off_d = bm.offsets[oid], bd.offsets[oid]
+            L[off_m:off_m + X.shape[0], off_d:off_d + X.shape[1]] = X
         self.lift_matrix = L
 
     def _build_corestrict(self):
-        """Solvers for writing S-valued cochains with p-image zero as
-        i-images in CR^(n+1)(S')."""
+        """One solver per orbit kind for writing S-valued cochains with
+        p-image zero as i-images in CR^(n+1)(S')."""
         ses = self.ses
+        self._bm1 = self.cx_mid.basis(self.n + 1)
+        self._bp1 = self.cx_p.basis(self.n + 1)
         R_m = ses.s_mid.relations()
-        aug = np.concatenate([ses.i, R_m], axis=1) if R_m.shape[1] else ses.i
-        self._free_co = exact.IntSolver(aug)
-        bm1 = self.cx_mid.basis(self.n + 1)
-        bp1 = self.cx_p.basis(self.n + 1)
-        self._bm1, self._bp1 = bm1, bp1
-        if bp1.fibre.k_fixed:
-            mat = ses.i @ bp1.fibre.embed
-            aug2 = np.concatenate([mat, R_m], axis=1) if R_m.shape[1] else mat
-            self._fixed_co = exact.IntSolver(aug2)
-        else:
-            self._fixed_co = None
+        self._co = {
+            "free": (exact.IntSolver(ses.i, R_m),
+                     "snake value is not in the image of i"),
+            "fixed": (exact.IntSolver(ses.i @ self._bp1.fibre.embed, R_m),
+                      "snake value escapes the fixed part of S'")}
 
     def apply_to_vector(self, vec_dp):
         """The connecting value on a degree-n cocycle vector over S''."""
@@ -193,31 +176,13 @@ class ConnectingMap:
         i-image of an S'-valued cochain vector."""
         bm1, bp1 = self._bm1, self._bp1
         out = exact.zeros(bp1.total, 1)[:, 0]
-        for oid, (om, op) in enumerate(zip(bm1.orbits, bp1.orbits)):
-            off_m, off_p = bm1.offsets[oid], bp1.offsets[oid]
-            if om.kind == "free":
-                val = z[off_m:off_m + bm1.fibre.k]
-                sol = self._free_co.solve(val)
-                if sol is None:
-                    raise SequenceError("snake value is not in the image of i")
-                for r in range(bp1.fibre.k):
-                    out[off_p + r] = sol[r]
-            else:
-                u = z[off_m:off_m + bm1.fibre.k_fixed]
-                val = bm1.fibre.embed @ u if bm1.fibre.k_fixed else \
-                    exact.zeros(self.ses.s_mid.ngens, 1)[:, 0]
-                if self._fixed_co is None:
-                    # must be i(0) = 0 modulo relations after corestriction
-                    sol0 = self._free_co.solve(np.array(list(val), dtype=object))
-                    if sol0 is None:
-                        raise SequenceError("snake value is not in the image of i")
-                    continue
-                sol = self._fixed_co.solve(np.array(list(val), dtype=object))
-                if sol is None:
-                    raise SequenceError(
-                        "snake value escapes the fixed part of S'")
-                for r in range(bp1.fibre.k_fixed):
-                    out[off_p + r] = sol[r]
+        for oid, o in enumerate(bm1.orbits):
+            off_m, M = bm1.value_expression(o.rep)
+            solver, message = self._co[o.kind]
+            sol = solver.solve(M @ z[off_m:off_m + M.shape[1]])
+            if sol is None:
+                raise SequenceError(message)
+            out[bp1.offsets[oid]:bp1.offsets[oid] + len(sol)] = sol
         return out
 
     def apply_to_class(self, h_dp, h_p1, coords):

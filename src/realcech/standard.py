@@ -3,7 +3,7 @@ disjoint unions, and the order-2 action groupoid on two points."""
 
 import numpy as np
 
-from .groupoids import FiniteRealGroupoid
+from .groupoids import FiniteRealGroupoid, discrete_space  # noqa: F401 -- re-exported
 
 
 def cyclic_group(n, involution="trivial"):
@@ -39,17 +39,6 @@ def group_from_table(table, rho_arr=None):
                 inv[g] = h
     return FiniteRealGroupoid(1, [0] * n, [0] * n, [e], table, inv,
                               [0], rho_arr if rho_arr is not None else range(n))
-
-
-def discrete_space(n_points, rho=None):
-    """A set as a groupoid: unit arrows only."""
-    ident = list(range(n_points))
-    table = np.full((n_points, n_points), -1, dtype=np.int64)
-    for x in range(n_points):
-        table[x, x] = x
-    rho = list(rho) if rho is not None else ident
-    return FiniteRealGroupoid(n_points, ident, ident, ident, table, ident,
-                              rho, rho)
 
 
 def pair_groupoid(n_objects, rho_obj=None):

@@ -1,7 +1,9 @@
 import random
 
-from realcech import standard
-from realcech.cochains import (RealComplex, cochain_group, cohomology,
+import pytest
+
+from realcech import exact, standard
+from realcech.cochains import (RealComplex, SBlocks, cochain_group, cohomology,
                                invariant_sections)
 from realcech.coefficients import make_standard
 
@@ -147,6 +149,33 @@ class TestCocycleCoboundary:
             w = cx.is_coboundary(db)
             assert w is not None, name
             assert all((cx.d(w) - db).vector == 0), name
+
+    def test_one_smith_form_per_degree(self, monkeypatch):
+        cx = RealComplex(standard.cyclic_group(4, "inversion"), mu4)
+        rng = random.Random(5)
+        targets = [cx.d(cx.cochain(1, [rng.randint(0, 3)
+                                       for _ in range(cx.basis(1).total)]))
+                   for _ in range(50)]
+        calls = []
+        snf = exact.smith_normal_form
+        monkeypatch.setattr(exact, "smith_normal_form",
+                            lambda *a, **kw: calls.append(1) or snf(*a, **kw))
+        for target in targets:
+            w = cx.is_coboundary(target)
+            assert w is not None
+            assert list(cx.d(w).vector) == list(target.vector)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["Z_sign", "mu(3)_conj"])
+def test_fixed_coords_with_zero_fixed_part(name):
+    # the fixed subgroup is 0: only the zero element has fixed coordinates
+    S = make_standard(name)
+    sb = SBlocks(S)
+    for v in [(0,), (3,), (1,)]:
+        w = sb.to_fixed_coords(v)
+        assert (w is not None) == S.is_zero(v), v
+        assert w in (None, ())
 
 
 class TestCohomology:

@@ -45,8 +45,8 @@ def test_snf_random_properties():
 
 
 def test_solve_examples():
-    assert list(exact.solve_int([[2]], [4])) == [2]
-    assert exact.solve_int([[2]], [3]) is None
+    assert list(exact.IntSolver([[2]]).solve([4])) == [2]
+    assert exact.IntSolver([[2]]).solve([3]) is None
     x = exact.frac_solve([[2]], [3])
     assert x is not None and x[0] * 2 == 3
 
@@ -58,9 +58,33 @@ def test_solve_always_recovers_images():
         M = random_matrix(rng, m, n)
         x = np.array([rng.randint(-5, 5) for _ in range(n)], dtype=object)
         b = M @ x
-        x2 = exact.solve_int(M, b)
+        x2 = exact.IntSolver(M).solve(b)
         assert x2 is not None
         assert (M @ x2 == b).all()
+
+
+def test_solve_modulo_relations_against_brute_force():
+    # A x = b modulo diagonal moduli d_i: x matters only modulo their lcm,
+    # so a search over [0, lcm)^n decides solvability
+    rng = random.Random(11)
+    for _ in range(60):
+        m, n = rng.randint(1, 3), rng.randint(0, 3)
+        A = random_matrix(rng, m, n, -4, 4) if n else exact.zeros(m, 0)
+        moduli = [rng.randint(1, 4) for _ in range(m)]
+        R = exact.zeros(m, m)
+        for i, d in enumerate(moduli):
+            R[i, i] = d
+        b = np.array([rng.randint(-6, 6) for _ in range(m)], dtype=object)
+        x = exact.IntSolver(A, R).solve(b)
+        lcm = int(np.lcm.reduce(moduli))
+        grid = np.array(list(itertools.product(range(lcm), repeat=n)),
+                        dtype=np.int64).reshape(lcm ** n, n)
+        residues = (grid @ A.T.astype(np.int64) - b.astype(np.int64)) % moduli
+        solvable = bool((residues == 0).all(axis=1).any())
+        assert (x is not None) == solvable, (A, moduli, b)
+        if x is not None:
+            assert len(x) == n
+            assert all(v % d == 0 for v, d in zip(A @ x - b, moduli))
 
 
 def test_kernel():

@@ -90,6 +90,19 @@ class TestCechGroupoid:
         with pytest.raises(ValueError, match="mismatch"):
             cech_groupoid([0, 1], [1, 0], [0, 1], 2)
 
+    def test_arrays_pinned(self):
+        # arrows (y1, y2) with pi(y1) == pi(y2), in lexicographic order
+        cg = cech_groupoid([0, 1, 1], [0, 2, 1], [0, 1], 2)
+        assert cg.src.tolist() == [0, 1, 2, 1, 2]
+        assert cg.tgt.tolist() == [0, 1, 1, 2, 2]
+        assert cg.inv.tolist() == [0, 1, 3, 2, 4]
+        assert cg.rho_arr.tolist() == [0, 4, 3, 2, 1]
+        assert cg.comp.tolist() == [[0, -1, -1, -1, -1],
+                                    [-1, 1, 2, -1, -1],
+                                    [-1, -1, -1, 1, 2],
+                                    [-1, 3, 4, -1, -1],
+                                    [-1, -1, -1, 3, 4]]
+
 
 class TestPullbackGroupoid:
     def test_identity(self):
@@ -147,3 +160,9 @@ def test_size_cap():
         n = (1 << 16) + 1
         FiniteRealGroupoid(1, [0] * n, [0] * n, [0],
                            np.full((1, 1), -1), [0] * n)
+
+
+def test_size_cap_follows_the_environment(monkeypatch):
+    monkeypatch.setenv("RGC_MAX_ARROWS", "1")
+    with pytest.raises(ValueError, match="too many arrows"):
+        standard.cyclic_group(2)

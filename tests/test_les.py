@@ -41,6 +41,14 @@ class TestSequenceValidation:
         with pytest.raises(SequenceError, match="i is not involution-equivariant"):
             CoefficientSES(zsign, ztriv, make_standard("mu(1)_trivial"), [[1]], [])
 
+    def test_induced_map_must_respect_the_fixed_subgroups(self):
+        # the fixed generator 1 of Z_trivial over a fixed tuple maps to 1 in
+        # Z_sign, whose fixed subgroup is 0
+        with pytest.raises(SequenceError,
+                           match="map does not respect the fixed subgroups"):
+            induced_cochain_map(z2, make_standard("Z_trivial"),
+                                make_standard("Z_sign"), [[1]], 0)
+
 
 class TestConnecting:
     def test_zero_maps_to_zero(self):
