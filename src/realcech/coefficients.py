@@ -134,15 +134,9 @@ class RealCoefficientGroup:
         if self.mode == "rational":
             K = exact.frac_kernel(C)
             # clear denominators column-wise so the embedding is integral
-            import math
-            cols = []
-            for j in range(K.shape[1]):
-                denlcm = 1
-                for v in K[:, j]:
-                    denlcm = denlcm * v.denominator // math.gcd(denlcm, v.denominator)
-                cols.append([int(v * denlcm) for v in K[:, j]])
-            E = exact.as_int_matrix(np.array(cols, dtype=object).T) \
-                if cols else exact.zeros(self.ngens, 0)
+            cols = [exact.cleared(K[:, [j]])[0] for j in range(K.shape[1])]
+            E = (np.concatenate(cols, axis=1) if cols
+                 else exact.zeros(self.ngens, 0))
             part_tau = exact.eye(E.shape[1]) * sign
             part = RealCoefficientGroup(E.shape[1], [], part_tau, mode="rational")
             return part, E

@@ -8,11 +8,15 @@ working matrix D with vectorised numpy operations on an int64 copy, and
 promotes D to Python ints before any update whose result could reach
 2^62; the transforms are Python ints throughout, and the returned
 matrices are those of the scalar elimination, entry for entry.  Rational
-work uses fractions.Fraction end to end; no floating point anywhere.
+ranks are those of the Smith form of `cleared`, the integer matrix that
+the lcm of the denominators makes of a Fraction matrix; rational kernels
+and solutions row-reduce the Fractions.  No floating point anywhere.
 
 Everything here is a pure function of its inputs; concurrent use is safe.
 """
 
+import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -435,19 +439,39 @@ def lattice_basis(gens):
 
 
 # ----------------------------------------------------------------------
-# exact rational linear algebra (fractions end to end)
+# exact rational linear algebra: integer-cleared ranks, Fraction RREF
+
+# a numpy integer numerator would wrap silently past 2^63
+_fraction = np.frompyfunc(
+    lambda v: Fraction(int(v) if isinstance(v, np.integer) else v), 1, 1)
+# (numerator, denominator) of an int, a Fraction or a float, as Python ints
+_ratio = np.frompyfunc(operator.methodcaller("as_integer_ratio"), 1, 2)
+
 
 def as_frac_matrix(rows):
     M = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
     if M.ndim == 1:
         M = M.reshape(len(M), 1) if len(M) else M.reshape(0, 0)
-    out = np.empty(M.shape, dtype=object)
-    for i in range(M.shape[0]):
-        for j in range(M.shape[1]):
-            v = M[i, j]
-            # a numpy integer numerator would wrap silently past 2^63
-            out[i, j] = Fraction(int(v) if isinstance(v, np.integer) else v)
-    return out
+    return _fraction(M)
+
+
+def cleared(mat, scale=None):
+    """(mat * scale as Python ints in an object matrix, scale).
+
+    The scale defaults to the lcm of the denominators of the entries; a
+    given scale that some denominator does not divide raises ValueError.
+    """
+    M = as_int_matrix(mat)
+    try:
+        num, den = _ratio(M)
+    except AttributeError:
+        # numpy integers have no as_integer_ratio; as Fractions they do
+        num, den = _ratio(as_frac_matrix(M))
+    if scale is None:
+        scale = math.lcm(*set(den.flat))
+    elif (scale % den).any():
+        raise ValueError(f"scale {scale} does not clear every denominator")
+    return num * (scale // den), scale
 
 
 def frac_zeros(m, n):
@@ -483,15 +507,15 @@ def _rref(M):
 
 
 def frac_rank(mat):
-    M = as_frac_matrix(mat).copy()
-    if M.size == 0:
-        return 0
-    return len(_rref(M))
+    """Rank over Q: the number of nonzero invariant factors of the
+    integer matrix `cleared(mat)`."""
+    _, D, _ = smith_normal_form(cleared(mat)[0], need_u=False, need_v=False)
+    return sum(1 for d in diagonal_of(D) if d != 0)
 
 
 def frac_kernel(mat):
     """Columns spanning the rational null space."""
-    M = as_frac_matrix(mat).copy()
+    M = as_frac_matrix(mat)
     m, n = M.shape
     if n == 0:
         return frac_zeros(0, 0)
@@ -514,16 +538,11 @@ def frac_solve(mat, b):
     """A rational solution of mat @ x = b, or None."""
     M = as_frac_matrix(mat)
     m, n = M.shape
-    bb = np.array([Fraction(v) for v in b], dtype=object)
-    aug = frac_zeros(m, n + 1)
-    aug[:, :n] = M
-    aug[:, n] = bb
+    b = as_frac_matrix(np.array(b, dtype=object).reshape(m, 1))
+    aug = np.concatenate([M, b], axis=1)
     pivots = _rref(aug)
     if n in pivots:
         return None
-    x = np.array([Fraction(0)] * n, dtype=object)
-    r = 0
-    for pc in pivots:
-        x[pc] = aug[r, n]
-        r += 1
+    x = frac_zeros(n, 1)[:, 0]
+    x[pivots] = aug[:len(pivots), n]
     return x

@@ -193,51 +193,28 @@ class RationalCohomology:
 
 # -- checks used by the acceptance suite --------------------------------
 
-def _lcm_denominator(M):
-    out = 1
-    for v in M.flat:
-        out = out * v.denominator // math.gcd(out, v.denominator)
-    return out
-
-
-def _scaled(M, scale):
-    """M * scale as Python ints; the scale must clear every denominator."""
-    A = np.empty(M.shape, dtype=object)
-    for idx, v in np.ndenumerate(M):
-        val = v * scale
-        assert val.denominator == 1
-        A[idx] = int(val)
-    return A
-
-
-def _max_abs(A):
-    return max((abs(v) for v in A.flat), default=0)
-
-
 def homotopy_identity_matrices(complex_, n):
     """(h d + d h, expected multiple of identity) on degree n >= 1,
     computed with cleared denominators; in C-speed int64 arithmetic when a
     bound on every entry proves that nothing can overflow, else in Python
     ints."""
-    D_n = complex_.differential_matrix(n)
-    D_prev = complex_.differential_matrix(n - 1)
-    H_n = complex_.contraction_matrix(n)      # C^(n+1) -> C^n
-    H_prev = complex_.contraction_matrix(n - 1)  # C^n -> C^(n-1)
-    a = max(_lcm_denominator(D_n), _lcm_denominator(D_prev))
-    b = max(_lcm_denominator(H_n), _lcm_denominator(H_prev))
-    Dn = _scaled(D_n, a)
-    Dp = _scaled(D_prev, a)
-    Hn = _scaled(H_n, b)
-    Hp = _scaled(H_prev, b)
-    total = complex_.basis(n).total
-    tops = [_max_abs(M) for M in (Dn, Dp, Hn, Hp)]
+    (Dn, dn), (Dp, dp), (Hn, hn), (Hp, hp) = (exact.cleared(M) for M in (
+        complex_.differential_matrix(n), complex_.differential_matrix(n - 1),
+        complex_.contraction_matrix(n),        # C^(n+1) -> C^n
+        complex_.contraction_matrix(n - 1)))   # C^n -> C^(n-1)
+    # Hn @ Dn is hn*dn times h d and Dp @ Hp is dp*hp times d h; fn and fp
+    # bring both to one multiple of h d + d h
+    scale = math.lcm(hn * dn, dp * hp)
+    fn, fp = scale // (hn * dn), scale // (dp * hp)
+    tops = [np.abs(M).max(initial=0) for M in (Dn, Dp, Hn, Hp)]
     top_Dn, top_Dp, top_Hn, top_Hp = tops
-    # |entry of Hn @ Dn + Dp @ Hp| <= inner dim * max|H| * max|D|, per product
-    bound = Hn.shape[1] * top_Hn * top_Dn + Dp.shape[1] * top_Dp * top_Hp
-    dtype = np.int64 if max(bound, a * b, *tops) <= 1 << 62 else object
+    # |entry of f Hn @ Dn| <= f * inner dim * max|H| * max|D|, per product
+    bound = (fn * Hn.shape[1] * top_Hn * top_Dn
+             + fp * Dp.shape[1] * top_Dp * top_Hp)
+    dtype = np.int64 if max(bound, scale, *tops) <= 1 << 62 else object
     Dn, Dp, Hn, Hp = (M.astype(dtype) for M in (Dn, Dp, Hn, Hp))
-    lhs = Hn @ Dn + Dp @ Hp
-    rhs = (a * b) * np.eye(total, dtype=np.int64).astype(dtype)
+    lhs = fn * (Hn @ Dn) + fp * (Dp @ Hp)
+    rhs = scale * np.eye(complex_.basis(n).total, dtype=np.int64).astype(dtype)
     return lhs, rhs
 
 

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -260,3 +262,85 @@ def test_frac_matrix_of_int64_does_not_wrap():
     x = exact.as_frac_matrix(np.array([[2 ** 40]], dtype=np.int64))[0, 0]
     assert x ** 2 == 2 ** 80
     assert type(x.numerator) is int
+
+
+def rref_rank(M):
+    """The rank by Fraction row reduction, the oracle for frac_rank."""
+    return len(exact._rref(exact.as_frac_matrix(M)))
+
+
+def random_fraction_matrix(rng, m, n, top=9, den=12):
+    return np.array([[Fraction(rng.randint(-top, top), rng.randint(1, den))
+                      if rng.random() < 0.7 else Fraction(0)
+                      for _ in range(n)] for _ in range(m)],
+                    dtype=object).reshape(m, n)
+
+
+def frac_rank_cases(rng):
+    """Random rational matrices, rank-deficient products, empty and zero
+    shapes, int64 input, and entries near or past 2^62."""
+    for m, n in [(0, 0), (0, 4), (4, 0), (3, 5), (5, 3)]:
+        yield exact.zeros(m, n)
+        yield exact.frac_zeros(m, n)
+    for _ in range(80):
+        yield random_fraction_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
+    for _ in range(50):
+        r = rng.randint(0, 3)
+        m, n = rng.randint(r + 1, 7), rng.randint(r + 1, 7)
+        yield (random_fraction_matrix(rng, m, r)
+               @ random_fraction_matrix(rng, r, n)).reshape(m, n)
+    for _ in range(30):
+        yield np.array([[rng.randint(-5, 5) for _ in range(4)] for _ in range(5)],
+                       dtype=np.int64)
+    big = 1 << 62
+    for _ in range(20):
+        # int64 entries next to 2^62: the elimination leaves int64
+        yield np.array([[rng.choice([big - rng.randint(1, 9), -big + 1, 0, 1])
+                         for _ in range(3)] for _ in range(4)], dtype=np.int64)
+        # full rank, but the determinant -2^64 uv is 0 modulo 2^64
+        u, v = rng.randint(1, 7), rng.randint(1, 7)
+        yield np.array([[1, u << 32], [v << 32, 0]], dtype=np.int64)
+    for _ in range(30):
+        # entries past 2^62 once cleared, and rank-deficient products of them
+        A = random_fraction_matrix(rng, 4, 2) * big
+        B = random_fraction_matrix(rng, 2, 5) + Fraction(big, rng.randint(1, 12))
+        yield A @ B
+        yield np.concatenate([A, random_fraction_matrix(rng, 4, 3) * 7 * big], axis=1)
+
+
+def test_frac_rank_matches_rref():
+    rng = random.Random(12)
+    cases = list(frac_rank_cases(rng))
+    assert len(cases) >= 200
+    deficient = past = 0
+    for M in cases:
+        want = rref_rank(M)
+        assert exact.frac_rank(M) == want
+        deficient += 0 < want < min(M.shape)
+        past += M.size and max(abs(x) for x in exact.cleared(M)[0].flat) >= 1 << 62
+    assert deficient >= 50 and past >= 40
+
+
+def test_cleared_scales_exactly():
+    rng = random.Random(13)
+    for _ in range(30):
+        M = random_fraction_matrix(rng, rng.randint(0, 5), rng.randint(0, 5))
+        A, scale = exact.cleared(M)
+        assert scale == math.lcm(*(v.denominator for v in M.flat))
+        assert A.shape == M.shape and all(type(x) is int for x in A.flat)
+        assert all(a == v * scale for a, v in zip(A.flat, M.flat))
+        A3, s3 = exact.cleared(M, 3 * scale)
+        assert s3 == 3 * scale and all(a == 3 * b for a, b in zip(A3.flat, A.flat))
+    # numpy integers are read as Python ints, so scaling cannot wrap
+    for M in (np.array([[2 ** 62, 1]], dtype=np.int64),
+              np.array([[np.int64(2 ** 62), Fraction(1, 4)]], dtype=object)):
+        A, scale = exact.cleared(M, 4)
+        assert A.tolist() == [[2 ** 64, 4 * M[0, 1]]]
+        assert all(type(x) is int for x in A.flat)
+
+
+def test_cleared_rejects_a_scale_that_leaves_a_denominator():
+    M = [[Fraction(1, 2), Fraction(1, 3)]]
+    assert exact.cleared(M, 6)[0].tolist() == [[3, 2]]
+    with pytest.raises(ValueError, match="does not clear"):
+        exact.cleared(M, 4)

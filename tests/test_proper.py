@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from realcech import standard
+from realcech import exact, standard
 from realcech.coefficients import RealRepresentation, make_standard
 from realcech.cochains import cohomology
 from realcech.proper import (RepComplex, canonical_cutoff,
@@ -184,12 +184,18 @@ class TestVanishing:
 
 
 class _OneByOneComplex:
-    """A stand-in complex: every d and h is the 1x1 matrix [2**39]."""
+    """A stand-in complex of 1x1 matrices: d^1, d^0, h^1 and h^0 are the
+    given numbers (by default all 2**39)."""
+
+    def __init__(self, d1=2 ** 39, d0=2 ** 39, h1=2 ** 39, h0=2 ** 39):
+        self.d = {1: Fraction(d1), 0: Fraction(d0)}
+        self.h = {1: Fraction(h1), 0: Fraction(h0)}
 
     def differential_matrix(self, n):
-        return np.array([[Fraction(2 ** 39)]], dtype=object)
+        return np.array([[self.d[n]]], dtype=object)
 
-    contraction_matrix = differential_matrix
+    def contraction_matrix(self, n):
+        return np.array([[self.h[n]]], dtype=object)
 
     def basis(self, n):
         return SimpleNamespace(total=1)
@@ -200,6 +206,64 @@ def test_homotopy_identity_does_not_overflow_int64():
     lhs, rhs = homotopy_identity_matrices(_OneByOneComplex(), 1)
     assert lhs[0, 0] == 2 ** 79
     assert rhs[0, 0] == 1
+
+
+@pytest.mark.parametrize("h0,identity", [(Fraction(3, 2), 1), (1, Fraction(5, 6))])
+def test_homotopy_identity_with_unequal_denominators(h0, identity):
+    # d^1 and d^0 have denominators 2 and 3: only a multiple of 6 clears both
+    cx = _OneByOneComplex(Fraction(1, 2), Fraction(1, 3), 1, h0)
+    lhs, rhs = homotopy_identity_matrices(cx, 1)
+    assert Fraction(int(lhs[0, 0]), int(rhs[0, 0])) == identity
+    assert contraction_is_homotopy(cx, 1) == (identity == 1)
+
+
+def rational_cases():
+    """corpus_representations() and the cases of the rational benchmark
+    workload that the corpus lacks."""
+    cases = list(corpus_representations())
+    for name, g in [("Z4", standard.cyclic_group(4)),
+                    ("pair3_swap01", standard.pair_groupoid(3, [1, 0, 2])),
+                    ("Z4_inv", standard.cyclic_group(4, "inversion"))]:
+        cases.append((name + " trivial Q(1,1)", g, RealRepresentation.trivial(g, 1, 1)))
+    return cases
+
+
+def _sparse_rows(M):
+    return [{j: v for j, v in enumerate(row) if v} for row in M]
+
+
+def _is_identity(H_n, D_n, D_prev, H_prev):
+    """Whether H_n @ D_n + D_prev @ H_prev is the identity, in Fraction
+    arithmetic over the nonzero entries only."""
+    D_rows, H_rows = _sparse_rows(D_n), _sparse_rows(H_prev)
+    for i, (h, d) in enumerate(zip(_sparse_rows(H_n), _sparse_rows(D_prev))):
+        acc = {}
+        for left, rows in ((h, D_rows), (d, H_rows)):
+            for k, a in left.items():
+                for j, b in rows[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+        if {j: v for j, v in acc.items() if v} != {i: 1}:
+            return False
+    return True
+
+
+def test_vanishing_and_contraction_match_fraction_arithmetic():
+    def rank(M):
+        return len(exact._rref(exact.as_frac_matrix(M)))
+
+    for name, g, rep in rational_cases():
+        report = vanishing_check(g, rep, 3)
+        cx = RepComplex(g, rep)
+        H, D = cx.contraction_matrix, cx.differential_matrix
+        for row in report:
+            n = row["degree"]
+            assert row["rank_kernel"] == cx.basis(n).total - rank(D(n)), (name, n)
+            assert row["rank_image"] == rank(D(n - 1)), (name, n)
+        for n in (1, 2, 3):
+            assert contraction_is_homotopy(cx, n) == _is_identity(
+                H(n), D(n), D(n - 1), H(n - 1)), (name, n)
+        # the oracle does see a failure: h scaled by 2 is no contraction
+        assert not _is_identity(2 * H(1), D(1), D(0), 2 * H(0)), name
 
 
 def test_vanishing_check_ranks_each_differential_once(monkeypatch):
