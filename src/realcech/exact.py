@@ -16,7 +16,6 @@ Everything here is a pure function of its inputs; concurrent use is safe.
 """
 
 import math
-import operator
 from fractions import Fraction
 
 import numpy as np
@@ -444,8 +443,10 @@ def lattice_basis(gens):
 # a numpy integer numerator would wrap silently past 2^63
 _fraction = np.frompyfunc(
     lambda v: Fraction(int(v) if isinstance(v, np.integer) else v), 1, 1)
-# (numerator, denominator) of an int, a Fraction or a float, as Python ints
-_ratio = np.frompyfunc(operator.methodcaller("as_integer_ratio"), 1, 2)
+# (numerator, denominator) of an entry as Python ints, by the same rule
+_ratio = np.frompyfunc(
+    lambda v: (int(v), 1) if isinstance(v, np.integer) else v.as_integer_ratio(),
+    1, 2)
 
 
 def as_frac_matrix(rows):
@@ -455,22 +456,11 @@ def as_frac_matrix(rows):
     return _fraction(M)
 
 
-def cleared(mat, scale=None):
-    """(mat * scale as Python ints in an object matrix, scale).
-
-    The scale defaults to the lcm of the denominators of the entries; a
-    given scale that some denominator does not divide raises ValueError.
-    """
-    M = as_int_matrix(mat)
-    try:
-        num, den = _ratio(M)
-    except AttributeError:
-        # numpy integers have no as_integer_ratio; as Fractions they do
-        num, den = _ratio(as_frac_matrix(M))
-    if scale is None:
-        scale = math.lcm(*set(den.flat))
-    elif (scale % den).any():
-        raise ValueError(f"scale {scale} does not clear every denominator")
+def cleared(mat):
+    """(mat * scale as Python ints in an object matrix, scale), where the
+    scale is the lcm of the denominators of the entries."""
+    num, den = _ratio(as_int_matrix(mat))
+    scale = math.lcm(*set(den.flat))
     return num * (scale // den), scale
 
 
