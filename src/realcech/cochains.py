@@ -8,18 +8,21 @@ keeps a copy of the fixed subgroup.  That makes the cochain group an
 honest direct sum, so Smith-form arithmetic applies directly.
 
 The orbit basis and the assembly of matrices on it are written once, for
-any fibre: SBlocks here, and the rational representation fibre of
-proper.py, which uses the same construction.
+any fibre, as array operations on the nerve's index maps: SBlocks here,
+and the rational representation fibre of proper.py.
 
 The differential is the alternating sum over the face maps; cohomology
 is kernel-mod-image computed exactly over Z (or over Q for rational
 coefficients, which are routed through the representation machinery).
 """
 
+from collections import namedtuple
+from functools import cached_property
+
 import numpy as np
 
 from . import exact
-from .nerve import nerve, face
+from .nerve import face, nerve, segments  # noqa: F401 -- bench/spans.py patches face here
 
 
 class SBlocks:
@@ -27,9 +30,9 @@ class SBlocks:
 
     A free orbit stores one copy of S (the S block); a fixed orbit stores
     fixed-subgroup coordinates, mapped into S by the embedding, and
-    to_fixed_coords corestricts an S-value into them.  The fibre is the
-    same at every object, so the anchor arguments of the fibre interface
-    used by OrbitBasis are ignored."""
+    fixed_coords corestricts S-values into them (to_fixed_coords one
+    value).  The fibre is the same at every object, so the anchor
+    arguments of the fibre interface used by OrbitBasis are ignored."""
 
     zeros = staticmethod(exact.zeros)
 
@@ -58,18 +61,15 @@ class SBlocks:
     def partner(self, x):
         return self.S.tau
 
-    def fixed_coords(self, x, vec):
-        return self.to_fixed_coords(vec)
+    def fixed_coords(self, x, X):
+        return self._fixed_solver.solve(X)
+
+    @staticmethod
+    def scalars(num, scale):
+        return num
 
 
-class Orbit:
-    __slots__ = ("kind", "rep", "partner", "anchor")
-
-    def __init__(self, kind, rep, partner, anchor):
-        self.kind = kind        # 'free' | 'fixed'
-        self.rep = rep          # tuple index in the nerve level
-        self.partner = partner  # == rep for fixed orbits
-        self.anchor = anchor    # object whose fibre holds the value at rep
+Orbit = namedtuple("Orbit", "kind rep partner anchor")
 
 
 class OrbitBasis:
@@ -80,146 +80,168 @@ class OrbitBasis:
     (the width of a free orbit), `zeros`, `identity`, `element` (coerce a
     value), `embedding(x)` (the fixed vectors at a rho-fixed object x, as
     columns), `partner(x)` (the map from the value at a representative with
-    anchor x to the value at its partner) and `fixed_coords(x, vec)` (the
-    coordinates of a fixed vector in `embedding(x)`, or None)."""
+    anchor x to the value at its partner), `fixed_coords(x, X)` (the
+    coordinates in `embedding(x)` of the columns of X, or None if one is
+    not fixed) and `scalars(num, scale)` (its scalars num / scale; the
+    scale is 1 on an integral fibre, and fixed_coords keeps it).
+
+    Orbits are numbered in the order of their representatives, the smaller
+    index of a free orbit's two tuples.  Per orbit there are arrays reps,
+    partners, anchors (of the representative), fixed, offsets and widths;
+    per tuple, orbit_of and value_key, which names the matrix
+    value_matrix(key) taking the stored coordinates to the value there."""
 
     def __init__(self, level, fibre):
         self.groupoid = level.groupoid
         self.fibre = fibre
         self.n = level.n
         self.level = level
-        G = level.groupoid
-        anchors = level.entries[:, 0] if level.n == 0 else G.src[level.entries[:, -1]]
-        self.orbits = []
-        self.orbit_of = {}    # tuple index -> (orbit id, 'rep'|'partner')
-        seen = set()
-        for i in range(len(level)):
-            if i in seen:
-                continue
-            j = level.rho_index(i)
-            oid = len(self.orbits)
-            if j == i:
-                self.orbits.append(Orbit("fixed", i, i, int(anchors[i])))
-                self.orbit_of[i] = (oid, "rep")
-                seen.add(i)
-            else:
-                rep, partner = (i, j) if i < j else (j, i)
-                self.orbits.append(Orbit("free", rep, partner, int(anchors[rep])))
-                self.orbit_of[rep] = (oid, "rep")
-                self.orbit_of[partner] = (oid, "partner")
-                seen.update((rep, partner))
-        self.offsets = []
-        self.widths = []
-        pos = 0
-        for o in self.orbits:
-            w = fibre.k if o.kind == "free" else fibre.embedding(o.anchor).shape[1]
-            self.offsets.append(pos)
-            self.widths.append(w)
-            pos += w
-        self.total = pos
+        rho = level.rho_indices
+        if (rho < 0).any():
+            raise ValueError("the involution does not map the nerve to itself")
+        i = np.arange(len(level))
+        self.reps = np.flatnonzero(i <= rho)
+        self.partners = rho[self.reps]
+        self.fixed = self.partners == self.reps
+        self.anchors = level.anchors[self.reps]
+        self.orbit_of = np.searchsorted(self.reps, np.minimum(i, rho))
+        # 0: the identity at a representative; 2x + 1: partner(x) and
+        # 2x + 2: embedding(x), x the anchor of the representative
+        x = self.anchors[self.orbit_of]
+        self.value_key = np.where(rho == i, 2 * x + 2, np.where(i < rho, 0, 2 * x + 1))
+        self.widths = np.full(len(self.reps), fibre.k)
+        for a in np.unique(self.anchors[self.fixed]).tolist():
+            self.widths[self.fixed & (self.anchors == a)] = fibre.embedding(a).shape[1]
+        self.offsets = np.cumsum(self.widths) - self.widths
+        self.total = int(self.widths.sum())
+
+    @cached_property
+    def orbits(self):
+        return [Orbit("fixed" if f else "free", r, p, a) for f, r, p, a in zip(
+            self.fixed.tolist(), self.reps.tolist(), self.partners.tolist(),
+            self.anchors.tolist())]
 
     def width(self, oid):
-        return self.widths[oid]
+        return int(self.widths[oid])
 
     def counts(self):
-        free = sum(1 for o in self.orbits if o.kind == "free")
-        return free, len(self.orbits) - free
+        fixed = int(self.fixed.sum())
+        return len(self.reps) - fixed, fixed
+
+    def value_matrix(self, key):
+        if key == 0:
+            return self.fibre.identity
+        x, fixed = divmod(key - 1, 2)
+        return self.fibre.embedding(x) if fixed else self.fibre.partner(x)
 
     def value_expression(self, tuple_index):
         """(offset, M): the fibre value at this nerve tuple equals
         M @ stored-coordinates-of-its-orbit, placed at the offset."""
-        oid, role = self.orbit_of[tuple_index]
-        o = self.orbits[oid]
-        if o.kind == "fixed":
-            M = self.fibre.embedding(o.anchor)
-        elif role == "rep":
-            M = self.fibre.identity
-        else:
-            M = self.fibre.partner(o.anchor)
-        return self.offsets[oid], M
+        return (int(self.offsets[self.orbit_of[tuple_index]]),
+                self.value_matrix(int(self.value_key[tuple_index])))
 
     def corestrict(self, oid, X):
         """Stored coordinates of the fixed orbit oid for the fibre-valued
         columns X; None if some column is not fixed."""
-        o = self.orbits[oid]
-        W = self.fibre.zeros(self.widths[oid], X.shape[1])
-        for c in range(X.shape[1]):
-            w = self.fibre.fixed_coords(o.anchor, X[:, c])
-            if w is None:
-                return None
-            W[:, c] = w
-        return W
+        return self.fibre.fixed_coords(int(self.anchors[oid]), X)
 
     def from_values(self, value_fn):
         """Stored coordinates of the cochain whose value at each orbit
         representative is value_fn(tuple); the value at a fixed tuple must
         be fixed by the involution."""
-        def blocks(tup, anchor):
-            value = self.fibre.element(value_fn(tup))
-            return [(0, np.array(value, dtype=object).reshape(-1, 1))]
-        return assemble(self, 1, blocks, ValueError)[:, 0]
+        values = [np.array(self.fibre.element(value_fn(self.level.tuple_at(r))),
+                           dtype=object).reshape(-1, 1) for r in self.reps.tolist()]
+        every = np.arange(len(values))
+        return assemble(self, 1, every, 0 * every, values, every, ValueError)[:, 0]
 
 
-def assemble(dst, ncols, blocks, error=AssertionError):
-    """The matrix with a row block per orbit of dst and ncols columns.
+def assemble(dst, ncols, rows, cols, mats, keys, error=AssertionError):
+    """The matrix with a row block per orbit of dst and ncols columns that
+    sums, over the terms t, the fibre-valued matrix mats[keys[t]] placed
+    in the block of orbit rows[t] from column cols[t] on.
 
-    blocks(tup, anchor) gives, for the representative tuple of an orbit,
-    (first column, fibre-valued block) pairs.  A free orbit stores the
-    blocks as they are.  A fixed orbit stores the corestriction of their
-    nonzero columns; a zero column stays zero, exactly, since the
-    corestriction of 0 is 0.  A nonzero column that is not fixed raises
-    error."""
-    A = dst.fibre.zeros(dst.total, ncols)
-    for oid, o in enumerate(dst.orbits):
-        tup = dst.level.tuple_at(o.rep)
-        r = dst.offsets[oid]
-        for c, X in blocks(tup, o.anchor):
-            w = dst.widths[oid]
-            if o.kind == "free":
-                A[r:r + w, c:c + X.shape[1]] = X
-                continue
-            cols = [j for j in range(X.shape[1]) if any(v != 0 for v in X[:, j])]
-            if not cols:
-                continue
-            W = dst.corestrict(oid, X[:, cols])
-            if W is None:
-                raise error(f"value at fixed tuple {tup} is not fixed by the involution")
-            A[r:r + w, [c + j for j in cols]] = W
+    A free orbit stores its summed block as it is.  A fixed orbit stores
+    the corestriction of its columns, one batched call per anchor; a zero
+    column stays zero, and a nonzero column that is not fixed raises
+    error.  The sums run on the matrices that `exact.cleared` scales to
+    integers, in int64 when a bound shows that no sum can overflow."""
+    fibre, k = dst.fibre, dst.fibre.k
+    A = fibre.zeros(dst.total, ncols)
+    if not len(keys):
+        return A
+    num, scale = exact.cleared(np.concatenate(mats, axis=1))
+    # the nonzero entries (a, b, v) of the matrices, matrix by matrix
+    b, a = np.nonzero((num != 0).T)
+    v = num[a, b]
+    first_col = np.cumsum([0] + [M.shape[1] for M in mats])
+    owner = np.searchsorted(first_col, b, side="right") - 1
+    count = np.bincount(owner, minlength=len(mats))
+    # one entry per term and nonzero of its matrix
+    per = count[keys]
+    term = np.repeat(np.arange(len(keys)), per)
+    e = np.repeat((np.cumsum(count) - count)[keys], per) + segments(per)
+    if not e.size:
+        return A
+    if max(abs(x) for x in v) * len(keys) < 1 << 62:
+        v = v.astype(np.int64)  # no sum of len(keys) entries can overflow
+    code = (rows[term] * k + a[e]) * ncols + cols[term] + b[e] - first_col[owner[e]]
+    order = np.argsort(code, kind="stable")
+    code, v = code[order], v[e][order]
+    starts = np.flatnonzero(np.diff(code, prepend=-1))
+    code, v = code[starts], np.add.reduceat(v, starts).astype(object)
+    r, a, c = code // (k * ncols), code // ncols % k, code % ncols
+    free = ~dst.fixed[r]
+    A[dst.offsets[r[free]] + a[free], c[free]] = fibre.scalars(v[free], scale)
+    # the k-vector of each (fixed orbit, column) pair, corestricted
+    pair, col = np.unique(r[~free] * ncols + c[~free], return_inverse=True)
+    X = exact.zeros(k, len(pair))
+    X[a[~free], col] = v[~free]
+    orbit, c = pair // ncols, pair % ncols
+    bad = []
+    for x in np.unique(dst.anchors[orbit]).tolist():
+        sel = np.flatnonzero(dst.anchors[orbit] == x)
+        W = fibre.fixed_coords(x, X[:, sel])
+        if W is None:
+            bad.append(next(orbit[s] for s in sel
+                            if fibre.fixed_coords(x, X[:, [s]]) is None))
+        else:
+            rows_W = dst.offsets[orbit[sel]] + np.arange(W.shape[0])[:, None]
+            A[rows_W, c[sel]] = fibre.scalars(W, scale)
+    if bad:
+        tup = dst.level.tuple_at(dst.reps[min(bad)])
+        raise error(f"value at fixed tuple {tup} is not fixed by the involution")
     return A
 
 
-def face_sum(src, terms):
-    """Group the sum of coef * L @ (value of src at tuple i), over the
-    (i, coef, L) in terms, by source orbit: (first column, block) pairs for
-    the orbits the terms hit.  L is None for the identity."""
-    fibre = src.fibre
-    blocks = {}
-    for i, coef, L in terms:
-        off, M = src.value_expression(i)
-        if not M.shape[1]:
-            continue
-        if off not in blocks:
-            blocks[off] = fibre.zeros(fibre.k, M.shape[1])
-        blocks[off] += coef * (M if L is None else L @ M)
-    return blocks.items()
+def face_sum(dst, src, rows, tuples, factors, fkeys, error=AssertionError):
+    """The matrix from the orbit basis src to dst whose block at orbit
+    rows[t] of dst sums, over the terms t, factors[fkeys[t]] @ (the value
+    of src at its tuple tuples[t]).  Each distinct product of a factor and
+    a value matrix is formed once."""
+    if (tuples < 0).any():
+        raise ValueError("a face is not a tuple of the nerve: the groupoid is not valid")
+    nv = 2 * src.groupoid.n_objects + 1
+    pairs, keys = np.unique(fkeys * nv + src.value_key[tuples], return_inverse=True)
+    mats = [factors[p // nv] @ src.value_matrix(p % nv) for p in pairs.tolist()]
+    return assemble(dst, src.total, rows, src.offsets[src.orbit_of[tuples]],
+                    mats, keys, error)
 
 
 def coboundary_matrix(src, dst, last_face=None):
     """Matrix of d: C^n -> C^(n+1), the alternating sum of the face maps,
-    in the orbit bases src (degree n) and dst (degree n+1).  last_face(tup),
-    if given, is the fibre map applied to the value at the last face of tup,
-    which is anchored at another object."""
-    G, n = src.groupoid, src.n
-
-    def blocks(tup, anchor):
-        terms = []
-        for i in range(n + 2):
-            fi = src.level.index_of(face(G, n + 1, i, tup))
-            L = last_face(tup) if last_face is not None and i == n + 1 else None
-            terms.append((fi, 1 if i % 2 == 0 else -1, L))
-        return face_sum(src, terms)
-
-    return assemble(dst, src.total, blocks)
+    in the orbit bases src (degree n) and dst (degree n+1).  last_face(g),
+    if given, is the fibre map applied to the value at the last face of a
+    tuple with last arrow g, which is anchored at another object."""
+    n, reps = src.n, dst.reps
+    tuples = np.concatenate([dst.level.faces[i][reps] for i in range(n + 2)])
+    rows = np.tile(np.arange(len(reps)), n + 2)
+    fkeys = np.repeat(np.arange(n + 2) % 2, len(reps))
+    factors = [src.fibre.identity, -src.fibre.identity]
+    if last_face is not None:
+        arrows, which = np.unique(dst.level.entries[reps, -1], return_inverse=True)
+        fkeys[(n + 1) * len(reps):] = 2 + which
+        factors += [(-1) ** (n + 1) * last_face(g) for g in arrows.tolist()]
+    return face_sum(dst, src, rows, tuples, factors, fkeys)
 
 
 class LevelBasis(OrbitBasis):
@@ -227,39 +249,25 @@ class LevelBasis(OrbitBasis):
 
     def __init__(self, groupoid, sblocks, n):
         OrbitBasis.__init__(self, nerve(groupoid, n), sblocks)
-        self.moduli = []
-        for o in self.orbits:
-            self.moduli.extend(sblocks.moduli_S if o.kind == "free"
-                               else sblocks.moduli_fixed)
+        self.moduli = [d for f in self.fixed.tolist()
+                       for d in (sblocks.moduli_fixed if f else sblocks.moduli_S)]
 
     def presentation(self):
         """The cochain group as an abelian group presentation."""
         return exact.quotient(exact.eye(self.total), self.relation_matrix())
 
     def relation_matrix(self):
-        cols = sum(1 for d in self.moduli if d > 0)
-        R = exact.zeros(self.total, cols)
-        c = 0
-        for i, d in enumerate(self.moduli):
-            if d > 0:
-                R[i, c] = d
-                c += 1
+        rows = [i for i, d in enumerate(self.moduli) if d > 0]
+        R = exact.zeros(self.total, len(rows))
+        R[rows, range(len(rows))] = [self.moduli[i] for i in rows]
         return R
 
     def in_relation_lattice(self, vec):
-        for v, d in zip(vec, self.moduli):
-            if d == 0:
-                if v != 0:
-                    return False
-            elif v % d != 0:
-                return False
-        return True
+        return all(v % d == 0 if d else v == 0 for v, d in zip(vec, self.moduli))
 
     def reduce(self, vec):
-        out = []
-        for v, d in zip(vec, self.moduli):
-            out.append(int(v) % d if d > 0 else int(v))
-        return np.array(out, dtype=object)
+        return np.array([int(v) % d if d > 0 else int(v)
+                         for v, d in zip(vec, self.moduli)], dtype=object)
 
     def value_at(self, vector, tup):
         """Evaluate a stored coordinate vector at a nerve tuple; returns
@@ -297,11 +305,9 @@ class RealCochain:
 
     def serialize(self):
         basis = self.complex.basis(self.degree)
-        values = []
-        for oid in range(len(basis.orbits)):
-            off = basis.offsets[oid]
-            w = basis.width(oid)
-            values.append([oid, [int(v) for v in self.vector[off:off + w]]])
+        blocks = zip(basis.offsets.tolist(), basis.widths.tolist())
+        values = [[oid, [int(v) for v in self.vector[off:off + w]]]
+                  for oid, (off, w) in enumerate(blocks)]
         return {"degree": self.degree, "values": values}
 
 
@@ -343,19 +349,17 @@ class RealComplex:
             self._diffs[n] = coboundary_matrix(self.basis(n), self.basis(n + 1))
         return self._diffs[n]
 
-    def d(self, cochain):
+    def _image(self, cochain):
         n = cochain.degree
         D = self.differential_matrix(n)
-        vec = D @ cochain.vector if self.basis(n).total else \
+        return D @ cochain.vector if self.basis(n).total else \
             exact.zeros(self.basis(n + 1).total, 1)[:, 0]
-        return RealCochain(self, n + 1, vec)
+
+    def d(self, cochain):
+        return RealCochain(self, cochain.degree + 1, self._image(cochain))
 
     def is_cocycle(self, cochain):
-        n = cochain.degree
-        D = self.differential_matrix(n)
-        img = D @ cochain.vector if self.basis(n).total else \
-            exact.zeros(self.basis(n + 1).total, 1)[:, 0]
-        return self.basis(n + 1).in_relation_lattice(img)
+        return self.basis(cochain.degree + 1).in_relation_lattice(self._image(cochain))
 
     def is_coboundary(self, cochain):
         """None, or a degree-(n-1) primitive b with db = c.  The complex
@@ -486,14 +490,8 @@ def invariant_sections(groupoid, S):
         block[:, t * k:(t + 1) * k] -= exact.eye(k)
         rows.append(block)
     C = np.concatenate(rows, axis=0) if rows else exact.zeros(0, nvars)
+    # one copy of S's relations per object, and per k-row block of C
     R_S = S.relations()
-    per_obj = exact.zeros(nvars, G.n_objects * R_S.shape[1])
-    for x in range(G.n_objects):
-        per_obj[x * k:(x + 1) * k,
-                x * R_S.shape[1]:(x + 1) * R_S.shape[1]] = R_S
-    n_rows = C.shape[0] // k if k else 0
-    modulus = exact.zeros(C.shape[0], n_rows * R_S.shape[1])
-    for r in range(n_rows):
-        modulus[r * k:(r + 1) * k,
-                r * R_S.shape[1]:(r + 1) * R_S.shape[1]] = R_S
+    per_obj = np.kron(exact.eye(G.n_objects), R_S)
+    modulus = np.kron(exact.eye(len(rows)), R_S)
     return exact.lattice_mod_relations(C, per_obj, modulus)

@@ -268,21 +268,24 @@ class IntSolver:
         self.diag = diagonal_of(D)
 
     def solve(self, b):
-        """A particular integer solution of M x = b (mod R), or None."""
-        b = np.array([v for v in b], dtype=object)
-        if self.n == 0:
-            return zeros(0, 1)[:, 0] if all(v == 0 for v in b) else None
-        c = self.U @ b if self.m else b[:0]
-        y = zeros(self.n, 1)[:, 0]
-        for i in range(self.m):
-            if i < len(self.diag) and self.diag[i] != 0:
-                if c[i] % self.diag[i] != 0:
-                    return None
-                y[i] = c[i] // self.diag[i]
-            else:
-                if c[i] != 0:
-                    return None
-        return self.V @ y
+        """A particular integer solution of M x = b (mod R), or None.  A
+        matrix b is solved column by column with one product U @ b, and
+        gives None if any column has no solution."""
+        B = np.array(b, dtype=object)
+        one = B.ndim == 1
+        if one:
+            B = B.reshape(-1, 1)
+        C = self.U @ B
+        pivots = [i for i, d in enumerate(self.diag) if d != 0]
+        d = np.array([self.diag[i] for i in pivots], dtype=object).reshape(-1, 1)
+        rest = np.ones(self.m, dtype=bool)
+        rest[pivots] = False
+        if (C[pivots] % d != 0).any() or (C[rest] != 0).any():
+            return None
+        Y = zeros(self.n, B.shape[1])
+        Y[pivots] = C[pivots] // d
+        X = self.V @ Y
+        return X[:, 0] if one else X
 
 
 class AbelianGroupPresentation:
@@ -304,13 +307,9 @@ class AbelianGroupPresentation:
         self.ambient_dim = k
         self.basis = B
         self._solver = IntSolver(B)
-        cols = []
-        for j in range(G.shape[1]):
-            w = self._solver.solve(G[:, j])
-            if w is None:
-                raise ValueError("image not contained in kernel")
-            cols.append(w)
-        Umat = (np.stack(cols, axis=1) if cols else zeros(mdim, 0))
+        Umat = self._solver.solve(G)
+        if Umat is None:
+            raise ValueError("image not contained in kernel")
         P, D, _, Pinv, _ = smith_normal_form(Umat, need_inverses=True)
         self._P = P
         self._Pinv = Pinv
@@ -462,6 +461,10 @@ def cleared(mat):
     num, den = _ratio(as_int_matrix(mat))
     scale = math.lcm(*set(den.flat))
     return num * (scale // den), scale
+
+
+# the Fraction num / scale of every entry of an integer matrix num
+frac_divide = np.frompyfunc(Fraction, 2, 1)
 
 
 def frac_zeros(m, n):

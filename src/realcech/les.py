@@ -86,27 +86,23 @@ def induced_cochain_map(groupoid, s_a, s_b, f, n):
     cxb = RealComplex(groupoid, s_b)
     ba, bb = cxa.basis(n), cxb.basis(n)
     f = exact.as_int_matrix(f)
-
-    def blocks(tup, anchor):
-        off, M = ba.value_expression(ba.level.index_of(tup))
-        return [(off, f @ M)]
+    # orbit o of ba maps to orbit o of bb by f @ (the value matrix of its kind)
+    mats = [f @ ba.fibre.identity, f @ ba.fibre.embed]
 
     def error(message):
         raise SequenceError("map does not respect the fixed subgroups")
 
-    return assemble(bb, ba.total, blocks, error), cxa, cxb
+    orbits = np.arange(len(ba.reps))
+    return (assemble(bb, ba.total, orbits, ba.offsets, mats, ba.fixed.astype(int), error),
+            cxa, cxb)
 
 
 def _solve_columns(A, relations, B, message):
     """X with A @ X = B modulo span(relations); SequenceError(message) if
     some column of B has no solution."""
-    solver = exact.IntSolver(A, relations)
-    X = exact.zeros(A.shape[1], B.shape[1])
-    for c in range(B.shape[1]):
-        x = solver.solve(B[:, c])
-        if x is None:
-            raise SequenceError(message)
-        X[:, c] = x
+    X = exact.IntSolver(A, relations).solve(B)
+    if X is None:
+        raise SequenceError(message)
     return X
 
 

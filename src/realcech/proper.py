@@ -25,8 +25,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import exact
-from .cochains import OrbitBasis, assemble, coboundary_matrix, face_sum
-from .nerve import face, nerve  # noqa: F401 -- bench/spans.py patches both names here
+from .cochains import OrbitBasis, coboundary_matrix, face_sum
+from .nerve import arrows_into, face, nerve  # noqa: F401 -- bench/spans.py patches face here
 
 
 def canonical_cutoff(groupoid):
@@ -57,9 +57,12 @@ class RepFibre:
 
     A free orbit stores the value at its representative; the partner
     value is nu of it.  A fixed orbit stores coordinates in the +1
-    eigenbasis of nu at its (rho-fixed) anchor object."""
+    eigenbasis of nu at its (rho-fixed) anchor object, the `frac_kernel`
+    basis, which has a unit row at each free column: the coordinates of
+    a fixed vector are its entries at those rows."""
 
     zeros = staticmethod(exact.frac_zeros)
+    scalars = staticmethod(exact.frac_divide)
 
     def __init__(self, rep):
         self.rep = rep
@@ -72,15 +75,25 @@ class RepFibre:
 
     def embedding(self, x):
         """Columns spanning {v : nu_x v = v} for a rho-fixed object x."""
+        return self._fixed(x)[0]
+
+    def _fixed(self, x):
+        # the basis, and the row of its unit vector for each column
         if x not in self._fixed_basis:
-            self._fixed_basis[x] = exact.frac_kernel(self.rep.nu[x] - self.identity)
+            E = exact.frac_kernel(self.rep.nu[x] - self.identity)
+            units = [next(i for i, row in enumerate(E.tolist())
+                          if row == [int(j == c) for j in range(E.shape[1])])
+                     for c in range(E.shape[1])]
+            self._fixed_basis[x] = E, units
         return self._fixed_basis[x]
 
     def partner(self, x):
         return self.rep.nu[x]
 
-    def fixed_coords(self, x, vec):
-        return exact.frac_solve(self.embedding(x), vec)
+    def fixed_coords(self, x, X):
+        E, units = self._fixed(x)
+        W = X[units]
+        return W if (E @ W == X).all() else None
 
 
 class RepLevelBasis(OrbitBasis):
@@ -116,8 +129,7 @@ class RepComplex:
         if n not in self._diffs:
             # the last face is anchored at tgt(g_(n+1)); act^-1 moves it back
             self._diffs[n] = coboundary_matrix(
-                self.basis(n), self.basis(n + 1),
-                last_face=lambda tup: self.rep.act_inv(tup[-1]))
+                self.basis(n), self.basis(n + 1), last_face=self.rep.act_inv)
         return self._diffs[n]
 
     def differential_rank(self, n):
@@ -128,23 +140,19 @@ class RepComplex:
 
     def contraction_matrix(self, n):
         """h: C^(n+1) -> C^n (requires the cutoff; exact rationals)."""
-        if n in self._homos:
-            return self._homos[n]
-        src = self.basis(n + 1)
-        G = self.groupoid
-        sign = Fraction(1 if (n + 1) % 2 == 0 else -1)
-
-        def blocks(tup, x):
-            terms = []
-            for gamma in G.arrows_into(x):
-                gamma = int(gamma)
-                longer = tuple(tup) + (gamma,) if n >= 1 else (gamma,)
-                weight = self.cutoff[int(G.src[gamma])]
-                terms.append((src.level.index_of(longer), sign * weight,
-                              self.rep.act(gamma)))
-            return face_sum(src, terms)
-
-        self._homos[n] = assemble(self.basis(n), src.total, blocks)
+        if n not in self._homos:
+            dst, src = self.basis(n), self.basis(n + 1)
+            G = self.groupoid
+            # one term per representative tup and arrow gamma into its anchor
+            rows, gammas = arrows_into(G, dst.anchors)
+            longer = gammas[:, None] if n == 0 else np.column_stack(
+                [dst.level.entries[dst.reps[rows]], gammas])
+            arrows, fkeys = np.unique(gammas, return_inverse=True)
+            sign = 1 if (n + 1) % 2 == 0 else -1
+            factors = [sign * self.cutoff[int(G.src[g])] * self.rep.act(g)
+                       for g in arrows.tolist()]
+            self._homos[n] = face_sum(dst, src, rows, src.level.find(longer),
+                                      factors, fkeys)
         return self._homos[n]
 
     def cohomology(self, n):

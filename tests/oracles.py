@@ -1,14 +1,16 @@
 """Brute-force reference implementations, independent of the production
 code paths: cohomology by full enumeration of real cochains, used to
-derive and pin expected values for small cases, and the dense scalar
-Smith normal form that the vectorised one in `exact` must match."""
+derive and pin expected values for small cases, the dense scalar Smith
+normal form that the vectorised one in `exact` must match, and the loop
+assembler on a dict-of-tuples nerve that the array assembly in
+`cochains` must match."""
 
 import itertools
 
 import numpy as np
 
 from realcech import exact
-from realcech.nerve import nerve, face
+from realcech.nerve import nerve
 
 
 def real_cochains(groupoid, S, n):
@@ -20,7 +22,7 @@ def real_cochains(groupoid, S, n):
     for i in range(len(lvl)):
         if i in seen:
             continue
-        j = lvl.rho_index(i)
+        j = int(lvl.rho_indices[i])
         if j == i:
             fixed.append(i)
             seen.add(i)
@@ -297,3 +299,288 @@ def smith_normal_form(mat, need_u=True, need_v=True, need_inverses=False):
     if need_inverses:
         return U, D, V, Uinv, Vinv
     return (U if need_u else None), D, (V if need_v else None)
+
+
+# -- scalar face and degeneracy maps -------------------------------------
+
+def face(groupoid, n, i, tup):
+    """The i-th face of a level-n tuple, one composition at a time."""
+    if not (0 <= i <= n) or n < 1:
+        raise IndexError(f"face index {i} out of range for degree {n}")
+    G = groupoid
+    if n == 1:
+        g = tup[0]
+        return (int(G.src[g]),) if i == 0 else (int(G.tgt[g]),)
+    if i == 0:
+        return tuple(tup[1:])
+    if i == n:
+        return tuple(tup[:-1])
+    merged = G.compose(tup[i - 1], tup[i])
+    return tuple(tup[:i - 1]) + (merged,) + tuple(tup[i + 1:])
+
+
+def degeneracy(groupoid, n, i, tup):
+    """The i-th degeneracy of a level-n tuple, one unit at a time."""
+    if not (0 <= i <= n):
+        raise IndexError(f"degeneracy index {i} out of range for degree {n}")
+    G = groupoid
+    if n == 0:
+        return (int(G.unit[tup[0]]),)
+    if i == 0:
+        return (int(G.unit[G.tgt[tup[0]]]),) + tuple(tup)
+    u = int(G.unit[G.src[tup[i - 1]]])
+    return tuple(tup[:i]) + (u,) + tuple(tup[i:])
+
+
+# -- loop assembly on a dict-of-tuples nerve -----------------------------
+#
+# The assembler the array path in `cochains` replaced: Python loops over
+# nerve tuples, one dict lookup and one `face` call per face, Fraction or
+# int block sums, and one fixed-coordinate solve per corestricted column
+# (`SBlocks.to_fixed_coords`, or `exact.frac_solve` on the rational
+# fibre).  Matrices built here must equal the array path's entry for
+# entry and in entry type.
+
+class DictLevel:
+    """Nerve level n as a list of tuples in lexicographic order and a
+    dict tuple -> index."""
+
+    def __init__(self, groupoid, n):
+        G = groupoid
+        if n == 0:
+            tuples = [(x,) for x in range(G.n_objects)]
+        else:
+            tuples = [(g,) for g in range(G.n_arrows)]
+            for _ in range(n - 1):
+                tuples = [t + (h,) for t in tuples for h in range(G.n_arrows)
+                          if G.src[t[-1]] == G.tgt[h]]
+        self.groupoid, self.n, self.tuples = G, n, tuples
+        self.index = {t: i for i, t in enumerate(tuples)}
+
+    def __len__(self):
+        return len(self.tuples)
+
+    def tuple_at(self, i):
+        return self.tuples[i]
+
+    def rho(self, tup):
+        G = self.groupoid
+        if self.n == 0:
+            return (int(G.rho_obj[tup[0]]),)
+        return tuple(int(G.rho_arr[g]) for g in tup)
+
+
+class LoopBasis:
+    """Orbit basis of degree-n cochains with values in a fibre, found by
+    walking the tuples: orbits in order of their first tuple, as
+    (kind, rep, partner, anchor)."""
+
+    def __init__(self, groupoid, fibre, n):
+        G = groupoid
+        self.groupoid, self.fibre, self.n = G, fibre, n
+        self.level = lvl = DictLevel(G, n)
+        self.orbits = []
+        self.orbit_of = {}    # tuple index -> (orbit id, 'rep'|'partner')
+        for i, tup in enumerate(lvl.tuples):
+            if i in self.orbit_of:
+                continue
+            j = lvl.index[lvl.rho(tup)]
+            anchor = tup[0] if n == 0 else int(G.src[tup[-1]])
+            self.orbit_of[i] = (len(self.orbits), "rep")
+            if j == i:
+                self.orbits.append(("fixed", i, i, anchor))
+            else:
+                self.orbit_of[j] = (len(self.orbits), "partner")
+                self.orbits.append(("free", i, j, anchor))
+        self.offsets, self.widths = [], []
+        pos = 0
+        for kind, _, _, anchor in self.orbits:
+            w = fibre.k if kind == "free" else fibre.embedding(anchor).shape[1]
+            self.offsets.append(pos)
+            self.widths.append(w)
+            pos += w
+        self.total = pos
+
+    def value_expression(self, tuple_index):
+        oid, role = self.orbit_of[tuple_index]
+        kind, _, _, anchor = self.orbits[oid]
+        if kind == "fixed":
+            M = self.fibre.embedding(anchor)
+        elif role == "rep":
+            M = self.fibre.identity
+        else:
+            M = self.fibre.partner(anchor)
+        return self.offsets[oid], M
+
+    def corestrict(self, oid, X):
+        anchor = self.orbits[oid][3]
+        W = self.fibre.zeros(self.widths[oid], X.shape[1])
+        for c in range(X.shape[1]):
+            if hasattr(self.fibre, "to_fixed_coords"):
+                w = self.fibre.to_fixed_coords(X[:, c])
+            else:
+                w = exact.frac_solve(self.fibre.embedding(anchor), X[:, c])
+            if w is None:
+                return None
+            W[:, c] = w
+        return W
+
+    def from_values(self, value_fn):
+        def blocks(tup, anchor):
+            value = self.fibre.element(value_fn(tup))
+            return [(0, np.array(value, dtype=object).reshape(-1, 1))]
+        return loop_assemble(self, 1, blocks, ValueError)[:, 0]
+
+
+def loop_assemble(dst, ncols, blocks, error=AssertionError):
+    A = dst.fibre.zeros(dst.total, ncols)
+    for oid, (kind, rep, _, anchor) in enumerate(dst.orbits):
+        tup = dst.level.tuple_at(rep)
+        r = dst.offsets[oid]
+        for c, X in blocks(tup, anchor):
+            w = dst.widths[oid]
+            if kind == "free":
+                A[r:r + w, c:c + X.shape[1]] = X
+                continue
+            cols = [j for j in range(X.shape[1]) if any(v != 0 for v in X[:, j])]
+            if not cols:
+                continue
+            W = dst.corestrict(oid, X[:, cols])
+            if W is None:
+                raise error(f"value at fixed tuple {tup} is not fixed by the involution")
+            A[r:r + w, [c + j for j in cols]] = W
+    return A
+
+
+def loop_face_sum(src, terms):
+    fibre = src.fibre
+    blocks = {}
+    for i, coef, L in terms:
+        off, M = src.value_expression(i)
+        if not M.shape[1]:
+            continue
+        if off not in blocks:
+            blocks[off] = fibre.zeros(fibre.k, M.shape[1])
+        blocks[off] += coef * (M if L is None else L @ M)
+    return blocks.items()
+
+
+def loop_coboundary_matrix(src, dst, last_face=None):
+    """d: C^n -> C^(n+1); last_face(tup) is the fibre map applied to the
+    value at the last face of tup."""
+    G, n = src.groupoid, src.n
+
+    def blocks(tup, anchor):
+        terms = []
+        for i in range(n + 2):
+            fi = src.level.index[face(G, n + 1, i, tup)]
+            L = last_face(tup) if last_face is not None and i == n + 1 else None
+            terms.append((fi, 1 if i % 2 == 0 else -1, L))
+        return loop_face_sum(src, terms)
+
+    return loop_assemble(dst, src.total, blocks)
+
+
+def loop_contraction_matrix(cx, n):
+    """h: C^(n+1) -> C^n of a RepComplex, on loop bases."""
+    from fractions import Fraction
+    G = cx.groupoid
+    src = LoopBasis(G, cx.fibre, n + 1)
+    sign = Fraction(1 if (n + 1) % 2 == 0 else -1)
+
+    def blocks(tup, x):
+        terms = []
+        for gamma in G.arrows_into(x):
+            gamma = int(gamma)
+            longer = tuple(tup) + (gamma,) if n >= 1 else (gamma,)
+            weight = cx.cutoff[int(G.src[gamma])]
+            terms.append((src.level.index[longer], sign * weight, cx.rep.act(gamma)))
+        return loop_face_sum(src, terms)
+
+    return loop_assemble(LoopBasis(G, cx.fibre, n), src.total, blocks)
+
+
+def loop_induced_cochain_map(groupoid, sb_a, sb_b, f, n):
+    """The coefficient map f on degree-n cochain coordinates, for the
+    integral fibres sb_a and sb_b."""
+    ba, bb = LoopBasis(groupoid, sb_a, n), LoopBasis(groupoid, sb_b, n)
+    f = exact.as_int_matrix(f)
+
+    def blocks(tup, anchor):
+        off, M = ba.value_expression(ba.level.index[tup])
+        return [(off, f @ M)]
+
+    return loop_assemble(bb, ba.total, blocks)
+
+
+def loop_simplicial_identities(groupoid, max_degree):
+    """The tuple-by-tuple identity check on scalar face and degeneracy
+    maps; its violation messages are those of
+    `nerve.check_simplicial_identities`."""
+    bad = []
+    G = groupoid
+    levels = {n: DictLevel(G, n) for n in range(max_degree + 2)}
+    for n in range(1, max_degree + 1):
+        for tup in levels[n].tuples:
+            if n >= 2:
+                for j in range(n + 1):
+                    for i in range(j):
+                        lhs = face(G, n - 1, i, face(G, n, j, tup))
+                        rhs = face(G, n - 1, j - 1, face(G, n, i, tup))
+                        if lhs != rhs:
+                            bad.append(f"face-face fails: n={n} i={i} j={j} {tup}")
+            for i in range(n + 1):
+                lhs = face(G, n, i, levels[n].rho(tup))
+                rhs = levels[n - 1].rho(face(G, n, i, tup))
+                if lhs != rhs:
+                    bad.append(f"face not equivariant: n={n} i={i} {tup}")
+    for n in range(0, max_degree + 1):
+        for tup in levels[n].tuples:
+            for i in range(n + 1):
+                dg = degeneracy(G, n, i, tup)
+                if dg not in levels[n + 1].index:
+                    bad.append(f"degeneracy leaves nerve: n={n} i={i} {tup}")
+                    continue
+                if face(G, n + 1, i, dg) != tuple(tup) or \
+                        face(G, n + 1, i + 1, dg) != tuple(tup):
+                    bad.append(f"face-degeneracy unit fails: n={n} i={i} {tup}")
+                lhs = degeneracy(G, n, i, levels[n].rho(tup))
+                rhs = levels[n + 1].rho(dg)
+                if lhs != rhs:
+                    bad.append(f"degeneracy not equivariant: n={n} i={i} {tup}")
+            for j in range(n + 1):
+                for i in range(j + 1):
+                    lhs = degeneracy(G, n + 1, i, degeneracy(G, n, j, tup))
+                    rhs = degeneracy(G, n + 1, j + 1, degeneracy(G, n, i, tup))
+                    if lhs != rhs:
+                        bad.append(f"deg-deg fails: n={n} i={i} j={j} {tup}")
+            for j in range(n + 1):
+                dg = degeneracy(G, n, j, tup)
+                for i in range(n + 2):
+                    if n >= 1 and i < j:
+                        rhs = degeneracy(G, n - 1, j - 1, face(G, n, i, tup))
+                    elif n >= 1 and i > j + 1:
+                        rhs = degeneracy(G, n - 1, j, face(G, n, i - 1, tup))
+                    else:
+                        continue
+                    if face(G, n + 1, i, dg) != rhs:
+                        bad.append(f"mixed fails: n={n} i={i} j={j}")
+    return bad
+
+
+def loop_solve(solver, b):
+    """`exact.IntSolver.solve` for one right-hand side, entry by entry:
+    the solve that the batched one must reproduce column by column."""
+    b = np.array([v for v in b], dtype=object)
+    if solver.n == 0:
+        return exact.zeros(0, 1)[:, 0] if all(v == 0 for v in b) else None
+    c = solver.U @ b if solver.m else b[:0]
+    y = exact.zeros(solver.n, 1)[:, 0]
+    for i in range(solver.m):
+        if i < len(solver.diag) and solver.diag[i] != 0:
+            if c[i] % solver.diag[i] != 0:
+                return None
+            y[i] = c[i] // solver.diag[i]
+        elif c[i] != 0:
+            return None
+    return solver.V @ y
