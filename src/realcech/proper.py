@@ -78,22 +78,23 @@ class RepFibre:
         return self._fixed(x)[0]
 
     def _fixed(self, x):
-        # the basis, and the row of its unit vector for each column
+        # the basis, its integer multiple, and the row of its unit vector
+        # for each column
         if x not in self._fixed_basis:
             E = exact.frac_kernel(self.rep.nu[x] - self.identity)
             units = [next(i for i, row in enumerate(E.tolist())
                           if row == [int(j == c) for j in range(E.shape[1])])
                      for c in range(E.shape[1])]
-            self._fixed_basis[x] = E, units
+            self._fixed_basis[x] = E, exact.cleared(E), units
         return self._fixed_basis[x]
 
     def partner(self, x):
         return self.rep.nu[x]
 
     def fixed_coords(self, x, X):
-        E, units = self._fixed(x)
+        _, (E, scale), units = self._fixed(x)
         W = X[units]
-        return W if (E @ W == X).all() else None
+        return W if (E @ W == scale * X).all() else None
 
 
 class RepLevelBasis(OrbitBasis):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from realcech import exact, standard
-from realcech.cochains import RealComplex, SBlocks
+from realcech.cochains import RealComplex, SBlocks, assemble
 from realcech.coefficients import (RealCoefficientGroup, RealRepresentation,
                                    make_standard)
 from realcech.groupoids import FiniteRealGroupoid
@@ -181,6 +181,18 @@ class TestIntegralAssembly:
                 assert_same(D, loop_differential(cx, n))
                 top = max(top, *(abs(v) for v in D.flat))
         assert top >= 1 << 62
+
+
+    def test_sums_past_int64_are_exact(self):
+        # two terms of 3 * 2^61 in one cell sum past 2^63, in a fixed orbit
+        # (discrete space) and in a free one (swapped pair groupoid)
+        big = 3 << 61
+        z = make_standard("Z_trivial")
+        for g in (standard.discrete_space(2), standard.pair_groupoid(2, [1, 0])):
+            dst = RealComplex(g, z).basis(0)
+            A = assemble(dst, 1, np.zeros(2, int), np.zeros(2, int),
+                         [exact.as_int_matrix([[big]])], np.zeros(2, int))
+            assert A[0, 0] == 2 * big and type(A[0, 0]) is int
 
 
 class TestRationalAssembly:
