@@ -166,9 +166,8 @@ def assemble(dst, ncols, rows, cols, mats, keys, error=AssertionError):
     error.  The sums run on the matrices that `exact.cleared` scales to
     integers, in int64 when a bound shows that no sum can overflow."""
     fibre, k = dst.fibre, dst.fibre.k
-    A = fibre.zeros(dst.total, ncols)
     if not len(keys):
-        return A
+        return fibre.zeros(dst.total, ncols)
     num, scale = exact.cleared(np.concatenate(mats, axis=1))
     # the nonzero entries (a, b, v) of the matrices, matrix by matrix
     b, a = np.nonzero((num != 0).T)
@@ -181,7 +180,7 @@ def assemble(dst, ncols, rows, cols, mats, keys, error=AssertionError):
     term = np.repeat(np.arange(len(keys)), per)
     e = np.repeat((np.cumsum(count) - count)[keys], per) + segments(per)
     if not e.size:
-        return A
+        return fibre.zeros(dst.total, ncols)
     if max(abs(x) for x in v) * len(keys) < 1 << 62:
         v = v.astype(np.int64)  # no sum of len(keys) entries can overflow
     code = (rows[term] * k + a[e]) * ncols + cols[term] + b[e] - first_col[owner[e]]
@@ -191,6 +190,8 @@ def assemble(dst, ncols, rows, cols, mats, keys, error=AssertionError):
     code, v = code[starts], np.add.reduceat(v, starts).astype(object)
     r, a, c = code // (k * ncols), code // ncols % k, code % ncols
     free = ~dst.fixed[r]
+    # allocated once the term-sized arrays are gone
+    A = fibre.zeros(dst.total, ncols)
     A[dst.offsets[r[free]] + a[free], c[free]] = fibre.scalars(v[free], scale)
     # the k-vector of each (fixed orbit, column) pair, corestricted
     pair, col = np.unique(r[~free] * ncols + c[~free], return_inverse=True)
