@@ -266,6 +266,12 @@ class IntSolver:
         U, D, V = smith_normal_form(M, v_rows=n)
         self.U, self.D, self.V = U, D, V
         self.diag = diagonal_of(D)
+        # rows of U @ b divided by a nonzero diagonal entry; the rest must vanish
+        pivot = np.array([i < len(self.diag) and self.diag[i] != 0
+                          for i in range(self.m)], dtype=bool)
+        self._pivots, self._rest = np.flatnonzero(pivot), np.flatnonzero(~pivot)
+        self._divisors = np.array([self.diag[i] for i in self._pivots],
+                                  dtype=object).reshape(-1, 1)
 
     def solve(self, b):
         """A particular integer solution of M x = b (mod R), or None.  A
@@ -276,14 +282,11 @@ class IntSolver:
         if one:
             B = B.reshape(-1, 1)
         C = self.U @ B
-        pivots = [i for i, d in enumerate(self.diag) if d != 0]
-        d = np.array([self.diag[i] for i in pivots], dtype=object).reshape(-1, 1)
-        rest = np.ones(self.m, dtype=bool)
-        rest[pivots] = False
-        if (C[pivots] % d != 0).any() or (C[rest] != 0).any():
+        P = C[self._pivots]
+        if (P % self._divisors).any() or C[self._rest].any():
             return None
         Y = zeros(self.n, B.shape[1])
-        Y[pivots] = C[pivots] // d
+        Y[self._pivots] = P // self._divisors
         X = self.V @ Y
         return X[:, 0] if one else X
 
