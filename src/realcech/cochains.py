@@ -166,9 +166,7 @@ def assemble(dst, ncols, rows, cols, mats, keys, error=AssertionError):
     error.  The sums run on the matrices that `exact.cleared` scales to
     integers, in int64 when a bound shows that no sum can overflow."""
     fibre, k = dst.fibre, dst.fibre.k
-    if not len(keys):
-        return fibre.zeros(dst.total, ncols)
-    num, scale = exact.cleared(np.concatenate(mats, axis=1))
+    num, scale = exact.cleared(np.concatenate(list(mats) + [exact.zeros(k, 0)], axis=1))
     # the nonzero entries (a, b, v) of the matrices, matrix by matrix
     b, a = np.nonzero((num != 0).T)
     v = num[a, b]

@@ -23,9 +23,6 @@ from functools import cached_property
 
 import numpy as np
 
-# codes below this bound fit int64; longer radix expansions are Python ints
-_CODE_LIMIT = 1 << 63
-
 
 def segments(counts):
     """0, 1, ..., c - 1 for each count c, concatenated."""
@@ -59,11 +56,11 @@ class NerveLevel:
         self.codes = self._codes(entries)
 
     def _codes(self, entries):
+        # int64 while the radix expansion fits, Python ints past it
         width = entries.shape[1]
-        if self.radix ** width < _CODE_LIMIT:
-            return entries @ self.radix ** np.arange(width - 1, -1, -1, dtype=np.int64)
-        return entries.astype(object) @ np.array(
-            [self.radix ** p for p in range(width - 1, -1, -1)], dtype=object)
+        dtype = np.int64 if self.radix ** width < 1 << 63 else object
+        powers = [self.radix ** p for p in range(width - 1, -1, -1)]
+        return entries.astype(dtype, copy=False) @ np.array(powers, dtype=dtype)
 
     def __len__(self):
         return len(self.entries)
