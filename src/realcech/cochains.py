@@ -110,7 +110,7 @@ class OrbitBasis:
         x = self.anchors[self.orbit_of]
         self.value_key = np.where(rho == i, 2 * x + 2, np.where(i < rho, 0, 2 * x + 1))
         self.widths = np.full(len(self.reps), fibre.k)
-        for a in np.unique(self.anchors[self.fixed]).tolist():
+        for a in set(self.anchors[self.fixed].tolist()):
             self.widths[self.fixed & (self.anchors == a)] = fibre.embedding(a).shape[1]
         self.offsets = np.cumsum(self.widths) - self.widths
         self.total = int(self.widths.sum())
@@ -197,7 +197,7 @@ def assemble(dst, ncols, rows, cols, mats, keys, error=AssertionError):
     X[a[~free], col] = v[~free]
     orbit, c = pair // ncols, pair % ncols
     bad = []
-    for x in np.unique(dst.anchors[orbit]).tolist():
+    for x in sorted(set(dst.anchors[orbit].tolist())):
         sel = np.flatnonzero(dst.anchors[orbit] == x)
         W = fibre.fixed_coords(x, X[:, sel])
         if W is None:
