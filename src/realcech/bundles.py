@@ -11,6 +11,7 @@ exhaustive equivariant-map search) which must agree.
 import itertools
 
 from .cochains import RealComplex
+from .extensions import cocycle_witness
 
 
 class BundleError(ValueError):
@@ -98,15 +99,8 @@ def bundle_from_cocycle(groupoid, S, c):
     if not hasattr(c, "vector"):
         c = cx.cochain(1, c)
     if not cx.is_cocycle(c):
-        dc = cx.d(c)
-        lvl = cx.basis(2).level
-        witness = None
-        for i in range(len(lvl)):
-            tup = lvl.tuple_at(i)
-            if any(v != 0 for v in dc.value_at(tup)):
-                witness = tup
-                break
-        raise BundleError(f"not a cocycle: action fails over pair {witness}")
+        raise BundleError(
+            f"not a cocycle: action fails over pair {cocycle_witness(cx, c)}")
     return RealPrincipalBundle(groupoid, S, c)
 
 

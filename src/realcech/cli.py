@@ -9,8 +9,6 @@ malformed input.
 import argparse
 import sys
 
-import numpy as np
-
 from . import io
 from .cochains import RealComplex, cohomology, invariant_sections
 from .groupoids import cover_groupoid, cech_groupoid

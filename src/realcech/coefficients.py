@@ -15,6 +15,8 @@ RealRepresentation packages a rational fiber per object, an invertible
 action matrix per arrow, and fiberwise involution maps nu_x: E_x -> E_rho(x).
 """
 
+import itertools
+import math
 import re
 from fractions import Fraction
 
@@ -102,25 +104,13 @@ class RealCoefficientGroup:
         return self.free_rank == 0 and self.mode == "integral"
 
     def order(self):
-        if not self.is_finite():
-            return 0
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
+        return math.prod(self.invariant_factors) if self.is_finite() else 0
 
     def elements(self):
         """All elements of a finite group, lexicographically."""
         if not self.is_finite():
             raise ValueError("group is infinite")
-        def rec(j):
-            if j == len(self.invariant_factors):
-                yield ()
-                return
-            for v in range(self.invariant_factors[j]):
-                for rest in rec(j + 1):
-                    yield (v,) + rest
-        return rec(0)
+        return itertools.product(*map(range, self.invariant_factors))
 
     def presentation(self):
         return exact.quotient(exact.eye(self.ngens), self.relations())

@@ -15,6 +15,7 @@ and solutions row-reduce the Fractions.  No floating point anywhere.
 Everything here is a pure function of its inputs; concurrent use is safe.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -355,10 +356,6 @@ class AbelianGroupPresentation:
             coords.append(int(w2[i]) % d if d else int(w2[i]))
         return tuple(coords)
 
-    def is_zero_class(self, vec):
-        c = self.class_coords(vec)
-        return c is not None and all(v == 0 for v in c)
-
     def lift(self, coords):
         """Ambient representative of the class with the given coordinates."""
         v = zeros(self.ambient_dim, 1)[:, 0]
@@ -367,26 +364,13 @@ class AbelianGroupPresentation:
         return v
 
     def order(self):
-        if self.free_rank:
-            return 0
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
+        return 0 if self.free_rank else math.prod(self.invariant_factors)
 
     def all_classes(self):
         """Iterate canonical coordinates of every class (finite groups only)."""
         if self.free_rank:
             raise ValueError("group is infinite")
-        def rec(i):
-            if i == len(self._live):
-                yield ()
-                return
-            d = self._orders[self._live[i]]
-            for v in range(d):
-                for rest in rec(i + 1):
-                    yield (v,) + rest
-        return rec(0)
+        return itertools.product(*map(range, self.invariant_factors))
 
     def group_key(self):
         return (self.free_rank, tuple(self.invariant_factors))

@@ -58,9 +58,6 @@ class GradedTwist:
             if not self.zcx.is_cocycle(self.delta):
                 raise TwistError("delta is not a 1-cocycle")
 
-    def omega_value(self, g1, g2):
-        return self.omega.value_at((g1, g2))
-
     def delta_value(self, g):
         return int(self.delta.value_at((g,))[0]) % 2
 
@@ -214,19 +211,21 @@ def build_extension(base, S, omega):
     if not hasattr(omega, "vector"):
         omega = cx.cochain(2, omega)
     if not cx.is_cocycle(omega):
-        witness = _cocycle_witness(base, cx, omega)
+        witness = cocycle_witness(cx, omega)
         raise TwistError(f"not a cocycle: associativity fails over {witness}")
     if not _is_normalized(base, omega):
         raise TwistError("omega is not normalized on unit pairs")
     return ExtensionGroupoid(base, S, omega)
 
 
-def _cocycle_witness(base, cx, omega):
-    dw = cx.d(omega)
-    lvl = cx.basis(3).level
+def cocycle_witness(cx, c):
+    """The first nerve tuple, in level order, at which dc is not zero;
+    None when c is a cocycle."""
+    dc = cx.d(c)
+    lvl = cx.basis(c.degree + 1).level
     for i in range(len(lvl)):
         tup = lvl.tuple_at(i)
-        if any(v != 0 for v in dw.value_at(tup)):
+        if any(v != 0 for v in dc.value_at(tup)):
             return tup
     return None
 

@@ -1,6 +1,7 @@
 """Finite groupoids with a strict involution, and the constructions used
-for Morita-invariance checks (cover groupoid, fibered-product pair
-groupoid of a surjection, pullback groupoid, product with a finite group).
+for Morita-invariance checks: the pullback groupoid along a Real map, and
+through it the cover groupoid and the fibered-product pair groupoid of a
+surjection; the product with a finite group.
 
 Objects and arrows are dense integer indices; all structure maps are
 stored as index arrays, composition as a full table (-1 = undefined).
@@ -21,10 +22,34 @@ def max_arrows():
         return 1 << 16
 
 
-def _freeze(arr):
-    a = np.asarray(arr, dtype=np.int64)
-    a.setflags(write=False)
+def _indices(name, values, shape, bound, low=0):
+    """values as an int64 array, checked to have the given shape and every
+    entry in [low, bound)."""
+    a = np.asarray(values, dtype=np.int64)
+    if a.shape != shape:
+        raise ValueError(f"{name} has shape {a.shape}, not {shape}")
+    out = (a < low) | (a >= bound)
+    if out.any():
+        raise ValueError(
+            f"{name} entry {a[out][0]} is out of range [{low}, {bound})")
     return a
+
+
+def _failures(*checks):
+    """The message of every failing check, ordered by witness and then by
+    check.  A check is a (template, mask) pair; all masks have one shape,
+    and the index of a true entry is the witness put into the template."""
+    hits = np.argwhere(np.stack([mask for _, mask in checks], axis=-1))
+    return [checks[w[-1]][0].format(*w[:-1]) for w in hits.tolist()]
+
+
+def _ragged(starts, lengths):
+    """Owner i and value of every entry of the concatenated ranges
+    starts[i], ..., starts[i] + lengths[i] - 1."""
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    offset = np.arange(len(owner)) - np.repeat(np.cumsum(lengths) - lengths,
+                                               lengths)
+    return owner, starts[owner] + offset
 
 
 class FiniteRealGroupoid:
@@ -32,35 +57,32 @@ class FiniteRealGroupoid:
     structure maps (a strict 2-periodic automorphism).
 
     Fields: n_objects, src, tgt, unit, inv, comp (full table), rho_obj,
-    rho_arr.  Use validate() to get a report of violated axioms; the
-    constructor only checks shapes and the size cap.
+    rho_arr.  The constructor checks the size cap, then the shape and
+    index range of every array; validate() reports violated axioms.
     """
 
     def __init__(self, n_objects, src, tgt, unit, comp_table, inv,
                  rho_obj=None, rho_arr=None):
-        self.n_objects = int(n_objects)
-        self.src = _freeze(src)
-        self.tgt = _freeze(tgt)
-        self.n_arrows = len(self.src)
+        n = self.n_objects = int(n_objects)
+        m = self.n_arrows = len(src)
         cap = max_arrows()
-        if self.n_arrows > cap:
-            raise ValueError(f"too many arrows ({self.n_arrows} > {cap})")
-        if len(self.tgt) != self.n_arrows:
-            raise ValueError("src/tgt length mismatch")
-        self.unit = _freeze(unit)
-        self.inv = _freeze(inv)
-        self.comp = _freeze(comp_table)
-        if self.comp.shape != (self.n_arrows, self.n_arrows):
-            raise ValueError("composition table has wrong shape")
-        self.rho_obj = _freeze(rho_obj if rho_obj is not None
-                               else np.arange(self.n_objects))
-        self.rho_arr = _freeze(rho_arr if rho_arr is not None
-                               else np.arange(self.n_arrows))
+        if m > cap:
+            raise ValueError(f"too many arrows ({m} > {cap})")
+        self.src = _indices("src", src, (m,), n)
+        self.tgt = _indices("tgt", tgt, (m,), n)
+        self.unit = _indices("unit", unit, (n,), m)
+        self.inv = _indices("inv", inv, (m,), m)
+        self.comp = _indices("composition table", comp_table, (m, m), m,
+                             low=-1)
+        self.rho_obj = _indices(
+            "rho_obj", np.arange(n) if rho_obj is None else rho_obj, (n,), n)
+        self.rho_arr = _indices(
+            "rho_arr", np.arange(m) if rho_arr is None else rho_arr, (m,), m)
+        for a in (self.src, self.tgt, self.unit, self.inv, self.comp,
+                  self.rho_obj, self.rho_arr):
+            a.setflags(write=False)
 
     # -- basic structure ------------------------------------------------
-
-    def is_composable(self, g, h):
-        return self.src[g] == self.tgt[h]
 
     def compose(self, g, h):
         k = self.comp[g, h]
@@ -101,81 +123,50 @@ class FiniteRealGroupoid:
     def validate(self):
         """Check every axiom; returns a list of violation strings with
         witnesses (empty list = valid)."""
-        bad = []
-        n, m = self.n_objects, self.n_arrows
-        if len(self.unit) != n:
-            return ["unit map has wrong length"]
-        for x in range(n):
-            u = self.unit[x]
-            if not (0 <= u < m) or self.src[u] != x or self.tgt[u] != x:
-                bad.append(f"unit({x}) is not an endo-arrow at {x}")
-        for g in range(m):
-            for h in range(m):
-                k = self.comp[g, h]
-                defined = k >= 0
-                composable = self.src[g] == self.tgt[h]
-                if defined != composable:
-                    bad.append(f"comp defined iff composable fails at ({g},{h})")
-                elif defined:
-                    if self.tgt[k] != self.tgt[g] or self.src[k] != self.src[h]:
-                        bad.append(f"comp({g},{h}) has wrong endpoints")
+        src, tgt, unit, inv, comp = (self.src, self.tgt, self.unit, self.inv,
+                                     self.comp)
+        rho_obj, rho = self.rho_obj, self.rho_arr
+        objects, arrows = np.arange(self.n_objects), np.arange(self.n_arrows)
+        defined = comp >= 0
+        prod = np.where(defined, comp, 0)
+        composable = src[:, None] == tgt
+        bad = _failures(("unit({0}) is not an endo-arrow at {0}",
+                         (src[unit] != objects) | (tgt[unit] != objects)))
+        bad += _failures(
+            ("comp defined iff composable fails at ({0},{1})",
+             defined != composable),
+            ("comp({0},{1}) has wrong endpoints",
+             defined & composable
+             & ((tgt[prod] != tgt[:, None]) | (src[prod] != src))))
         if bad:
             return bad
-        for g in range(m):
-            u_t, u_s = self.unit[self.tgt[g]], self.unit[self.src[g]]
-            if self.comp[u_t, g] != g or self.comp[g, u_s] != g:
-                bad.append(f"unit law fails at arrow {g}")
-            gi = self.inv[g]
-            if self.src[gi] != self.tgt[g] or self.tgt[gi] != self.src[g]:
-                bad.append(f"inverse of {g} has wrong endpoints")
-            elif self.comp[gi, g] != self.unit[self.src[g]] or \
-                    self.comp[g, gi] != self.unit[self.tgt[g]]:
-                bad.append(f"inverse law fails at arrow {g}")
-        for g in range(m):
-            for h in range(m):
-                if self.comp[g, h] < 0:
-                    continue
-                for k in range(m):
-                    if self.comp[h, k] < 0:
-                        continue
-                    if self.comp[self.comp[g, h], k] != self.comp[g, self.comp[h, k]]:
-                        bad.append(f"associativity fails at ({g},{h},{k})")
-        # involution axioms
-        for x in range(n):
-            if self.rho_obj[self.rho_obj[x]] != x:
-                bad.append(f"rho not 2-periodic on objects, witness {x}")
-                break
-        for g in range(m):
-            if self.rho_arr[self.rho_arr[g]] != g:
-                bad.append(f"rho not 2-periodic, witness arrow {g}")
-                break
-        for g in range(m):
-            rg = self.rho_arr[g]
-            if self.src[rg] != self.rho_obj[self.src[g]] or \
-                    self.tgt[rg] != self.rho_obj[self.tgt[g]]:
-                bad.append(f"rho does not commute with src/tgt at arrow {g}")
-            if self.inv[rg] != self.rho_arr[self.inv[g]]:
-                bad.append(f"rho does not commute with inv at arrow {g}")
-        for x in range(n):
-            if self.rho_arr[self.unit[x]] != self.unit[self.rho_obj[x]]:
-                bad.append(f"rho does not commute with unit at object {x}")
-        for g in range(m):
-            for h in range(m):
-                k = self.comp[g, h]
-                if k < 0:
-                    continue
-                rk = self.comp[self.rho_arr[g], self.rho_arr[h]]
-                if rk != self.rho_arr[k]:
-                    bad.append(f"rho not multiplicative at ({g},{h})")
+        u_t, u_s = unit[tgt], unit[src]
+        ends = (src[inv] != tgt) | (tgt[inv] != src)
+        bad += _failures(
+            ("unit law fails at arrow {0}",
+             (comp[u_t, arrows] != arrows) | (comp[arrows, u_s] != arrows)),
+            ("inverse of {0} has wrong endpoints", ends),
+            ("inverse law fails at arrow {0}",
+             ~ends & ((comp[inv, arrows] != u_s) | (comp[arrows, inv] != u_t))))
+        for g in arrows:
+            row = comp[g]
+            fails = (row[:, None] >= 0) & defined & (comp[row] != row[comp])
+            bad += [f"associativity fails at ({g},{h},{k})"
+                    for h, k in np.argwhere(fails).tolist()]
+        bad += _failures(("rho not 2-periodic on objects, witness {0}",
+                          rho_obj[rho_obj] != objects))[:1]
+        bad += _failures(("rho not 2-periodic, witness arrow {0}",
+                          rho[rho] != arrows))[:1]
+        bad += _failures(
+            ("rho does not commute with src/tgt at arrow {0}",
+             (src[rho] != rho_obj[src]) | (tgt[rho] != rho_obj[tgt])),
+            ("rho does not commute with inv at arrow {0}",
+             inv[rho] != rho[inv]))
+        bad += _failures(("rho does not commute with unit at object {0}",
+                          rho[unit] != unit[rho_obj]))
+        bad += _failures(("rho not multiplicative at ({0},{1})",
+                          defined & (comp[np.ix_(rho, rho)] != rho[prod])))
         return bad
-
-
-def table_from_triples(n_arrows, triples):
-    """Full composition table from a list of (g, h, g*h) triples."""
-    table = np.full((n_arrows, n_arrows), -1, dtype=np.int64)
-    for g, h, k in triples:
-        table[g, h] = k
-    return table
 
 
 class RealCover:
@@ -214,48 +205,39 @@ class RealCover:
 
 
 def cover_groupoid(groupoid, cover):
-    """The cover groupoid: objects (j, x in U_j), arrows (j0, g, j1) with
-    tgt(g) in U_j0 and src(g) in U_j1.  Returns (groupoid, iota) where
-    iota maps each cover arrow to its underlying arrow."""
+    """The cover groupoid: the pullback along (j, x) -> x, x in U_j, with
+    involution (j, x) -> (bar j, rho x), its arrows (j0, g, j1) numbered
+    in lexicographic order.  Returns (groupoid, iota) where iota maps each
+    cover arrow to its underlying arrow g."""
     G = groupoid
-    objects = [(j, x) for j, b in enumerate(cover.blocks) for x in b]
-    obj_index = {p: i for i, p in enumerate(objects)}
-    in_block = [set(b) for b in cover.blocks]
-    arrows = []
-    for j0 in range(len(cover.blocks)):
-        for g in range(G.n_arrows):
-            if G.tgt[g] not in in_block[j0]:
-                continue
-            for j1 in range(len(cover.blocks)):
-                if G.src[g] in in_block[j1]:
-                    arrows.append((j0, int(g), j1))
-    arr_index = {a: i for i, a in enumerate(arrows)}
-    src = [obj_index[(j1, int(G.src[g]))] for (j0, g, j1) in arrows]
-    tgt = [obj_index[(j0, int(G.tgt[g]))] for (j0, g, j1) in arrows]
-    unit = [arr_index[(j, int(G.unit[x]), j)] for (j, x) in objects]
-    inv = [arr_index[(j1, int(G.inv[g]), j0)] for (j0, g, j1) in arrows]
-    table = np.full((len(arrows), len(arrows)), -1, dtype=np.int64)
-    for i, (j0, g, j1) in enumerate(arrows):
-        for i2, (k0, h, k1) in enumerate(arrows):
-            if j1 == k0 and G.src[g] == G.tgt[h]:
-                table[i, i2] = arr_index[(j0, int(G.comp[g, h]), k1)]
-    rho_obj = [obj_index[(cover.bar[j], int(G.rho_obj[x]))] for (j, x) in objects]
-    rho_arr = [arr_index[(cover.bar[j0], int(G.rho_arr[g]), cover.bar[j1])]
-               for (j0, g, j1) in arrows]
-    out = FiniteRealGroupoid(len(objects), src, tgt, unit, table, inv,
-                             rho_obj, rho_arr)
-    iota = np.array([g for (_, g, _) in arrows], dtype=np.int64)
-    return out, iota
+    j = np.repeat(np.arange(len(cover)), [len(b) for b in cover.blocks])
+    x = np.array([x for b in cover.blocks for x in b], dtype=np.int64)
+    code = j * G.n_objects + x  # ascending: each block is sorted
+    bar = np.array(cover.bar, dtype=np.int64)
+    rho_z = np.searchsorted(code, bar[j] * G.n_objects + G.rho_obj[x])
+    pb, iota = _pullback(G, x, rho_z)
+    perm = np.lexsort((j[pb.src], iota, j[pb.tgt]))
+    return renumber_arrows(pb, perm), iota[perm]
+
+
+def renumber_arrows(G, perm):
+    """G with its arrows renumbered by a permutation: new arrow i is old
+    arrow perm[i]."""
+    perm = np.asarray(perm, dtype=np.int64)
+    rank = np.empty_like(perm)
+    rank[perm] = np.arange(len(perm))
+    comp = G.comp[np.ix_(perm, perm)]
+    return FiniteRealGroupoid(
+        G.n_objects, G.src[perm], G.tgt[perm], rank[G.unit],
+        np.where(comp >= 0, rank[comp], -1), rank[G.inv[perm]],
+        G.rho_obj, rank[G.rho_arr[perm]])
 
 
 def discrete_space(n_points, rho=None):
     """A set as a groupoid: unit arrows only."""
-    ident = list(range(n_points))
-    table = np.full((n_points, n_points), -1, dtype=np.int64)
-    for x in range(n_points):
-        table[x, x] = x
-    rho = list(rho) if rho is not None else ident
-    return FiniteRealGroupoid(n_points, ident, ident, ident, table, ident,
+    points = np.arange(n_points)
+    table = np.where(points[:, None] == points, points, -1)
+    return FiniteRealGroupoid(n_points, points, points, points, table, points,
                               rho, rho)
 
 
@@ -272,73 +254,76 @@ def cech_groupoid(pi, rho_y, rho_x, n_x):
 
 def pullback_groupoid(groupoid, phi, rho_z):
     """Pullback along phi: Z -> objects: arrows (z1, gamma, z2) with
-    phi(z1) = tgt(gamma), phi(z2) = src(gamma); involution componentwise."""
-    G = groupoid
-    phi = np.asarray(phi, dtype=np.int64)
-    rho_z = np.asarray(rho_z, dtype=np.int64)
-    n_z = len(phi)
-    for z in range(n_z):
-        if phi[rho_z[z]] != G.rho_obj[phi[z]]:
-            raise ValueError(f"involution mismatch at {z}")
-    arrows = [(z1, g, z2)
-              for z1 in range(n_z) for g in range(G.n_arrows)
-              for z2 in range(n_z)
-              if phi[z1] == G.tgt[g] and phi[z2] == G.src[g]]
-    arr_index = {a: i for i, a in enumerate(arrows)}
-    src = [z2 for (z1, g, z2) in arrows]
-    tgt = [z1 for (z1, g, z2) in arrows]
-    unit = [arr_index[(z, int(G.unit[phi[z]]), z)] for z in range(n_z)]
-    inv = [arr_index[(z2, int(G.inv[g]), z1)] for (z1, g, z2) in arrows]
-    table = np.full((len(arrows), len(arrows)), -1, dtype=np.int64)
-    for i, (z1, g, z2) in enumerate(arrows):
-        for i2, (w1, h, w2) in enumerate(arrows):
-            if z2 == w1 and G.src[g] == G.tgt[h]:
-                table[i, i2] = arr_index[(z1, int(G.comp[g, h]), w2)]
-    rho_arr = [arr_index[(int(rho_z[z1]), int(G.rho_arr[g]), int(rho_z[z2]))]
-               for (z1, g, z2) in arrows]
-    return FiniteRealGroupoid(n_z, src, tgt, unit, table, inv, rho_z, rho_arr)
+    phi(z1) = tgt(gamma), phi(z2) = src(gamma), numbered in lexicographic
+    order; involution componentwise."""
+    return _pullback(groupoid, phi, rho_z)[0]
+
+
+def _pullback(G, phi, rho_z):
+    """pullback_groupoid, and the arrow gamma under each of its arrows."""
+    n_z, m = len(phi), G.n_arrows
+    phi = _indices("phi", phi, (n_z,), G.n_objects)
+    rho_z = _indices("rho_z", rho_z, (n_z,), n_z)
+    bad = np.flatnonzero(phi[rho_z] != G.rho_obj[phi])
+    if bad.size:
+        raise ValueError(f"involution mismatch at {bad[0]}")
+    fibre = np.bincount(phi, minlength=G.n_objects)
+    block = fibre[G.tgt] * fibre[G.src]
+    count, cap = int(block.sum()), max_arrows()
+    if count > cap:
+        raise ValueError(f"too many arrows ({count} > {cap})")
+    # gamma contributes the block phi^-1(tgt gamma) x phi^-1(src gamma)
+    by_phi, first = np.argsort(phi, kind="stable"), np.cumsum(fibre) - fibre
+    gamma, w = _ragged(np.zeros(m, dtype=np.int64), block)
+    width = fibre[G.src[gamma]]
+    z1 = by_phi[first[G.tgt[gamma]] + w // width]
+    z2 = by_phi[first[G.src[gamma]] + w % width]
+    code = (z1 * m + gamma) * n_z + z2
+    order = np.argsort(code)
+    z1, gamma, z2, code = z1[order], gamma[order], z2[order], code[order]
+
+    def index(a, g, b):
+        key = (a * m + g) * n_z + b
+        at = np.searchsorted(code, key).clip(max=count - 1)
+        if key.size and (count == 0 or (g < 0).any()
+                         or (code[at] != key).any()):
+            raise ValueError("not a groupoid: its pullback is not closed")
+        return at
+
+    # arrow i composes with the arrows j whose target z1[j] is its source
+    into = np.bincount(z1, minlength=n_z)
+    i, j = _ragged((np.cumsum(into) - into)[z2], into[z2])
+    table = np.full((count, count), -1, dtype=np.int64)
+    table[i, j] = index(z1[i], G.comp[gamma[i], gamma[j]], z2[j])
+    points = np.arange(n_z)
+    pb = FiniteRealGroupoid(n_z, z2, z1, index(points, G.unit[phi], points),
+                            table, index(z2, G.inv[gamma], z1), rho_z,
+                            index(rho_z[z1], G.rho_arr[gamma], rho_z[z2]))
+    return pb, gamma
 
 
 def product_with_group(groupoid, S):
     """Arrows G x S with componentwise structure; the total groupoid of
-    the trivial graded twist.  S must be finite."""
+    the trivial graded twist.  S must be finite.  Arrow (e, g) is numbered
+    i * n_arrows + g, where e is element i of S.elements()."""
     if S.free_rank:
         raise ValueError("only finite coefficient groups can be materialized")
-    G = groupoid
+    G, m = groupoid, groupoid.n_arrows
     elems = list(S.elements())
-    e_index = {e: i for i, e in enumerate(elems)}
-    n_e = len(elems)
-
-    def aidx(ei, g):
-        return ei * G.n_arrows + g
-
-    m = n_e * G.n_arrows
-    src = [0] * m
-    tgt = [0] * m
-    inv = [0] * m
-    rho_arr = [0] * m
-    for ei, e in enumerate(elems):
-        neg = e_index[S.reduce_tuple(tuple(-v for v in e))]
-        sig = e_index[S.tau_tuple(e)]
-        for g in range(G.n_arrows):
-            i = aidx(ei, g)
-            src[i] = int(G.src[g])
-            tgt[i] = int(G.tgt[g])
-            inv[i] = aidx(neg, int(G.inv[g]))
-            rho_arr[i] = aidx(sig, int(G.rho_arr[g]))
-    zero = e_index[S.zero_tuple()]
-    unit = [aidx(zero, int(G.unit[x])) for x in range(G.n_objects)]
-    table = np.full((m, m), -1, dtype=np.int64)
-    for ei, e in enumerate(elems):
-        for fi, f in enumerate(elems):
-            ef = e_index[S.add_tuples(e, f)]
-            for g in range(G.n_arrows):
-                for h in range(G.n_arrows):
-                    k = G.comp[g, h]
-                    if k >= 0:
-                        table[aidx(ei, g), aidx(fi, h)] = aidx(ef, int(k))
-    return FiniteRealGroupoid(G.n_objects, src, tgt, unit, table, inv,
-                              G.rho_obj.copy(), rho_arr)
+    count, cap = len(elems) * m, max_arrows()
+    if count > cap:
+        raise ValueError(f"too many arrows ({count} > {cap})")
+    index = {e: i for i, e in enumerate(elems)}
+    neg = np.array([index[S.neg_tuple(e)] for e in elems])
+    sig = np.array([index[S.tau_tuple(e)] for e in elems])
+    add = np.array([[index[S.add_tuples(e, f)] for f in elems] for e in elems])
+    comp = G.comp[None, :, None, :]
+    table = np.where(comp >= 0, add[:, None, :, None] * m + comp, -1)
+    return FiniteRealGroupoid(
+        G.n_objects, np.tile(G.src, len(elems)), np.tile(G.tgt, len(elems)),
+        index[S.zero_tuple()] * m + G.unit, table.reshape(count, count),
+        (neg[:, None] * m + G.inv).ravel(), G.rho_obj,
+        (sig[:, None] * m + G.rho_arr).ravel())
 
 
 def find_isomorphism(g1, g2, respect_involution=True):

@@ -49,77 +49,75 @@ def groupoid_from_json(data, base_dir="."):
     try:
         n_obj = int(data["objects"])
         arrows = data["arrows"]
-        src = [int(a["src"]) for a in arrows]
-        tgt = [int(a["tgt"]) for a in arrows]
+        src = np.array([int(a["src"]) for a in arrows], dtype=np.int64)
+        tgt = np.array([int(a["tgt"]) for a in arrows], dtype=np.int64)
         inv = [int(v) for v in data["inv"]]
         rho_obj = [int(v) for v in data["rho_obj"]]
         rho_arr = [int(v) for v in data["rho_arr"]]
-        comp = data["comp"]
-    except (KeyError, TypeError, ValueError) as e:
+        m = len(src)
+        if m > max_arrows():
+            raise FormatError(f"too many arrows ({m} > RGC_MAX_ARROWS)")
+        table = _comp_table(data["comp"], m, data.get("comp_format"))
+        unit = _derive_units(n_obj, src, tgt, table)
+        return FiniteRealGroupoid(n_obj, src, tgt, unit, table, inv,
+                                  rho_obj, rho_arr)
+    except FormatError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise FormatError(f"bad groupoid JSON: {e}")
-    m = len(src)
-    if m > max_arrows():
-        raise FormatError(f"too many arrows ({m} > RGC_MAX_ARROWS)")
-    table = np.full((m, m), -1, dtype=np.int64)
-    # comp is either a list of [g, h, g*h] triples or a full m x m table
-    # (-1/null = undefined).  A 3-arrow groupoid is ambiguous; triples win
-    # unless "comp_format": "table" says otherwise.
+
+
+def _comp_table(comp, m, comp_format):
+    """The m x m table of comp: a list of [g, h, g*h] triples or a full
+    table (-1/null = undefined).  A 3-arrow groupoid is ambiguous; triples
+    win unless comp_format is "table"."""
     is_table = (bool(comp) and isinstance(comp[0], list)
                 and len(comp) == m and all(len(r) == m for r in comp))
-    if is_table and m == 3 and data.get("comp_format") != "table":
-        is_table = False
-    if is_table:
-        for g in range(m):
-            for h in range(m):
-                v = comp[g][h]
-                table[g, h] = -1 if v is None else int(v)
-    else:
-        for triple in comp:
-            g, h, k = (int(v) for v in triple)
-            table[g, h] = k
-    unit = _derive_units(n_obj, src, tgt, table)
-    return FiniteRealGroupoid(n_obj, src, tgt, unit, table, inv,
-                              rho_obj, rho_arr)
+    if is_table and (m != 3 or comp_format == "table"):
+        cells = np.array(comp, dtype=object)
+        cells[np.equal(cells, None)] = -1
+        table = cells.astype(np.int64)
+        if table.shape != (m, m):
+            raise ValueError("comp table is not m x m")
+        return table
+    triples = np.array(comp, dtype=np.int64)
+    if triples.size and triples.shape[1:] != (3,):
+        raise ValueError("comp entries must be [g, h, g*h] triples")
+    triples = triples.reshape(-1, 3)
+    pairs = triples[:, :2]
+    if ((pairs < 0) | (pairs >= m)).any():
+        raise ValueError("comp triple has an arrow index out of range")
+    table = np.full((m, m), -1, dtype=np.int64)
+    table[pairs[:, 0], pairs[:, 1]] = triples[:, 2]
+    return table
 
 
 def _derive_units(n_obj, src, tgt, table):
-    m = len(src)
-    unit = [-1] * n_obj
-    for u in range(m):
-        if src[u] != tgt[u]:
-            continue
-        acts_as_identity = True
-        for h in range(m):
-            if table[u, h] >= 0 and table[u, h] != h:
-                acts_as_identity = False
-                break
-            if table[h, u] >= 0 and table[h, u] != h:
-                acts_as_identity = False
-                break
-        if acts_as_identity:
-            x = src[u]
-            if unit[x] == -1:
-                unit[x] = u
-    if any(u < 0 for u in unit):
+    """At each object, the first endo-arrow that acts as an identity
+    wherever it composes."""
+    arrows = np.arange(len(src))
+    defined = table >= 0
+    identity = ~((defined & (table != arrows)).any(axis=1)
+                 | (defined & (table != arrows[:, None])).any(axis=0))
+    found = arrows[identity & (src == tgt) & (src >= 0) & (src < n_obj)]
+    unit = np.full(n_obj, len(src))
+    np.minimum.at(unit, src[found], found)
+    if (unit == len(src)).any():
         raise FormatError("could not locate a unit arrow for every object")
     return unit
 
 
 def groupoid_to_json(g):
-    triples = []
-    for a in range(g.n_arrows):
-        for b in range(g.n_arrows):
-            k = g.comp[a, b]
-            if k >= 0:
-                triples.append([int(a), int(b), int(k)])
+    first, second = np.nonzero(g.comp >= 0)
     return {
         "objects": g.n_objects,
-        "arrows": [{"src": int(g.src[a]), "tgt": int(g.tgt[a])}
-                   for a in range(g.n_arrows)],
-        "comp": triples,
-        "inv": [int(v) for v in g.inv],
-        "rho_obj": [int(v) for v in g.rho_obj],
-        "rho_arr": [int(v) for v in g.rho_arr],
+        "arrows": [{"src": s, "tgt": t}
+                   for s, t in zip(g.src.tolist(), g.tgt.tolist())],
+        "comp": np.stack([first, second, g.comp[first, second]],
+                         axis=1).tolist(),
+        "inv": g.inv.tolist(),
+        "rho_obj": g.rho_obj.tolist(),
+        "rho_arr": g.rho_arr.tolist(),
     }
 
 
@@ -239,19 +237,14 @@ def bundle_to_json(b):
 
 # -- representations -----------------------------------------------------
 
-def _frac(v):
-    if isinstance(v, str):
-        return Fraction(v)
-    return Fraction(v)
-
-
 def representation_from_json(groupoid, data, base_dir="."):
     data = _resolve(data, base_dir)
     try:
         p, q = int(data["p"]), int(data["q"])
-        action = [[[_frac(v) for v in row] for row in mat]
+        action = [[[Fraction(v) for v in row] for row in mat]
                   for mat in data["action"]]
-        nu = [[[_frac(v) for v in row] for row in mat] for mat in data["nu"]]
+        nu = [[[Fraction(v) for v in row] for row in mat]
+              for mat in data["nu"]]
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"bad representation JSON: {e}")
     return RealRepresentation(groupoid, p, q, action, nu)

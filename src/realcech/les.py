@@ -72,12 +72,6 @@ class CoefficientSES:
                 bad.append("p is not surjective")
         return bad
 
-    def apply_i(self, e):
-        return self.s_mid.reduce_tuple(tuple(self.i @ np.array(e, dtype=object)))
-
-    def apply_p(self, e):
-        return self.s_dprime.reduce_tuple(tuple(self.p @ np.array(e, dtype=object)))
-
 
 def induced_cochain_map(groupoid, s_a, s_b, f, n):
     """Matrix of the coefficient map f: S_a -> S_b on degree-n real

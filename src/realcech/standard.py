@@ -3,7 +3,8 @@ disjoint unions, and the order-2 action groupoid on two points."""
 
 import numpy as np
 
-from .groupoids import FiniteRealGroupoid, discrete_space  # noqa: F401 -- re-exported
+from .groupoids import (FiniteRealGroupoid, discrete_space, pullback_groupoid,
+                        renumber_arrows)
 
 
 def cyclic_group(n, involution="trivial"):
@@ -42,22 +43,10 @@ def group_from_table(table, rho_arr=None):
 
 
 def pair_groupoid(n_objects, rho_obj=None):
-    """The pair groupoid on n objects: one arrow y <- x per ordered pair."""
-    arrows = [(y, x) for y in range(n_objects) for x in range(n_objects)]
-    idx = {a: i for i, a in enumerate(arrows)}
-    src = [x for (y, x) in arrows]
-    tgt = [y for (y, x) in arrows]
-    unit = [idx[(x, x)] for x in range(n_objects)]
-    inv = [idx[(x, y)] for (y, x) in arrows]
-    table = np.full((len(arrows), len(arrows)), -1, dtype=np.int64)
-    for i, (y, x) in enumerate(arrows):
-        for i2, (w, z) in enumerate(arrows):
-            if x == w:
-                table[i, i2] = idx[(y, z)]
-    rho_obj = list(rho_obj) if rho_obj is not None else list(range(n_objects))
-    rho_arr = [idx[(rho_obj[y], rho_obj[x])] for (y, x) in arrows]
-    return FiniteRealGroupoid(n_objects, src, tgt, unit, table, inv,
-                              rho_obj, rho_arr)
+    """The pair groupoid on n objects: one arrow y <- x per ordered pair,
+    in lexicographic order of (y, x); the pullback of a point."""
+    return pullback_groupoid(discrete_space(1), [0] * n_objects,
+                             range(n_objects) if rho_obj is None else rho_obj)
 
 
 def disjoint_union(g1, g2, swap=False):
@@ -88,19 +77,6 @@ def disjoint_union(g1, g2, swap=False):
 
 def flip_action_groupoid():
     """Z/2 acting on two points by exchange, with the point-swap as the
-    Real structure.  Arrows (g, x): src x, tgt g.x."""
-    act = [[0, 1], [1, 0]]  # act[g][x]
-    arrows = [(g, x) for g in range(2) for x in range(2)]
-    idx = {a: i for i, a in enumerate(arrows)}
-    src = [x for (g, x) in arrows]
-    tgt = [act[g][x] for (g, x) in arrows]
-    unit = [idx[(0, x)] for x in range(2)]
-    inv = [idx[(g, act[g][x])] for (g, x) in arrows]
-    table = np.full((4, 4), -1, dtype=np.int64)
-    for i, (g, x) in enumerate(arrows):
-        for i2, (h, y) in enumerate(arrows):
-            if act[h][y] == x:
-                table[i, i2] = idx[((g + h) % 2, y)]
-    rho_obj = [1, 0]
-    rho_arr = [idx[(g, 1 - x)] for (g, x) in arrows]
-    return FiniteRealGroupoid(2, src, tgt, unit, table, inv, rho_obj, rho_arr)
+    Real structure.  Arrows (g, x): src x, tgt g.x, numbered 2g + x.  The
+    action is free and transitive: (g, x) is the pair (g.x, x)."""
+    return renumber_arrows(pair_groupoid(2, [1, 0]), [0, 3, 2, 1])

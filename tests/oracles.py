@@ -1,15 +1,17 @@
 """Brute-force reference implementations, independent of the production
 code paths: cohomology by full enumeration of real cochains, used to
 derive and pin expected values for small cases, the dense scalar Smith
-normal form that the vectorised one in `exact` must match, and the loop
+normal form that the vectorised one in `exact` must match, the loop
 assembler on a dict-of-tuples nerve that the array assembly in
-`cochains` must match."""
+`cochains` must match, and the loop groupoid constructions and
+validation that the array ones in `groupoids` must match."""
 
 import itertools
 
 import numpy as np
 
 from realcech import exact
+from realcech.groupoids import FiniteRealGroupoid
 from realcech.nerve import nerve
 
 
@@ -584,3 +586,201 @@ def loop_solve(solver, b):
         elif c[i] != 0:
             return None
     return solver.V @ y
+
+
+# -- loop groupoid constructions and validation --------------------------
+#
+# The dict-and-loop code that the array pullback and the array `validate`
+# in `groupoids` replaced.  The pair, cover and pullback groupoids built
+# here must equal the array ones array for array, and `loop_validate`
+# must return the same messages in the same order.
+
+def loop_validate(G):
+    """`FiniteRealGroupoid.validate`, one arrow, pair and triple at a time."""
+    bad = []
+    n, m = G.n_objects, G.n_arrows
+    if len(G.unit) != n:
+        return ["unit map has wrong length"]
+    for x in range(n):
+        u = G.unit[x]
+        if not (0 <= u < m) or G.src[u] != x or G.tgt[u] != x:
+            bad.append(f"unit({x}) is not an endo-arrow at {x}")
+    for g in range(m):
+        for h in range(m):
+            k = G.comp[g, h]
+            defined = k >= 0
+            composable = G.src[g] == G.tgt[h]
+            if defined != composable:
+                bad.append(f"comp defined iff composable fails at ({g},{h})")
+            elif defined:
+                if G.tgt[k] != G.tgt[g] or G.src[k] != G.src[h]:
+                    bad.append(f"comp({g},{h}) has wrong endpoints")
+    if bad:
+        return bad
+    for g in range(m):
+        u_t, u_s = G.unit[G.tgt[g]], G.unit[G.src[g]]
+        if G.comp[u_t, g] != g or G.comp[g, u_s] != g:
+            bad.append(f"unit law fails at arrow {g}")
+        gi = G.inv[g]
+        if G.src[gi] != G.tgt[g] or G.tgt[gi] != G.src[g]:
+            bad.append(f"inverse of {g} has wrong endpoints")
+        elif G.comp[gi, g] != G.unit[G.src[g]] or \
+                G.comp[g, gi] != G.unit[G.tgt[g]]:
+            bad.append(f"inverse law fails at arrow {g}")
+    for g in range(m):
+        for h in range(m):
+            if G.comp[g, h] < 0:
+                continue
+            for k in range(m):
+                if G.comp[h, k] < 0:
+                    continue
+                if G.comp[G.comp[g, h], k] != G.comp[g, G.comp[h, k]]:
+                    bad.append(f"associativity fails at ({g},{h},{k})")
+    for x in range(n):
+        if G.rho_obj[G.rho_obj[x]] != x:
+            bad.append(f"rho not 2-periodic on objects, witness {x}")
+            break
+    for g in range(m):
+        if G.rho_arr[G.rho_arr[g]] != g:
+            bad.append(f"rho not 2-periodic, witness arrow {g}")
+            break
+    for g in range(m):
+        rg = G.rho_arr[g]
+        if G.src[rg] != G.rho_obj[G.src[g]] or \
+                G.tgt[rg] != G.rho_obj[G.tgt[g]]:
+            bad.append(f"rho does not commute with src/tgt at arrow {g}")
+        if G.inv[rg] != G.rho_arr[G.inv[g]]:
+            bad.append(f"rho does not commute with inv at arrow {g}")
+    for x in range(n):
+        if G.rho_arr[G.unit[x]] != G.unit[G.rho_obj[x]]:
+            bad.append(f"rho does not commute with unit at object {x}")
+    for g in range(m):
+        for h in range(m):
+            k = G.comp[g, h]
+            if k < 0:
+                continue
+            rk = G.comp[G.rho_arr[g], G.rho_arr[h]]
+            if rk != G.rho_arr[k]:
+                bad.append(f"rho not multiplicative at ({g},{h})")
+    return bad
+
+
+def loop_pullback_groupoid(groupoid, phi, rho_z):
+    """`groupoids.pullback_groupoid` on a dict of (z1, gamma, z2) triples."""
+    G = groupoid
+    phi = np.asarray(phi, dtype=np.int64)
+    rho_z = np.asarray(rho_z, dtype=np.int64)
+    n_z = len(phi)
+    for z in range(n_z):
+        if phi[rho_z[z]] != G.rho_obj[phi[z]]:
+            raise ValueError(f"involution mismatch at {z}")
+    arrows = [(z1, g, z2)
+              for z1 in range(n_z) for g in range(G.n_arrows)
+              for z2 in range(n_z)
+              if phi[z1] == G.tgt[g] and phi[z2] == G.src[g]]
+    arr_index = {a: i for i, a in enumerate(arrows)}
+    src = [z2 for (z1, g, z2) in arrows]
+    tgt = [z1 for (z1, g, z2) in arrows]
+    unit = [arr_index[(z, int(G.unit[phi[z]]), z)] for z in range(n_z)]
+    inv = [arr_index[(z2, int(G.inv[g]), z1)] for (z1, g, z2) in arrows]
+    table = np.full((len(arrows), len(arrows)), -1, dtype=np.int64)
+    for i, (z1, g, z2) in enumerate(arrows):
+        for i2, (w1, h, w2) in enumerate(arrows):
+            if z2 == w1 and G.src[g] == G.tgt[h]:
+                table[i, i2] = arr_index[(z1, int(G.comp[g, h]), w2)]
+    rho_arr = [arr_index[(int(rho_z[z1]), int(G.rho_arr[g]), int(rho_z[z2]))]
+               for (z1, g, z2) in arrows]
+    return FiniteRealGroupoid(n_z, src, tgt, unit, table, inv, rho_z, rho_arr)
+
+
+def loop_cover_groupoid(groupoid, cover):
+    """`groupoids.cover_groupoid` on a dict of (j0, g, j1) triples."""
+    G = groupoid
+    objects = [(j, x) for j, b in enumerate(cover.blocks) for x in b]
+    obj_index = {p: i for i, p in enumerate(objects)}
+    in_block = [set(b) for b in cover.blocks]
+    arrows = []
+    for j0 in range(len(cover.blocks)):
+        for g in range(G.n_arrows):
+            if G.tgt[g] not in in_block[j0]:
+                continue
+            for j1 in range(len(cover.blocks)):
+                if G.src[g] in in_block[j1]:
+                    arrows.append((j0, int(g), j1))
+    arr_index = {a: i for i, a in enumerate(arrows)}
+    src = [obj_index[(j1, int(G.src[g]))] for (j0, g, j1) in arrows]
+    tgt = [obj_index[(j0, int(G.tgt[g]))] for (j0, g, j1) in arrows]
+    unit = [arr_index[(j, int(G.unit[x]), j)] for (j, x) in objects]
+    inv = [arr_index[(j1, int(G.inv[g]), j0)] for (j0, g, j1) in arrows]
+    table = np.full((len(arrows), len(arrows)), -1, dtype=np.int64)
+    for i, (j0, g, j1) in enumerate(arrows):
+        for i2, (k0, h, k1) in enumerate(arrows):
+            if j1 == k0 and G.src[g] == G.tgt[h]:
+                table[i, i2] = arr_index[(j0, int(G.comp[g, h]), k1)]
+    rho_obj = [obj_index[(cover.bar[j], int(G.rho_obj[x]))] for (j, x) in objects]
+    rho_arr = [arr_index[(cover.bar[j0], int(G.rho_arr[g]), cover.bar[j1])]
+               for (j0, g, j1) in arrows]
+    out = FiniteRealGroupoid(len(objects), src, tgt, unit, table, inv,
+                             rho_obj, rho_arr)
+    iota = np.array([g for (_, g, _) in arrows], dtype=np.int64)
+    return out, iota
+
+
+def loop_pair_groupoid(n_objects, rho_obj=None):
+    """`standard.pair_groupoid` on a dict of (y, x) pairs."""
+    arrows = [(y, x) for y in range(n_objects) for x in range(n_objects)]
+    idx = {a: i for i, a in enumerate(arrows)}
+    src = [x for (y, x) in arrows]
+    tgt = [y for (y, x) in arrows]
+    unit = [idx[(x, x)] for x in range(n_objects)]
+    inv = [idx[(x, y)] for (y, x) in arrows]
+    table = np.full((len(arrows), len(arrows)), -1, dtype=np.int64)
+    for i, (y, x) in enumerate(arrows):
+        for i2, (w, z) in enumerate(arrows):
+            if x == w:
+                table[i, i2] = idx[(y, z)]
+    rho_obj = list(rho_obj) if rho_obj is not None else list(range(n_objects))
+    rho_arr = [idx[(rho_obj[y], rho_obj[x])] for (y, x) in arrows]
+    return FiniteRealGroupoid(n_objects, src, tgt, unit, table, inv,
+                              rho_obj, rho_arr)
+
+
+def loop_product_with_group(groupoid, S):
+    """`groupoids.product_with_group`, one element and arrow pair at a time."""
+    if S.free_rank:
+        raise ValueError("only finite coefficient groups can be materialized")
+    G = groupoid
+    elems = list(S.elements())
+    e_index = {e: i for i, e in enumerate(elems)}
+    n_e = len(elems)
+
+    def aidx(ei, g):
+        return ei * G.n_arrows + g
+
+    m = n_e * G.n_arrows
+    src = [0] * m
+    tgt = [0] * m
+    inv = [0] * m
+    rho_arr = [0] * m
+    for ei, e in enumerate(elems):
+        neg = e_index[S.reduce_tuple(tuple(-v for v in e))]
+        sig = e_index[S.tau_tuple(e)]
+        for g in range(G.n_arrows):
+            i = aidx(ei, g)
+            src[i] = int(G.src[g])
+            tgt[i] = int(G.tgt[g])
+            inv[i] = aidx(neg, int(G.inv[g]))
+            rho_arr[i] = aidx(sig, int(G.rho_arr[g]))
+    zero = e_index[S.zero_tuple()]
+    unit = [aidx(zero, int(G.unit[x])) for x in range(G.n_objects)]
+    table = np.full((m, m), -1, dtype=np.int64)
+    for ei, e in enumerate(elems):
+        for fi, f in enumerate(elems):
+            ef = e_index[S.add_tuples(e, f)]
+            for g in range(G.n_arrows):
+                for h in range(G.n_arrows):
+                    k = G.comp[g, h]
+                    if k >= 0:
+                        table[aidx(ei, g), aidx(fi, h)] = aidx(ef, int(k))
+    return FiniteRealGroupoid(G.n_objects, src, tgt, unit, table, inv,
+                              G.rho_obj.copy(), rho_arr)

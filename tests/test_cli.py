@@ -198,6 +198,18 @@ class TestCommands:
         assert r.returncode == 2
         assert "too many arrows" in r.stderr
 
+    @pytest.mark.parametrize("order, change", [
+        (1, {"comp": [[0, 5, 0]]}),
+        (1, {"comp": [[0, "x", 0]]}),
+        (2, {"inv": [0, 7]}),
+        (2, {"rho_arr": [0, 1, 1]}),
+    ])
+    def test_malformed_groupoid_is_an_input_error(self, tmp_path, capsys,
+                                                  order, change):
+        data = dict(io.groupoid_to_json(standard.cyclic_group(order)), **change)
+        assert cli.main(["validate", write(tmp_path, "g.json", data)]) == 2
+        assert capsys.readouterr().err.startswith("input error:")
+
     def test_text_format(self, z2_file):
         r = run("--format", "text", "cohomology", z2_file,
                 "--coeff", "mu(4)_conj", "--n", "1")
