@@ -29,7 +29,8 @@ for g, name in ((standard.cyclic_group(2), "Z/2"),
 # the generator to the generator, which is why the extension Z/4 of Z/2
 # does not split.
 z2 = standard.cyclic_group(2)
-conn = ConnectingMap(ses, z2, 1)
+conn = ConnectingMap(ses, RealComplex(z2, mu2), RealComplex(z2, mu4),
+                     RealComplex(z2, mu2), 1)
 h1 = RealComplex(z2, mu2).cohomology(1)
 h2 = RealComplex(z2, mu2).cohomology(2)
 for coords in h1.all_classes():

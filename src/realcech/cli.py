@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import io
-from .cochains import RealComplex, cohomology, invariant_sections
+from .cochains import RealComplex, cohomology, complex_for, invariant_sections
 from .groupoids import cover_groupoid, cech_groupoid
 from .nerve import nerve, check_simplicial_identities
 from .proper import vanishing_check, canonical_cutoff, verify_cutoff
@@ -215,9 +215,10 @@ def cmd_morita(args):
         return 2
     degrees = []
     all_match = True
+    cx_other, cx_base = complex_for(other, S), complex_for(g, S)
     for n in range(args.max_degree + 1):
-        a = cohomology(other, S, n).group_key()
-        b = cohomology(g, S, n).group_key()
+        a = cx_other.cohomology(n).group_key()
+        b = cx_base.cohomology(n).group_key()
         match = a == b
         all_match = all_match and match
         degrees.append({

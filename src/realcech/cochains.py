@@ -432,7 +432,7 @@ class CohomologyGroup:
 
 # -- module-level convenience API --------------------------------------
 
-def _complex(groupoid, S):
+def complex_for(groupoid, S):
     """RealComplex for integral S; for rational S the representation
     complex of the constant fibre Q^(p+q) with involution diag(1_p, -1_q)."""
     if S.mode == "rational":
@@ -445,15 +445,15 @@ def _complex(groupoid, S):
 def cochain_group(groupoid, S, n):
     """The degree-n real cochain group; returns the LevelBasis, whose
     presentation is S^(#free orbits) + fixed(S)^(#fixed tuples)."""
-    return _complex(groupoid, S).basis(n)
+    return complex_for(groupoid, S).basis(n)
 
 
 def differential(groupoid, S, n):
-    return _complex(groupoid, S).differential_matrix(n)
+    return complex_for(groupoid, S).differential_matrix(n)
 
 
 def cohomology(groupoid, S, n):
-    return _complex(groupoid, S).cohomology(n)
+    return complex_for(groupoid, S).cohomology(n)
 
 
 def _pq_of(S):

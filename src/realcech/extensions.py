@@ -22,7 +22,7 @@ as the oracle for the cup formula and the Dixmier-Douady sum law.
 
 import numpy as np
 
-from .cochains import RealComplex
+from .cochains import RealComplex, complex_for
 from .coefficients import make_standard
 from .groupoids import FiniteRealGroupoid
 
@@ -423,10 +423,9 @@ def ext_classification_table(base, m=4):
     if m % 2:
         raise TwistError("mu(m) with odd m has no order-2 element")
     S = make_standard(f"mu({m})_conj")
-    from .cochains import cohomology as _coh
-    h1 = _coh(base, Z2, 1)
-    h2 = _coh(base, S, 2)
-    h2_z2 = _coh(base, Z2, 2)
+    cx_z2 = complex_for(base, Z2)
+    h1, h2_z2 = cx_z2.cohomology(1), cx_z2.cohomology(2)
+    h2 = complex_for(base, S).cohomology(2)
     return {
         "h1_z2": h1.group_key(),
         "h2_s": h2.group_key(),

@@ -192,7 +192,7 @@ class RealCover:
                     raise ValueError(
                         f"cover not invariant: rho(U) = {image} is not a block")
                 bar.append(index[image])
-        self.bar = list(int(j) for j in bar)
+        self.bar = _indices("bar", bar, (len(self.blocks),), len(self.blocks)).tolist()
         for j, jb in enumerate(self.bar):
             if self.bar[jb] != j:
                 raise ValueError("block involution is not 2-periodic")

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .coefficients import RealCoefficientGroup, RealRepresentation, make_standard
-from .groupoids import FiniteRealGroupoid, RealCover, max_arrows
+from .groupoids import FiniteRealGroupoid, RealCover, _indices, max_arrows
 from .cochains import RealComplex
 
 
@@ -265,9 +265,11 @@ def cover_from_json(groupoid, data, base_dir="."):
     data = _resolve(data, base_dir)
     try:
         blocks = [[int(x) for x in b] for b in data["blocks"]]
+        bar = data.get("bar")
+        if bar is not None:
+            bar = _indices("bar", bar, (len(blocks),), len(blocks))
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"bad cover JSON: {e}")
-    bar = data.get("bar")
     return RealCover(groupoid, blocks, bar)
 
 
@@ -275,7 +277,7 @@ def surjection_from_json(data, base_dir="."):
     data = _resolve(data, base_dir)
     try:
         pi = [int(v) for v in data["pi"]]
-        rho_total = [int(v) for v in data["rho_total"]]
+        rho_total = _indices("rho_total", data["rho_total"], (len(pi),), len(pi)).tolist()
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"bad surjection JSON: {e}")
     return pi, rho_total

@@ -8,6 +8,10 @@ the preimage of the fixed subgroup.  If that preimage misses the fixed
 subgroup of the middle group, the obstruction is reported explicitly
 rather than silently producing garbage.  Independence of the chosen lift
 (up to coboundary) is enforced by test, not assumed.
+
+Exactness, of the coefficient sequence and of the long sequence alike,
+is one comparison of lattices, the image and the kernel in Z^b / span(R),
+with no element or class enumerated: infinite groups are checked too.
 """
 
 import numpy as np
@@ -20,19 +24,28 @@ class SequenceError(ValueError):
     pass
 
 
-class CoefficientSES:
-    """0 -> S' -i-> S -p-> S'' -> 0 with involution-equivariant maps.
+def exactness(A, R, B, R_next):
+    """(im A == ker B, |im A|, |ker B|) in Z^b / span(R), for A mapping
+    into that group and B mapping it to Z^c / span(R_next).  The orders
+    are those of `AbelianGroupPresentation.order`: 0 if infinite."""
+    image = exact.AbelianGroupPresentation(
+        exact.lattice_basis(np.concatenate([A, R], axis=1)), R)
+    kernel = exact.lattice_mod_relations(B, R, R_next)
+    # each lattice lies in the other: class_coords is None off the lattice
+    same = (all(kernel.class_coords(v) is not None for v in image.basis.T)
+            and all(image.class_coords(v) is not None for v in kernel.basis.T))
+    return same, image.order(), kernel.order()
 
-    i and p are integer matrices on the chosen generators; validation
-    checks equivariance, injectivity, surjectivity, and im i = ker p as
-    subgroups."""
+
+class CoefficientSES:
+    """0 -> S' -i-> S -p-> S'' -> 0 with involution-equivariant maps i and
+    p, integer matrices on the chosen generators.  Validation checks that
+    they respect the relations and the involutions, then injectivity,
+    im i = ker p and surjectivity as subgroups."""
 
     def __init__(self, s_prime, s_mid, s_dprime, i, p):
-        self.s_prime = s_prime
-        self.s_mid = s_mid
-        self.s_dprime = s_dprime
-        self.i = exact.as_int_matrix(i)
-        self.p = exact.as_int_matrix(p)
+        self.s_prime, self.s_mid, self.s_dprime = s_prime, s_mid, s_dprime
+        self.i, self.p = exact.as_int_matrix(i), exact.as_int_matrix(p)
         if self.i.shape != (s_mid.ngens, s_prime.ngens):
             raise SequenceError("i has wrong shape")
         if self.p.shape != (s_dprime.ngens, s_mid.ngens):
@@ -42,218 +55,163 @@ class CoefficientSES:
             raise SequenceError("; ".join(bad))
 
     def validate(self):
-        bad = []
         sp, sm, sd = self.s_prime, self.s_mid, self.s_dprime
         maps = ((self.i, sp, sm, "i"), (self.p, sm, sd, "p"))
         # maps must send relations into relations (well-defined group homs)
-        for mat, src, dst, name in maps:
-            img = mat @ src.relations()
-            bad.extend(f"{name} is not well defined"
-                       for j in range(img.shape[1]) if not dst.is_zero(img[:, j]))
-        # equivariance
-        for mat, src, dst, name in maps:
-            diff = mat @ src.tau - dst.tau @ mat
-            bad.extend(f"{name} is not involution-equivariant"
-                       for j in range(diff.shape[1]) if not dst.is_zero(diff[:, j]))
-        # exactness on finite groups by enumeration (all our uses are finite)
-        if sp.is_finite() and sm.is_finite() and sd.is_finite():
-            img_i = {sm.reduce_tuple(tuple(self.i @ np.array(e, dtype=object)))
-                     for e in sp.elements()}
-            if len(img_i) != sp.order():
-                bad.append("i is not injective")
-            ker_p = {e for e in sm.elements()
-                     if sd.reduce_tuple(tuple(self.p @ np.array(e, dtype=object)))
-                     == sd.zero_tuple()}
-            if img_i != ker_p:
-                bad.append("im i != ker p")
-            img_p = {sd.reduce_tuple(tuple(self.p @ np.array(e, dtype=object)))
-                     for e in sm.elements()}
-            if len(img_p) != sd.order():
-                bad.append("p is not surjective")
+        bad = [f"{name} is not well defined" for mat, src, dst, name in maps
+               for col in (mat @ src.relations()).T if not dst.is_zero(col)]
+        defined = not bad
+        bad += [f"{name} is not involution-equivariant" for mat, src, dst, name in maps
+                for col in (mat @ src.tau - dst.tau @ mat).T if not dst.is_zero(col)]
+        # the subgroup comparisons need well-defined maps; a rational
+        # sequence is a sequence of vector spaces, not of lattices
+        if defined and all(S.mode == "integral" for S in (sp, sm, sd)):
+            R_p, R_m, R_d = sp.relations(), sm.relations(), sd.relations()
+            checks = (("i is not injective", exact.zeros(sp.ngens, 0), R_p, self.i, R_m),
+                      ("im i != ker p", self.i, R_m, self.p, R_d),
+                      ("p is not surjective", self.p, R_d,
+                       exact.zeros(0, sd.ngens), exact.zeros(0, 0)))
+            bad += [message for message, *args in checks if not exactness(*args)[0]]
         return bad
 
 
-def induced_cochain_map(groupoid, s_a, s_b, f, n):
+def induced_cochain_map(cx_a, cx_b, f, n):
     """Matrix of the coefficient map f: S_a -> S_b on degree-n real
-    cochain coordinates (orbit structure is identical on both sides)."""
-    cxa = RealComplex(groupoid, s_a)
-    cxb = RealComplex(groupoid, s_b)
-    ba, bb = cxa.basis(n), cxb.basis(n)
-    f = exact.as_int_matrix(f)
+    cochain coordinates of two complexes over one groupoid (the orbit
+    structure is identical on both sides)."""
+    ba, bb = cx_a.basis(n), cx_b.basis(n)
     # orbit o of ba maps to orbit o of bb by f @ (the value matrix of its kind)
-    mats = [f @ ba.fibre.identity, f @ ba.fibre.embed]
-
-    def error(message):
-        raise SequenceError("map does not respect the fixed subgroups")
-
-    orbits = np.arange(len(ba.reps))
-    return (assemble(bb, ba.total, orbits, ba.offsets, mats, ba.fixed.astype(int), error),
-            cxa, cxb)
+    mats = [exact.as_int_matrix(f) @ _values(ba, fixed) for fixed in (False, True)]
+    return assemble(bb, ba.total, np.arange(len(ba.reps)), ba.offsets, mats,
+                    ba.fixed.astype(int),
+                    lambda _: SequenceError("map does not respect the fixed subgroups"))
 
 
-def _solve_columns(A, relations, B, message):
-    """X with A @ X = B modulo span(relations); SequenceError(message) if
-    some column of B has no solution."""
-    X = exact.IntSolver(A, relations).solve(B)
-    if X is None:
-        raise SequenceError(message)
-    return X
+def _values(basis, fixed):
+    """The matrix from the stored coordinates of any orbit of a kind to the
+    value at its representative: the identity, or the fixed-part embedding."""
+    return basis.fibre.embed if fixed else basis.fibre.identity
+
+
+def _blocks(offsets, width):
+    """Row indices of the blocks of a width at the offsets, a row per block."""
+    return offsets[:, None] + np.arange(width)
+
+
+# by orbit kind (fixed or not): a failed lift through p, a failed corestriction
+_LIFT_ERRORS = {False: "p is not surjective on S''",
+                True: "equivariant lift obstructed: fixed values of "
+                      "S'' have no fixed preimage in S"}
+_CORESTRICT_ERRORS = {False: "snake value is not in the image of i",
+                      True: "snake value escapes the fixed part of S'"}
 
 
 class ConnectingMap:
-    """The snake map HR^n(S'') -> HR^(n+1)(S') for one groupoid degree.
+    """The snake map HR^n(S'') -> HR^(n+1)(S') for one groupoid degree,
+    on the complexes cx_p, cx_mid and cx_dp of S', S and S''.  Each orbit
+    kind has one lift block through p and one corestriction solver
+    through i, applied to all orbits of the kind at once."""
 
-    Both orbit kinds are handled alike: at the representative of an orbit
-    the stored coordinates map to the fibre value by the matrix of
-    OrbitBasis.value_expression, which is the identity on a free orbit
-    and the fixed-part embedding on a fixed one, and is the same for
-    every orbit of a kind."""
-
-    def __init__(self, ses, groupoid, n):
-        self.ses = ses
-        self.groupoid = groupoid
-        self.n = n
-        self.cx_mid = RealComplex(groupoid, ses.s_mid)
-        self.cx_dp = RealComplex(groupoid, ses.s_dprime)
-        self.cx_p = RealComplex(groupoid, ses.s_prime)
-        self._build_lift()
-        self._build_corestrict()
-
-    def _build_lift(self):
-        """Coordinate lift CR^n(S'') -> CR^n(S) through p, orbit-wise and
-        involution-equivariantly: one block per orbit kind, solved when
-        an orbit of that kind first needs it."""
-        ses = self.ses
-        bd = self.cx_dp.basis(self.n)
-        bm = self.cx_mid.basis(self.n)
-        messages = {"free": "p is not surjective on S''",
-                    "fixed": "equivariant lift obstructed: fixed values of "
-                             "S'' have no fixed preimage in S"}
-        blocks = {}
-        L = exact.zeros(bm.total, bd.total)
-        for oid, o in enumerate(bd.orbits):
-            if o.kind not in blocks:
-                _, Md = bd.value_expression(o.rep)
-                _, Mm = bm.value_expression(o.rep)
-                blocks[o.kind] = _solve_columns(ses.p @ Mm, ses.s_dprime.relations(),
-                                                Md, messages[o.kind])
-            X = blocks[o.kind]
-            off_m, off_d = bm.offsets[oid], bd.offsets[oid]
-            L[off_m:off_m + X.shape[0], off_d:off_d + X.shape[1]] = X
-        self.lift_matrix = L
-
-    def _build_corestrict(self):
-        """One solver per orbit kind for writing S-valued cochains with
-        p-image zero as i-images in CR^(n+1)(S')."""
-        ses = self.ses
-        self._bm1 = self.cx_mid.basis(self.n + 1)
-        self._bp1 = self.cx_p.basis(self.n + 1)
+    def __init__(self, ses, cx_p, cx_mid, cx_dp, n):
+        self.ses, self.n = ses, n
+        self.cx_p, self.cx_mid, self.cx_dp = cx_p, cx_mid, cx_dp
+        # the coordinate lift CR^n(S'') -> CR^n(S) through p, equivariant:
+        # a block per orbit kind present, scattered into its orbits
+        bd, bm = cx_dp.basis(n), cx_mid.basis(n)
+        self.lift_matrix = L = exact.zeros(bm.total, bd.total)
+        for fixed in dict.fromkeys(bd.fixed.tolist()):  # the kinds present, in order
+            X = exact.IntSolver(ses.p @ _values(bm, fixed),
+                                ses.s_dprime.relations()).solve(_values(bd, fixed))
+            if X is None:
+                raise SequenceError(_LIFT_ERRORS[fixed])
+            sel = bd.fixed == fixed
+            rows = _blocks(bm.offsets[sel], len(X))
+            cols = _blocks(bd.offsets[sel], X.shape[1])
+            L[rows[:, :, None], cols[:, None, :]] = X
+        self._bm1, self._bp1 = cx_mid.basis(n + 1), cx_p.basis(n + 1)
         R_m = ses.s_mid.relations()
-        self._co = {
-            "free": (exact.IntSolver(ses.i, R_m),
-                     "snake value is not in the image of i"),
-            "fixed": (exact.IntSolver(ses.i @ self._bp1.fibre.embed, R_m),
-                      "snake value escapes the fixed part of S'")}
+        self._solvers = {fixed: exact.IntSolver(ses.i @ _values(self._bp1, fixed), R_m)
+                         for fixed in (False, True)}
 
     def apply_to_vector(self, vec_dp):
-        """The connecting value on a degree-n cocycle vector over S''."""
-        lifted = self.lift_matrix @ np.array(list(vec_dp), dtype=object)
-        z = self.cx_mid.differential_matrix(self.n) @ lifted
-        return self.corestrict(z)
+        """The connecting value on a degree-n cocycle vector over S'' (or
+        on each column of a matrix of them)."""
+        lifted = self.lift_matrix @ np.array(vec_dp, dtype=object)
+        return self.corestrict(self.cx_mid.differential_matrix(self.n) @ lifted)
 
     def corestrict(self, z):
-        """Write an S-valued cochain vector with zero p-image as the
-        i-image of an S'-valued cochain vector."""
+        """Write an S-valued cochain vector (or each column of a matrix) with
+        zero p-image as the i-image of an S'-valued one, a solve per kind."""
         bm1, bp1 = self._bm1, self._bp1
-        out = exact.zeros(bp1.total, 1)[:, 0]
-        for oid, o in enumerate(bm1.orbits):
-            off_m, M = bm1.value_expression(o.rep)
-            solver, message = self._co[o.kind]
-            sol = solver.solve(M @ z[off_m:off_m + M.shape[1]])
+        Z = np.array(z, dtype=object)
+        one = Z.ndim == 1
+        Z = Z[:, None] if one else Z
+        out = exact.zeros(bp1.total, Z.shape[1])
+        for fixed in dict.fromkeys(bm1.fixed.tolist()):
+            sel, M = bm1.fixed == fixed, _values(bm1, fixed)
+            o, c = int(sel.sum()), Z.shape[1]
+            # the values (orbit, row, column), solved as columns (row, orbit and column)
+            values = (M @ Z[_blocks(bm1.offsets[sel], M.shape[1])]).transpose(1, 0, 2)
+            sol = self._solvers[fixed].solve(values.reshape(len(M), o * c))
             if sol is None:
-                raise SequenceError(message)
-            out[bp1.offsets[oid]:bp1.offsets[oid] + len(sol)] = sol
-        return out
+                raise SequenceError(_CORESTRICT_ERRORS[fixed])
+            rows = _blocks(bp1.offsets[sel], len(sol))
+            out[rows] = sol.reshape(len(sol), o, c).transpose(1, 0, 2)
+        return out[:, 0] if one else out
 
     def apply_to_class(self, h_dp, h_p1, coords):
-        vec = h_dp.presentation.lift(coords)
-        out = self.apply_to_vector(vec)
-        return h_p1.presentation.class_coords(out)
+        return h_p1.presentation.class_coords(
+            self.apply_to_vector(h_dp.presentation.lift(coords)))
+
+
+def _class_data(h):
+    """(generator columns, relation matrix) of a cohomology group on its
+    class coordinates: Z^g / span(diag(orders)), an order 0 being free."""
+    gens = h.presentation.generators()
+    G = np.array([col for col, _ in gens], dtype=object).reshape(
+        len(gens), h.presentation.ambient_dim).T
+    return G, np.diag(np.array([order for _, order in gens], dtype=object))
+
+
+def _on_classes(image, h_to):
+    """Class coordinates in h_to of the columns of image, as columns."""
+    cols = [h_to.presentation.class_coords(v) for v in image.T]
+    return np.array(cols, dtype=object).reshape(
+        len(cols), h_to.free_rank + len(h_to.invariant_factors)).T
 
 
 def long_exact_sequence_check(ses, groupoid, through_degree=2):
-    """Exactness of the 3*(d+1)-term sequence through the given degree,
-    checked slot by slot by finite enumeration.  Returns a report dict;
-    report['exact'] summarizes.  All cohomology groups must be finite."""
-    maps_i = {}
-    maps_p = {}
-    H_p, H_m, H_d = {}, {}, {}
-    for n in range(through_degree + 1):
-        Fi, cxp, cxm = induced_cochain_map(groupoid, ses.s_prime, ses.s_mid,
-                                           ses.i, n)
-        Fp, _, cxd = induced_cochain_map(groupoid, ses.s_mid, ses.s_dprime,
-                                         ses.p, n)
-        maps_i[n] = Fi
-        maps_p[n] = Fp
-        H_p[n] = cxp.cohomology(n)
-        H_m[n] = cxm.cohomology(n)
-        H_d[n] = cxd.cohomology(n)
-    conn = {n: ConnectingMap(ses, groupoid, n)
-            for n in range(through_degree)}
+    """Exactness of HR^0(S') -> HR^0(S) -> HR^0(S'') -> HR^1(S') -> ... ->
+    HR^d(S''), d = through_degree, at each term but the last (injectivity
+    at the first), each slot one `exactness` on class coordinates.  Returns
+    a report dict; report['exact'] summarizes."""
+    d = through_degree
+    coeffs = (ses.s_prime, ses.s_mid, ses.s_dprime)
+    # one complex per distinct coefficient group object, shared by all degrees
+    complexes = {S: RealComplex(groupoid, S) for S in coeffs}
+    cx_p, cx_m, cx_d = (complexes[S] for S in coeffs)
+    F_i = [induced_cochain_map(cx_p, cx_m, ses.i, n) for n in range(d + 1)]
+    F_p = [induced_cochain_map(cx_m, cx_d, ses.p, n) for n in range(d + 1)]
+    H = {S: [cx.cohomology(n) for n in range(d + 1)] for S, cx in complexes.items()}
+    H_p, H_m, H_d = (H[S] for S in coeffs)
+    conn = [ConnectingMap(ses, cx_p, cx_m, cx_d, n) for n in range(d)]
 
-    def pushed(h_from, h_to, mat, coords):
-        vec = h_from.presentation.lift(coords)
-        return h_to.presentation.class_coords(mat @ np.array(list(vec), dtype=object))
+    names, terms, maps = [], [], []
+    for n in range(d + 1):
+        names += [f"HR^{n}(S')", f"HR^{n}(S)", f"HR^{n}(S'')"]
+        terms += [H_p[n], H_m[n], H_d[n]]
+        maps += [F_i[n].dot, F_p[n].dot] + ([conn[n].apply_to_vector] if n < d else [])
+    data = [_class_data(h) for h in terms]
+    A = [_on_classes(f(G), h) for f, (G, _), h in zip(maps, data, terms[1:])]
 
     report = {"slots": [], "exact": True}
-
-    def check_slot(name, incoming, outgoing):
-        img = set(incoming())
-        ker = set(outgoing())
-        ok = img == ker
-        report["slots"].append({"slot": name, "exact": ok,
-                                "image_size": len(img), "kernel_size": len(ker)})
-        if not ok:
-            report["exact"] = False
-
-    # injectivity of the first map
-    first_ker = [c for c in H_p[0].all_classes()
-                 if all(v == 0 for v in pushed(H_p[0], H_m[0], maps_i[0], c))]
-    ok0 = all(all(v == 0 for v in c) for c in first_ker)
-    report["slots"].append({"slot": "HR^0(S') injective", "exact": ok0})
-    if not ok0:
-        report["exact"] = False
-
-    for n in range(through_degree + 1):
-        # slot HR^n(S): im i = ker p
-        check_slot(
-            f"HR^{n}(S)",
-            lambda n=n: (pushed(H_p[n], H_m[n], maps_i[n], c)
-                         for c in H_p[n].all_classes()),
-            lambda n=n: (c for c in H_m[n].all_classes()
-                         if all(v == 0 for v in
-                                pushed(H_m[n], H_d[n], maps_p[n], c))))
-        # slot HR^n(S''): im p = ker connecting
-        if n < through_degree:
-            check_slot(
-                f"HR^{n}(S'')",
-                lambda n=n: (pushed(H_m[n], H_d[n], maps_p[n], c)
-                             for c in H_m[n].all_classes()),
-                lambda n=n: (c for c in H_d[n].all_classes()
-                             if all(v == 0 for v in
-                                    conn[n].apply_to_class(H_d[n], H_p[n + 1], c))))
-            # slot HR^(n+1)(S'): im connecting = ker i
-            check_slot(
-                f"HR^{n+1}(S')",
-                lambda n=n: (conn[n].apply_to_class(H_d[n], H_p[n + 1], c)
-                             for c in H_d[n].all_classes()),
-                lambda n=n: (c for c in H_p[n + 1].all_classes()
-                             if all(v == 0 for v in
-                                    pushed(H_p[n + 1], H_m[n + 1],
-                                           maps_i[n + 1], c))))
-    report["groups"] = {
-        "S_prime": [H_p[n].group_key() for n in range(through_degree + 1)],
-        "S": [H_m[n].group_key() for n in range(through_degree + 1)],
-        "S_dprime": [H_d[n].group_key() for n in range(through_degree + 1)],
-    }
+    for j, name in enumerate(names[:-1]):
+        R = data[j][1]
+        incoming = A[j - 1] if j else exact.zeros(len(R), 0)
+        ok, img, ker = exactness(incoming, R, A[j], data[j + 1][1])
+        slot = {"slot": name, "exact": ok, "image_size": img, "kernel_size": ker}
+        report["slots"].append(slot if j else {"slot": f"{name} injective", "exact": ok})
+        report["exact"] = report["exact"] and ok
+    report["groups"] = {key: [h.group_key() for h in hs] for key, hs in (
+        ("S_prime", H_p), ("S", H_m), ("S_dprime", H_d))}
     return report

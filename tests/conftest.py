@@ -41,3 +41,19 @@ def corpus():
 @pytest.fixture(scope="session")
 def presets():
     return coefficient_presets()
+
+
+@pytest.fixture()
+def count_calls(monkeypatch):
+    """count_calls(owner, attr) returns a list that records the arguments
+    of every later call of owner.attr, for the rest of the test."""
+    def install(owner, attr):
+        calls, original = [], getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+        return calls
+    return install

@@ -3,15 +3,19 @@ code paths: cohomology by full enumeration of real cochains, used to
 derive and pin expected values for small cases, the dense scalar Smith
 normal form that the vectorised one in `exact` must match, the loop
 assembler on a dict-of-tuples nerve that the array assembly in
-`cochains` must match, and the loop groupoid constructions and
-validation that the array ones in `groupoids` must match."""
+`cochains` must match, the loop groupoid constructions and validation
+that the array ones in `groupoids` must match, and the long exact
+sequence checked by enumerating elements and classes, with a loop
+connecting map, that the lattice checks of `les` must match."""
 
 import itertools
 
 import numpy as np
 
 from realcech import exact
+from realcech.cochains import RealComplex
 from realcech.groupoids import FiniteRealGroupoid
+from realcech.les import SequenceError, induced_cochain_map
 from realcech.nerve import nerve
 
 
@@ -784,3 +788,171 @@ def loop_product_with_group(groupoid, S):
                         table[aidx(ei, g), aidx(fi, h)] = aidx(ef, int(k))
     return FiniteRealGroupoid(G.n_objects, src, tgt, unit, table, inv,
                               G.rho_obj.copy(), rho_arr)
+
+
+# -- the long exact sequence by enumeration -----------------------------
+#
+# The `les` code that the lattice checks replaced: exactness of a
+# coefficient sequence by enumerating its elements, the connecting map
+# with one lift and one solve per orbit, and each slot of the long
+# sequence by enumerating the classes of the cohomology groups.  Finite
+# groups only.
+
+def enum_validate(ses):
+    """The messages of `CoefficientSES.validate`, exactness checked by
+    enumerating elements whenever all three groups are finite, also when
+    a map is not well defined."""
+    bad = []
+    sp, sm, sd = ses.s_prime, ses.s_mid, ses.s_dprime
+    maps = ((ses.i, sp, sm, "i"), (ses.p, sm, sd, "p"))
+    for mat, src, dst, name in maps:
+        img = mat @ src.relations()
+        bad.extend(f"{name} is not well defined"
+                   for j in range(img.shape[1]) if not dst.is_zero(img[:, j]))
+    for mat, src, dst, name in maps:
+        diff = mat @ src.tau - dst.tau @ mat
+        bad.extend(f"{name} is not involution-equivariant"
+                   for j in range(diff.shape[1]) if not dst.is_zero(diff[:, j]))
+    if sp.is_finite() and sm.is_finite() and sd.is_finite():
+        img_i = {sm.reduce_tuple(tuple(ses.i @ np.array(e, dtype=object)))
+                 for e in sp.elements()}
+        if len(img_i) != sp.order():
+            bad.append("i is not injective")
+        ker_p = {e for e in sm.elements()
+                 if sd.reduce_tuple(tuple(ses.p @ np.array(e, dtype=object)))
+                 == sd.zero_tuple()}
+        if img_i != ker_p:
+            bad.append("im i != ker p")
+        img_p = {sd.reduce_tuple(tuple(ses.p @ np.array(e, dtype=object)))
+                 for e in sm.elements()}
+        if len(img_p) != sd.order():
+            bad.append("p is not surjective")
+    return bad
+
+
+class LoopConnectingMap:
+    """`les.ConnectingMap` orbit by orbit: the lift block of an orbit kind
+    solved when an orbit of that kind first needs it, one corestriction
+    solve per orbit."""
+
+    def __init__(self, ses, cx_p, cx_mid, cx_dp, n):
+        self.n, self.cx_mid = n, cx_mid
+        bd, bm = cx_dp.basis(n), cx_mid.basis(n)
+        messages = {"free": "p is not surjective on S''",
+                    "fixed": "equivariant lift obstructed: fixed values of "
+                             "S'' have no fixed preimage in S"}
+        blocks = {}
+        L = exact.zeros(bm.total, bd.total)
+        for oid, o in enumerate(bd.orbits):
+            if o.kind not in blocks:
+                _, Md = bd.value_expression(o.rep)
+                _, Mm = bm.value_expression(o.rep)
+                X = exact.IntSolver(ses.p @ Mm, ses.s_dprime.relations()).solve(Md)
+                if X is None:
+                    raise SequenceError(messages[o.kind])
+                blocks[o.kind] = X
+            X = blocks[o.kind]
+            off_m, off_d = bm.offsets[oid], bd.offsets[oid]
+            L[off_m:off_m + X.shape[0], off_d:off_d + X.shape[1]] = X
+        self.lift_matrix = L
+        self._bm1, self._bp1 = cx_mid.basis(n + 1), cx_p.basis(n + 1)
+        R_m = ses.s_mid.relations()
+        self._co = {
+            "free": (exact.IntSolver(ses.i, R_m),
+                     "snake value is not in the image of i"),
+            "fixed": (exact.IntSolver(ses.i @ self._bp1.fibre.embed, R_m),
+                      "snake value escapes the fixed part of S'")}
+
+    def apply_to_vector(self, vec_dp):
+        lifted = self.lift_matrix @ np.array(list(vec_dp), dtype=object)
+        z = self.cx_mid.differential_matrix(self.n) @ lifted
+        return self.corestrict(z)
+
+    def corestrict(self, z):
+        bm1, bp1 = self._bm1, self._bp1
+        out = exact.zeros(bp1.total, 1)[:, 0]
+        for oid, o in enumerate(bm1.orbits):
+            off_m, M = bm1.value_expression(o.rep)
+            solver, message = self._co[o.kind]
+            sol = solver.solve(M @ z[off_m:off_m + M.shape[1]])
+            if sol is None:
+                raise SequenceError(message)
+            out[bp1.offsets[oid]:bp1.offsets[oid] + len(sol)] = sol
+        return out
+
+    def apply_to_class(self, h_dp, h_p1, coords):
+        vec = h_dp.presentation.lift(coords)
+        return h_p1.presentation.class_coords(self.apply_to_vector(vec))
+
+
+def enum_long_exact_sequence_check(ses, groupoid, through_degree=2):
+    """The report of `les.long_exact_sequence_check`, each slot checked by
+    enumerating classes, on fresh complexes for every use and the loop
+    connecting map."""
+    def induced(s_a, s_b, f, n):
+        cxa, cxb = RealComplex(groupoid, s_a), RealComplex(groupoid, s_b)
+        return induced_cochain_map(cxa, cxb, f, n), cxa, cxb
+
+    maps_i, maps_p = {}, {}
+    H_p, H_m, H_d = {}, {}, {}
+    for n in range(through_degree + 1):
+        maps_i[n], cxp, cxm = induced(ses.s_prime, ses.s_mid, ses.i, n)
+        maps_p[n], _, cxd = induced(ses.s_mid, ses.s_dprime, ses.p, n)
+        H_p[n], H_m[n], H_d[n] = cxp.cohomology(n), cxm.cohomology(n), cxd.cohomology(n)
+    conn = {n: LoopConnectingMap(ses, RealComplex(groupoid, ses.s_prime),
+                                 RealComplex(groupoid, ses.s_mid),
+                                 RealComplex(groupoid, ses.s_dprime), n)
+            for n in range(through_degree)}
+
+    def pushed(h_from, h_to, mat, coords):
+        vec = h_from.presentation.lift(coords)
+        return h_to.presentation.class_coords(mat @ np.array(list(vec), dtype=object))
+
+    report = {"slots": [], "exact": True}
+
+    def check_slot(name, incoming, outgoing):
+        img = set(incoming())
+        ker = set(outgoing())
+        ok = img == ker
+        report["slots"].append({"slot": name, "exact": ok,
+                                "image_size": len(img), "kernel_size": len(ker)})
+        if not ok:
+            report["exact"] = False
+
+    first_ker = [c for c in H_p[0].all_classes()
+                 if all(v == 0 for v in pushed(H_p[0], H_m[0], maps_i[0], c))]
+    ok0 = all(all(v == 0 for v in c) for c in first_ker)
+    report["slots"].append({"slot": "HR^0(S') injective", "exact": ok0})
+    if not ok0:
+        report["exact"] = False
+
+    for n in range(through_degree + 1):
+        check_slot(
+            f"HR^{n}(S)",
+            lambda n=n: (pushed(H_p[n], H_m[n], maps_i[n], c)
+                         for c in H_p[n].all_classes()),
+            lambda n=n: (c for c in H_m[n].all_classes()
+                         if all(v == 0 for v in
+                                pushed(H_m[n], H_d[n], maps_p[n], c))))
+        if n < through_degree:
+            check_slot(
+                f"HR^{n}(S'')",
+                lambda n=n: (pushed(H_m[n], H_d[n], maps_p[n], c)
+                             for c in H_m[n].all_classes()),
+                lambda n=n: (c for c in H_d[n].all_classes()
+                             if all(v == 0 for v in
+                                    conn[n].apply_to_class(H_d[n], H_p[n + 1], c))))
+            check_slot(
+                f"HR^{n+1}(S')",
+                lambda n=n: (conn[n].apply_to_class(H_d[n], H_p[n + 1], c)
+                             for c in H_d[n].all_classes()),
+                lambda n=n: (c for c in H_p[n + 1].all_classes()
+                             if all(v == 0 for v in
+                                    pushed(H_p[n + 1], H_m[n + 1],
+                                           maps_i[n + 1], c))))
+    report["groups"] = {
+        "S_prime": [H_p[n].group_key() for n in range(through_degree + 1)],
+        "S": [H_m[n].group_key() for n in range(through_degree + 1)],
+        "S_dprime": [H_d[n].group_key() for n in range(through_degree + 1)],
+    }
+    return report

@@ -335,7 +335,8 @@ def test_criterion_09_long_exact_sequence():
         report = long_exact_sequence_check(ses, g, 2)
         assert report["exact"], report["slots"]
     z2 = standard.cyclic_group(2)
-    conn = ConnectingMap(ses, z2, 1)
+    conn = ConnectingMap(ses, RealComplex(z2, mu2t), RealComplex(z2, mu4t),
+                         RealComplex(z2, mu2t), 1)
     h1 = RealComplex(z2, mu2t).cohomology(1)
     h2 = RealComplex(z2, mu2t).cohomology(2)
     gen = next(c for c in h1.all_classes() if any(c))

@@ -165,7 +165,7 @@ class TestIntegralAssembly:
             for s_a, s_b, f in ((mu2t, mu4t, [[2]]), (mu4t, mu2t, [[1]]),
                                 (zsign, zsign, [[2]]), (zsign, mu2c, [[1]])):
                 for n in range(3):
-                    got = induced_cochain_map(g, s_a, s_b, f, n)[0]
+                    got = induced_cochain_map(RealComplex(g, s_a), RealComplex(g, s_b), f, n)
                     want = loop_induced_cochain_map(g, SBlocks(s_a), SBlocks(s_b), f, n)
                     assert_same(got, want)
 

@@ -189,6 +189,45 @@ class TestCommands:
         assert r.returncode == 0
         assert json.loads(r.stdout)["exact"] is True
 
+    def test_les_integral_bockstein(self, tmp_path, capsys):
+        # 0 -> Z -(x2)-> Z -> Z/2 -> 0 over Z/4: infinite groups are checked
+        gp = write(tmp_path, "z4.json", io.groupoid_to_json(standard.cyclic_group(4)))
+        seq = {"left": "Z_trivial", "middle": "Z_trivial", "right": "Z2_trivial",
+               "i": [[2]], "p": [[1]]}
+        assert cli.main(["les", gp, "--sequence", write(tmp_path, "seq.json", seq)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["exact"] is True
+        assert out["groups"]["S"][0] == {"free_rank": 1, "torsion": []}
+        # x1 is injective, but its image Z is not the kernel 2Z of p
+        seq["i"] = [[1]]
+        assert cli.main(["les", gp, "--sequence", write(tmp_path, "bad.json", seq)]) == 1
+        assert capsys.readouterr().err == "error: im i != ker p\n"
+
+    @pytest.mark.parametrize("flag, data, message", [
+        ("--cover", {"blocks": [[0], [1]], "bar": [5, 0]}, "bar entry 5 is out of range"),
+        ("--cover", {"blocks": [[0], [1]], "bar": [1]}, "bar has shape (1,)"),
+        ("--cech", {"pi": [0, 1, 1], "rho_total": [1, 0, 7]},
+         "rho_total entry 7 is out of range"),
+        ("--cech", {"pi": [0, 1, 1], "rho_total": [1, 0]}, "rho_total has shape (2,)"),
+    ])
+    def test_malformed_morita_input_is_an_input_error(self, tmp_path, capsys,
+                                                      flag, data, message):
+        gp = write(tmp_path, "x2.json", io.groupoid_to_json(standard.discrete_space(2, [1, 0])))
+        argv = ["morita-check", gp, "--coeff", "Z2_trivial", flag,
+                write(tmp_path, "in.json", data)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and message in err
+
+    def test_morita_builds_each_level_once(self, tmp_path, capsys, count_calls):
+        from realcech import cochains
+        built = count_calls(cochains.LevelBasis, "__init__")
+        gp = write(tmp_path, "p2.json", io.groupoid_to_json(standard.pair_groupoid(2)))
+        cov = write(tmp_path, "cover.json", {"blocks": [[0, 1], [0], [1]]})
+        assert cli.main(["morita-check", gp, "--coeff", "mu(4)_conj", "--cover", cov]) == 0
+        # levels 0-3 of the base and of the cover groupoid
+        assert len(built) == 8
+
     def test_arrow_cap_env(self, z2_file):
         import os
         env = dict(os.environ, RGC_MAX_ARROWS="1")

@@ -368,3 +368,10 @@ class TestClassificationTable:
     def test_nontrivial_involution_rejected(self):
         with pytest.raises(ext.TwistError):
             ext.ext_classification_table(standard.cyclic_group(4, "inversion"))
+
+    def test_each_level_built_once(self, count_calls):
+        from realcech import cochains
+        built = count_calls(cochains.LevelBasis, "__init__")
+        ext.ext_classification_table(standard.cyclic_group(4), 4)
+        # levels 0-3 with Z/2 coefficients and 1-3 with mu(4)_conj
+        assert len(built) == 7
