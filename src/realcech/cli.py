@@ -207,7 +207,7 @@ def cmd_morita(args):
             print("cech comparison requires a units-only groupoid",
                   file=sys.stderr)
             return 1
-        pi, rho_total = io.surjection_from_json(io.load_json(args.cech))
+        pi, rho_total = io.surjection_from_json(io.load_json(args.cech), g.n_objects)
         other = cech_groupoid(pi, rho_total, list(g.rho_obj), g.n_objects)
         kind = "cech"
     else:

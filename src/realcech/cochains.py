@@ -14,6 +14,8 @@ and the rational representation fibre of proper.py.
 The differential is the alternating sum over the face maps; cohomology
 is kernel-mod-image computed exactly over Z (or over Q for rational
 coefficients, which are routed through the representation machinery).
+Its group key comes from the invariant factors of one matrix, its
+generators and class coordinates from a presentation built on demand.
 """
 
 from collections import namedtuple
@@ -250,16 +252,22 @@ class LevelBasis(OrbitBasis):
         OrbitBasis.__init__(self, nerve(groupoid, n), sblocks)
         self.moduli = [d for f in self.fixed.tolist()
                        for d in (sblocks.moduli_fixed if f else sblocks.moduli_S)]
+        # the coordinates with a positive modulus, and those with modulus 0
+        self.torsion_coords = [i for i, d in enumerate(self.moduli) if d > 0]
+        self.free_coords = [i for i, d in enumerate(self.moduli) if d == 0]
 
     def presentation(self):
         """The cochain group as an abelian group presentation."""
         return exact.quotient(exact.eye(self.total), self.relation_matrix())
 
     def relation_matrix(self):
-        rows = [i for i, d in enumerate(self.moduli) if d > 0]
+        rows = self.torsion_coords
         R = exact.zeros(self.total, len(rows))
-        R[rows, range(len(rows))] = [self.moduli[i] for i in rows]
+        R[rows, range(len(rows))] = self.torsion_moduli()
         return R
+
+    def torsion_moduli(self):
+        return np.array([self.moduli[i] for i in self.torsion_coords], dtype=object)
 
     def in_relation_lattice(self, vec):
         return all(v % d == 0 if d else v == 0 for v, d in zip(vec, self.moduli))
@@ -324,6 +332,7 @@ class RealComplex:
         self._bases = {}
         self._diffs = {}
         self._solvers = {}
+        self._free_ranks = {}
 
     def basis(self, n):
         if n not in self._bases:
@@ -374,35 +383,41 @@ class RealComplex:
         sol = self._solvers[n].solve(cochain.vector)
         return None if sol is None else RealCochain(self, n - 1, sol)
 
+    def free_part_rank(self, n):
+        """Rank over Q of d^n on the free (modulus 0) coordinates: the
+        differential of the rational complex of this one."""
+        if n not in self._free_ranks:
+            rows, cols = self.basis(n + 1).free_coords, self.basis(n).free_coords
+            self._free_ranks[n] = len(exact.invariant_factors(
+                self.differential_matrix(n)[np.ix_(rows, cols)]))
+        return self._free_ranks[n]
+
     def cohomology(self, n):
         return CohomologyGroup(self, n)
 
 
-class CohomologyGroup:
-    """ker d^n / im d^(n-1) with representatives and a class tester."""
+class CohomologyGroup(exact.GroupKey):
+    """ker d^n / im d^(n-1).  The group key comes from `cohomology_key`;
+    the presentation, with representatives and class coordinates, is
+    built on first use."""
 
     def __init__(self, complex_, n):
         self.complex = complex_
         self.degree = n
-        basis = complex_.basis(n)
-        D_n = complex_.differential_matrix(n)
-        R_next = complex_.basis(n + 1).relation_matrix()
-        R_here = basis.relation_matrix()
+        self.free_rank, self.invariant_factors = cohomology_key(complex_, n)
+
+    @cached_property
+    def presentation(self):
+        cx, n = self.complex, self.degree
+        R_here = cx.basis(n).relation_matrix()
         if n == 0:
             img = R_here
         else:
-            D_prev = complex_.differential_matrix(n - 1)
+            D_prev = cx.differential_matrix(n - 1)
             img = np.concatenate([D_prev, R_here], axis=1) \
                 if R_here.shape[1] else D_prev
-        self.presentation = exact.lattice_mod_relations(D_n, img, R_next)
-        self.free_rank = self.presentation.free_rank
-        self.invariant_factors = list(self.presentation.invariant_factors)
-
-    def group_key(self):
-        return (self.free_rank, tuple(self.invariant_factors))
-
-    def order(self):
-        return self.presentation.order()
+        return exact.lattice_mod_relations(cx.differential_matrix(n), img,
+                                           cx.basis(n + 1).relation_matrix())
 
     def representatives(self):
         """One representative cocycle per generator of the group."""
@@ -419,15 +434,51 @@ class CohomologyGroup:
         c = self.class_of(cochain)
         return c is not None and all(v == 0 for v in c)
 
-    def all_classes(self):
-        return self.presentation.all_classes()
-
     def lift(self, coords):
         return RealCochain(self.complex, self.degree,
                            self.presentation.lift(coords))
 
-    def __str__(self):
-        return str(self.presentation)
+
+def cohomology_key(cx, n):
+    """(free rank, invariant factors > 1) of HR^n of the complex cx.
+
+    C^n is Z^k(n) / span(R_n), and d o d vanishes only modulo R (fixed
+    orbits).  The free complex T^n = Z^k(n) + Z^r(n+1), r(n+1) the number
+    of torsion coordinates of degree n+1, with incoming differential
+
+        M_n = [[D_(n-1), R_n], [G, -E]],  R_(n+1) E = D_n R_n,
+                                          R_(n+1) G = -D_n D_(n-1)
+
+    (on the torsion rows of degree n+1) maps onto C by (x, y) -> [x] with
+    a contractible kernel, so the two have the same cohomology.  The
+    cocycles of T^n are saturated in T^n, so the torsion of HR^n is that
+    of coker M_n: its invariant factors > 1.  The free rank is that of
+    the rational complex on the free (modulus 0) coordinates."""
+    here, there = cx.basis(n), cx.basis(n + 1)
+    D_n = cx.differential_matrix(n)
+    D_prev = cx.differential_matrix(n - 1) if n else exact.zeros(here.total, 0)
+    E = _over_moduli(there, D_n[:, here.torsion_coords] * here.torsion_moduli(),
+                     f"d^{n} does not map the relations of degree {n} "
+                     f"into those of degree {n + 1}")
+    G = -_over_moduli(there, exact.product(D_n, D_prev),
+                      f"d^{n} o d^{n - 1} does not vanish modulo the "
+                      f"relations of degree {n + 1}")
+    M = np.block([[D_prev, here.relation_matrix()], [G, -E]])
+    torsion = [d for d in exact.invariant_factors(M) if d > 1]
+    free = len(here.free_coords) - cx.free_part_rank(n) - \
+        (cx.free_part_rank(n - 1) if n else 0)
+    return free, torsion
+
+
+def _over_moduli(basis, X, message):
+    """X divided by the moduli on the torsion coordinates of basis, for a
+    matrix X whose columns lie in the span of its relations; ValueError
+    with message if they do not."""
+    T = X[basis.torsion_coords]
+    scale = basis.torsion_moduli().reshape(-1, 1)
+    if X[basis.free_coords].any() or (T % scale).any():
+        raise ValueError(message)
+    return T // scale
 
 
 # -- module-level convenience API --------------------------------------

@@ -232,6 +232,26 @@ def diagonal_of(D):
     return [D[i, i] for i in range(min(m, n))]
 
 
+def invariant_factors(mat):
+    """The nonzero invariant factors d_1 | d_2 | ... of an integer matrix:
+    the nonzero diagonal of its Smith form, computed without transforms."""
+    M = as_int_matrix(mat)
+    if not M.size:
+        return []
+    _, D, _ = smith_normal_form(M, need_u=False, need_v=False)
+    return [d for d in diagonal_of(D) if d != 0]
+
+
+def product(A, B):
+    """A @ B for integer matrices, as an object matrix of Python ints; in
+    int64 when a bound shows that no entry can overflow."""
+    A, B = as_int_matrix(A), as_int_matrix(B)
+    # |(A @ B)[i, j]| <= inner dim * max|A| * max|B|, and so is every partial sum
+    if _top(A) * _top(B) * A.shape[1] < _LIMIT:
+        return (A.astype(np.int64) @ B.astype(np.int64)).astype(object)
+    return A @ B
+
+
 def int_kernel(mat, rows=None):
     """Basis (columns) of the integer kernel {x : mat @ x == 0}; with
     `rows`, only the first `rows` coordinates of each basis vector."""
@@ -292,7 +312,28 @@ class IntSolver:
         return X[:, 0] if one else X
 
 
-class AbelianGroupPresentation:
+class GroupKey:
+    """Order, elements and name of a finitely generated abelian group read
+    from its attributes free_rank and invariant_factors."""
+
+    def group_key(self):
+        return (self.free_rank, tuple(self.invariant_factors))
+
+    def order(self):
+        return 0 if self.free_rank else math.prod(self.invariant_factors)
+
+    def all_classes(self):
+        """Iterate canonical coordinates of every class (finite groups only)."""
+        if self.free_rank:
+            raise ValueError("group is infinite")
+        return itertools.product(*map(range, self.invariant_factors))
+
+    def __str__(self):
+        parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.invariant_factors]
+        return " + ".join(parts) if parts else "0"
+
+
+class AbelianGroupPresentation(GroupKey):
     """A quotient K / L of lattices, presented by invariant factors.
 
     K is spanned by the columns of `basis` (full column rank, inside Z^k);
@@ -362,22 +403,6 @@ class AbelianGroupPresentation:
         for c, i in zip(coords, self._live):
             v = v + c * self._gen_cols[:, i]
         return v
-
-    def order(self):
-        return 0 if self.free_rank else math.prod(self.invariant_factors)
-
-    def all_classes(self):
-        """Iterate canonical coordinates of every class (finite groups only)."""
-        if self.free_rank:
-            raise ValueError("group is infinite")
-        return itertools.product(*map(range, self.invariant_factors))
-
-    def group_key(self):
-        return (self.free_rank, tuple(self.invariant_factors))
-
-    def __str__(self):
-        parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.invariant_factors]
-        return " + ".join(parts) if parts else "0"
 
 
 def quotient(ker_basis, img_gens):
@@ -489,8 +514,7 @@ def _rref(M):
 def frac_rank(mat):
     """Rank over Q: the number of nonzero invariant factors of the
     integer matrix `cleared(mat)`."""
-    _, D, _ = smith_normal_form(cleared(mat)[0], need_u=False, need_v=False)
-    return sum(1 for d in diagonal_of(D) if d != 0)
+    return len(invariant_factors(cleared(mat)[0]))
 
 
 def frac_kernel(mat):

@@ -273,10 +273,12 @@ def cover_from_json(groupoid, data, base_dir="."):
     return RealCover(groupoid, blocks, bar)
 
 
-def surjection_from_json(data, base_dir="."):
+def surjection_from_json(data, n_base, base_dir="."):
+    """(pi, rho_total) of a surjection onto a base with n_base objects."""
     data = _resolve(data, base_dir)
     try:
         pi = [int(v) for v in data["pi"]]
+        pi = _indices("pi", pi, (len(pi),), n_base).tolist()
         rho_total = _indices("rho_total", data["rho_total"], (len(pi),), len(pi)).tolist()
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"bad surjection JSON: {e}")

@@ -179,7 +179,7 @@ class RepComplex:
         return self.basis(n).from_values(value_fn)
 
 
-class RationalCohomology:
+class RationalCohomology(exact.GroupKey):
     """HR^n over Q: a plain dimension count (no torsion)."""
 
     def __init__(self, complex_, n):
@@ -189,12 +189,6 @@ class RationalCohomology:
         self.rank_image = complex_.differential_rank(n - 1) if n else 0
         self.free_rank = self.rank_kernel - self.rank_image
         self.invariant_factors = []
-
-    def group_key(self):
-        return (self.free_rank, ())
-
-    def order(self):
-        return 1 if self.free_rank == 0 else 0
 
     def __str__(self):
         return " + ".join(["Q"] * self.free_rank) if self.free_rank else "0"

@@ -209,6 +209,9 @@ class TestCommands:
         ("--cech", {"pi": [0, 1, 1], "rho_total": [1, 0, 7]},
          "rho_total entry 7 is out of range"),
         ("--cech", {"pi": [0, 1, 1], "rho_total": [1, 0]}, "rho_total has shape (2,)"),
+        ("--cech", {"pi": [0, 5], "rho_total": [1, 0]}, "pi entry 5 is out of range [0, 2)"),
+        ("--cech", {"pi": [0, 1, -1], "rho_total": [1, 0, 2]},
+         "pi entry -1 is out of range [0, 2)"),
     ])
     def test_malformed_morita_input_is_an_input_error(self, tmp_path, capsys,
                                                       flag, data, message):
@@ -257,7 +260,7 @@ class TestCommands:
 
 
 def test_cohomology_working_set(tmp_path, capsys):
-    # the Smith form of the 243x324 matrix [D_3 | R_4] sets the peak
+    # the 324x108 key matrix of cohomology_key and its Smith form set the peak
     path = write(tmp_path, "pair3.json",
                  io.groupoid_to_json(standard.pair_groupoid(3)))
     tracemalloc.start()

@@ -337,3 +337,49 @@ def test_cleared_scales_exactly():
         assert A.tolist() == [[2 ** 62 * scale, M[0, 1] * scale]]
         assert all(type(x) is int for x in A.flat)
     assert scale == 4
+
+
+def invariant_factor_cases(rng):
+    """Empty and zero shapes, random small matrices, rank-deficient
+    products, and matrices with entries past 2^62."""
+    for m, n in [(0, 0), (0, 3), (3, 0), (2, 3), (4, 1)]:
+        yield exact.zeros(m, n)
+    for _ in range(80):
+        yield random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+    for _ in range(50):
+        r = rng.randint(0, 3)
+        m, n = rng.randint(r + 1, 6), rng.randint(r + 1, 6)
+        yield random_matrix(rng, m, r) @ random_matrix(rng, r, n)
+    for _ in range(65):
+        M = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
+        M[rng.randrange(M.shape[0]), rng.randrange(M.shape[1])] = rng.choice(
+            [2 ** 62, -2 ** 63 - 5, 3 * 2 ** 70, 2 ** 40 + 15])
+        yield M
+
+
+def test_invariant_factors_match_sympy():
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import invariant_factors
+    rng = random.Random(14)
+    cases = list(invariant_factor_cases(rng))
+    assert len(cases) >= 200
+    past = 0
+    for M in cases:
+        want = [int(d) for d in invariant_factors(Matrix(M.tolist()).reshape(*M.shape),
+                                                  domain=ZZ) if d != 0]
+        got = exact.invariant_factors(M)
+        assert got == want and all(type(d) is int for d in got), M.tolist()
+        past += M.size and max(abs(x) for x in M.flat) >= 1 << 62
+    assert past >= 40
+
+
+def test_product_matches_object_product():
+    rng = random.Random(15)
+    for lo, hi in [(-6, 6), (-2 ** 30, 2 ** 30), (-2 ** 40, 2 ** 40)]:
+        for m, k, n in [(0, 3, 2), (3, 0, 2), (3, 4, 0), (4, 5, 3)]:
+            A = random_matrix(rng, m, k, lo, hi).reshape(m, k)
+            B = random_matrix(rng, k, n, lo, hi).reshape(k, n)
+            got = exact.product(A, B)
+            assert got.dtype == object and got.shape == (m, n)
+            assert all(type(x) is int for x in got.flat)
+            assert got.tolist() == (A @ B).tolist()
