@@ -36,8 +36,6 @@ class SBlocks:
     value).  The fibre is the same at every object, so the anchor
     arguments of the fibre interface used by OrbitBasis are ignored."""
 
-    zeros = staticmethod(exact.zeros)
-
     def __init__(self, S):
         self.S = S
         self.k = S.ngens
@@ -66,10 +64,6 @@ class SBlocks:
     def fixed_coords(self, x, X):
         return self._fixed_solver.solve(X)
 
-    @staticmethod
-    def scalars(num, scale):
-        return num
-
 
 Orbit = namedtuple("Orbit", "kind rep partner anchor")
 
@@ -79,13 +73,12 @@ class OrbitBasis:
 
     The value at a tuple lies in the fibre over its anchor: the source of
     the last arrow (the object itself in degree 0).  A fibre supplies `k`
-    (the width of a free orbit), `zeros`, `identity`, `element` (coerce a
-    value), `embedding(x)` (the fixed vectors at a rho-fixed object x, as
+    (the width of a free orbit), `identity`, `element` (coerce a value),
+    `embedding(x)` (the fixed vectors at a rho-fixed object x, as
     columns), `partner(x)` (the map from the value at a representative with
-    anchor x to the value at its partner), `fixed_coords(x, X)` (the
-    coordinates in `embedding(x)` of the columns of X, or None if one is
-    not fixed) and `scalars(num, scale)` (its scalars num / scale; the
-    scale is 1 on an integral fibre, and fixed_coords keeps it).
+    anchor x to the value at its partner) and `fixed_coords(x, X)` (the
+    coordinates in `embedding(x)` of the integer columns X, or None if one
+    is not fixed; a common scale of X carries over to them).
 
     Orbits are numbered in the order of their representatives, the smaller
     index of a free orbit's two tuples.  Per orbit there are arrays reps,
@@ -149,12 +142,13 @@ class OrbitBasis:
 
     def from_values(self, value_fn):
         """Stored coordinates of the cochain whose value at each orbit
-        representative is value_fn(tuple); the value at a fixed tuple must
-        be fixed by the involution."""
+        representative is value_fn(tuple), as a Scaled vector; the value
+        at a fixed tuple must be fixed by the involution."""
         values = [np.array(self.fibre.element(value_fn(self.level.tuple_at(r))),
                            dtype=object).reshape(-1, 1) for r in self.reps.tolist()]
         every = np.arange(len(values))
-        return assemble(self, 1, every, 0 * every, values, every, ValueError)[:, 0]
+        num, scale = assemble(self, 1, every, 0 * every, values, every, ValueError)
+        return exact.Scaled(num[:, 0], scale)
 
 
 def assemble(dst, ncols, rows, cols, mats, keys, error=AssertionError):
@@ -166,7 +160,9 @@ def assemble(dst, ncols, rows, cols, mats, keys, error=AssertionError):
     the corestriction of its columns, one batched call per anchor; a zero
     column stays zero, and a nonzero column that is not fixed raises
     error.  The sums run on the matrices that `exact.cleared` scales to
-    integers, in int64 when a bound shows that no sum can overflow."""
+    integers, in int64 when a bound shows that no sum can overflow, and
+    the result is that integer matrix with its scale, `exact.Scaled` (the
+    scale is 1 on an integral fibre)."""
     fibre, k = dst.fibre, dst.fibre.k
     num, scale = exact.cleared(np.concatenate(list(mats) + [exact.zeros(k, 0)], axis=1))
     # the nonzero entries (a, b, v) of the matrices, matrix by matrix
@@ -180,7 +176,7 @@ def assemble(dst, ncols, rows, cols, mats, keys, error=AssertionError):
     term = np.repeat(np.arange(len(keys)), per)
     e = np.repeat((np.cumsum(count) - count)[keys], per) + segments(per)
     if not e.size:
-        return fibre.zeros(dst.total, ncols)
+        return exact.Scaled(exact.zeros(dst.total, ncols), scale)
     if max(abs(x) for x in v) * len(keys) < 1 << 62:
         v = v.astype(np.int64)  # no sum of len(keys) entries can overflow
     code = (rows[term] * k + a[e]) * ncols + cols[term] + b[e] - first_col[owner[e]]
@@ -191,8 +187,8 @@ def assemble(dst, ncols, rows, cols, mats, keys, error=AssertionError):
     r, a, c = code // (k * ncols), code // ncols % k, code % ncols
     free = ~dst.fixed[r]
     # allocated once the term-sized arrays are gone
-    A = fibre.zeros(dst.total, ncols)
-    A[dst.offsets[r[free]] + a[free], c[free]] = fibre.scalars(v[free], scale)
+    A = exact.zeros(dst.total, ncols)
+    A[dst.offsets[r[free]] + a[free], c[free]] = v[free]
     # the k-vector of each (fixed orbit, column) pair, corestricted
     pair, col = np.unique(r[~free] * ncols + c[~free], return_inverse=True)
     X = exact.zeros(k, len(pair))
@@ -207,18 +203,18 @@ def assemble(dst, ncols, rows, cols, mats, keys, error=AssertionError):
                             if fibre.fixed_coords(x, X[:, [s]]) is None))
         else:
             rows_W = dst.offsets[orbit[sel]] + np.arange(W.shape[0])[:, None]
-            A[rows_W, c[sel]] = fibre.scalars(W, scale)
+            A[rows_W, c[sel]] = W
     if bad:
         tup = dst.level.tuple_at(dst.reps[min(bad)])
         raise error(f"value at fixed tuple {tup} is not fixed by the involution")
-    return A
+    return exact.Scaled(A, scale)
 
 
 def face_sum(dst, src, rows, tuples, factors, fkeys, error=AssertionError):
-    """The matrix from the orbit basis src to dst whose block at orbit
-    rows[t] of dst sums, over the terms t, factors[fkeys[t]] @ (the value
-    of src at its tuple tuples[t]).  Each distinct product of a factor and
-    a value matrix is formed once."""
+    """The Scaled matrix from the orbit basis src to dst whose block at
+    orbit rows[t] of dst sums, over the terms t, factors[fkeys[t]] @ (the
+    value of src at its tuple tuples[t]).  Each distinct product of a
+    factor and a value matrix is formed once."""
     if (tuples < 0).any():
         raise ValueError("a face is not a tuple of the nerve: the groupoid is not valid")
     nv = 2 * src.groupoid.n_objects + 1
@@ -229,10 +225,11 @@ def face_sum(dst, src, rows, tuples, factors, fkeys, error=AssertionError):
 
 
 def coboundary_matrix(src, dst, last_face=None):
-    """Matrix of d: C^n -> C^(n+1), the alternating sum of the face maps,
-    in the orbit bases src (degree n) and dst (degree n+1).  last_face(g),
-    if given, is the fibre map applied to the value at the last face of a
-    tuple with last arrow g, which is anchored at another object."""
+    """Scaled matrix of d: C^n -> C^(n+1), the alternating sum of the face
+    maps, in the orbit bases src (degree n) and dst (degree n+1).
+    last_face(g), if given, is the fibre map applied to the value at the
+    last face of a tuple with last arrow g, which is anchored at another
+    object."""
     n, reps = src.n, dst.reps
     tuples = np.concatenate([dst.level.faces[i][reps] for i in range(n + 2)])
     rows = np.tile(np.arange(len(reps)), n + 2)
@@ -349,12 +346,12 @@ class RealComplex:
         """Build a cochain from an S-valued function on nerve tuples; the
         function is sampled at orbit representatives (fixed tuples must
         land in the fixed subgroup)."""
-        return RealCochain(self, n, self.basis(n).from_values(value_fn))
+        return RealCochain(self, n, self.basis(n).from_values(value_fn).num)
 
     def differential_matrix(self, n):
         """Integer matrix of d: CR^n -> CR^(n+1) in the orbit bases."""
         if n not in self._diffs:
-            self._diffs[n] = coboundary_matrix(self.basis(n), self.basis(n + 1))
+            self._diffs[n] = coboundary_matrix(self.basis(n), self.basis(n + 1)).num
         return self._diffs[n]
 
     def _image(self, cochain):
@@ -500,7 +497,9 @@ def cochain_group(groupoid, S, n):
 
 
 def differential(groupoid, S, n):
-    return complex_for(groupoid, S).differential_matrix(n)
+    """d^n as an integer matrix, or for rational S a Fraction matrix."""
+    D = complex_for(groupoid, S).differential_matrix(n)
+    return exact.frac_divide(*D) if S.mode == "rational" else D
 
 
 def cohomology(groupoid, S, n):

@@ -8,15 +8,16 @@ working matrix D with vectorised numpy operations on an int64 copy, and
 promotes D to Python ints before any update whose result could reach
 2^62; the transforms are Python ints throughout, and the returned
 matrices are those of the scalar elimination, entry for entry.  Rational
-ranks are those of the Smith form of `cleared`, the integer matrix that
-the lcm of the denominators makes of a Fraction matrix; rational kernels
-and solutions row-reduce the Fractions.  No floating point anywhere.
+matrices are `Scaled` integer ones, num standing for num / scale, so ranks
+are Smith forms of num; `cleared` scales a Fraction matrix to that pair,
+and rational kernels row-reduce the Fractions.  No floating point anywhere.
 
 Everything here is a pure function of its inputs; concurrent use is safe.
 """
 
 import itertools
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -475,14 +476,14 @@ def cleared(mat):
     return num * (scale // den), scale
 
 
-# the Fraction num / scale of every entry of an integer matrix num
+# an integer matrix num standing for the rational matrix num / scale, and
+# the Fraction num / scale of every entry of num
+Scaled = namedtuple("Scaled", "num scale")
 frac_divide = np.frompyfunc(Fraction, 2, 1)
 
 
 def frac_zeros(m, n):
-    M = np.empty((m, n), dtype=object)
-    M[:, :] = Fraction(0)
-    return M
+    return np.full((m, n), Fraction(0), dtype=object)
 
 
 def _rref(M):
@@ -524,10 +525,7 @@ def frac_kernel(mat):
     if n == 0:
         return frac_zeros(0, 0)
     if m == 0 or M.size == 0:
-        K = frac_zeros(n, n)
-        for i in range(n):
-            K[i, i] = Fraction(1)
-        return K
+        return as_frac_matrix(eye(n))
     pivots = _rref(M)
     free = [c for c in range(n) if c not in pivots]
     K = frac_zeros(n, len(free))

@@ -84,7 +84,7 @@ def induced_cochain_map(cx_a, cx_b, f, n):
     mats = [exact.as_int_matrix(f) @ _values(ba, fixed) for fixed in (False, True)]
     return assemble(bb, ba.total, np.arange(len(ba.reps)), ba.offsets, mats,
                     ba.fixed.astype(int),
-                    lambda _: SequenceError("map does not respect the fixed subgroups"))
+                    lambda _: SequenceError("map does not respect the fixed subgroups")).num
 
 
 def _values(basis, fixed):

@@ -16,7 +16,8 @@ counting-measure cutoff c(x) = 1/|G^x| feeds the contraction
                       c(src gamma) * act(gamma) f(g_1..g_n, gamma)
 
 and h d + d h = identity in every degree >= 1, which is the vanishing
-theorem at matrix level.  All arithmetic is exact rational.
+theorem at matrix level.  d and h are `exact.Scaled` integer matrices
+with one scale each; a coboundary witness is h c, checked by d h c = c.
 """
 
 import math
@@ -61,9 +62,6 @@ class RepFibre:
     basis, which has a unit row at each free column: the coordinates of
     a fixed vector are its entries at those rows."""
 
-    zeros = staticmethod(exact.frac_zeros)
-    scalars = staticmethod(exact.frac_divide)
-
     def __init__(self, rep):
         self.rep = rep
         self.k = rep.dim
@@ -82,9 +80,7 @@ class RepFibre:
         # for each column
         if x not in self._fixed_basis:
             E = exact.frac_kernel(self.rep.nu[x] - self.identity)
-            units = [next(i for i, row in enumerate(E.tolist())
-                          if row == [int(j == c) for j in range(E.shape[1])])
-                     for c in range(E.shape[1])]
+            units = [E.tolist().index(u) for u in exact.eye(E.shape[1]).tolist()]
             self._fixed_basis[x] = E, exact.cleared(E), units
         return self._fixed_basis[x]
 
@@ -127,6 +123,7 @@ class RepComplex:
         return self._bases[n]
 
     def differential_matrix(self, n):
+        """d: C^n -> C^(n+1) as Scaled(num, scale), the matrix num / scale."""
         if n not in self._diffs:
             # the last face is anchored at tgt(g_(n+1)); act^-1 moves it back
             self._diffs[n] = coboundary_matrix(
@@ -136,11 +133,11 @@ class RepComplex:
     def differential_rank(self, n):
         """Rank of d^n over Q, computed once per degree."""
         if n not in self._ranks:
-            self._ranks[n] = exact.frac_rank(self.differential_matrix(n))
+            self._ranks[n] = len(exact.invariant_factors(self.differential_matrix(n).num))
         return self._ranks[n]
 
     def contraction_matrix(self, n):
-        """h: C^(n+1) -> C^n (requires the cutoff; exact rationals)."""
+        """h: C^(n+1) -> C^n as Scaled(num, scale) (requires the cutoff)."""
         if n not in self._homos:
             dst, src = self.basis(n), self.basis(n + 1)
             G = self.groupoid
@@ -160,23 +157,28 @@ class RepComplex:
         return RationalCohomology(self, n)
 
     def is_cocycle(self, n, vec):
-        D = self.differential_matrix(n)
-        out = D @ np.array([Fraction(v) for v in vec], dtype=object)
-        return all(v == 0 for v in out)
+        D = self.differential_matrix(n).num
+        return not (D @ np.array([Fraction(v) for v in vec], dtype=object)).any()
 
     def is_coboundary(self, n, vec):
-        """A rational primitive b with db = vec, or None.  For n >= 1 on a
-        finite groupoid every cocycle has one (the contraction builds it:
-        b = h(vec) when vec is a cocycle)."""
+        """A rational primitive b with db = vec, or None if vec is not a
+        cocycle.  For n >= 1 it is b = h(vec), since d h c = c - h d c = c;
+        ValueError if d b != vec, as for a cutoff without unit mass."""
+        c = np.array([Fraction(v) for v in vec], dtype=object)
         if n == 0:
-            v = np.array([Fraction(x) for x in vec], dtype=object)
-            return v if all(x == 0 for x in v) else None
-        D = self.differential_matrix(n - 1)
-        return exact.frac_solve(D, [Fraction(v) for v in vec])
+            return None if c.any() else c
+        if not self.is_cocycle(n, c):
+            return None
+        (H, h), (D, d) = self.contraction_matrix(n - 1), self.differential_matrix(n - 1)
+        b = exact.frac_divide(H @ c, h)
+        if (D @ b != d * c).any():
+            raise ValueError(f"h d + d h is not the identity in degree {n}: "
+                             "h c is no primitive of the cocycle c")
+        return b
 
     def from_values(self, n, value_fn):
         """Cochain vector from a fiber-valued function on nerve tuples."""
-        return self.basis(n).from_values(value_fn)
+        return exact.frac_divide(*self.basis(n).from_values(value_fn))
 
 
 class RationalCohomology(exact.GroupKey):
@@ -197,14 +199,14 @@ class RationalCohomology(exact.GroupKey):
 # -- checks used by the acceptance suite --------------------------------
 
 def homotopy_identity_matrices(complex_, n):
-    """(h d + d h, expected multiple of identity) on degree n >= 1,
-    computed with cleared denominators; in C-speed int64 arithmetic when a
+    """(h d + d h, expected multiple of identity) on degree n >= 1, from
+    the integer numerators of d and h; in C-speed int64 arithmetic when a
     bound on every entry proves that nothing can overflow, else in Python
     ints."""
-    (Dn, dn), (Dp, dp), (Hn, hn), (Hp, hp) = (exact.cleared(M) for M in (
-        complex_.differential_matrix(n), complex_.differential_matrix(n - 1),
-        complex_.contraction_matrix(n),        # C^(n+1) -> C^n
-        complex_.contraction_matrix(n - 1)))   # C^n -> C^(n-1)
+    Dn, dn = complex_.differential_matrix(n)
+    Dp, dp = complex_.differential_matrix(n - 1)
+    Hn, hn = complex_.contraction_matrix(n)        # C^(n+1) -> C^n
+    Hp, hp = complex_.contraction_matrix(n - 1)    # C^n -> C^(n-1)
     # Hn @ Dn is hn*dn times h d and Dp @ Hp is dp*hp times d h; fn and fp
     # bring both to one multiple of h d + d h
     scale = math.lcm(hn * dn, dp * hp)

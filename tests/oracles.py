@@ -420,7 +420,7 @@ class LoopBasis:
 
     def corestrict(self, oid, X):
         anchor = self.orbits[oid][3]
-        W = self.fibre.zeros(self.widths[oid], X.shape[1])
+        W = fibre_zeros(self.fibre, self.widths[oid], X.shape[1])
         for c in range(X.shape[1]):
             if hasattr(self.fibre, "to_fixed_coords"):
                 w = self.fibre.to_fixed_coords(X[:, c])
@@ -438,8 +438,14 @@ class LoopBasis:
         return loop_assemble(self, 1, blocks, ValueError)[:, 0]
 
 
+def fibre_zeros(fibre, m, n):
+    """Zeros of the fibre's scalars: Python ints on the integral fibre
+    (`SBlocks`), Fractions on the rational one."""
+    return exact.zeros(m, n) if hasattr(fibre, "to_fixed_coords") else exact.frac_zeros(m, n)
+
+
 def loop_assemble(dst, ncols, blocks, error=AssertionError):
-    A = dst.fibre.zeros(dst.total, ncols)
+    A = fibre_zeros(dst.fibre, dst.total, ncols)
     for oid, (kind, rep, _, anchor) in enumerate(dst.orbits):
         tup = dst.level.tuple_at(rep)
         r = dst.offsets[oid]
@@ -466,7 +472,7 @@ def loop_face_sum(src, terms):
         if not M.shape[1]:
             continue
         if off not in blocks:
-            blocks[off] = fibre.zeros(fibre.k, M.shape[1])
+            blocks[off] = fibre_zeros(fibre, fibre.k, M.shape[1])
         blocks[off] += coef * (M if L is None else L @ M)
     return blocks.items()
 

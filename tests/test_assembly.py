@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from realcech import exact, standard
-from realcech.cochains import RealComplex, SBlocks, assemble
+from realcech.cochains import RealComplex, SBlocks, assemble, complex_for, differential
 from realcech.coefficients import (RealCoefficientGroup, RealRepresentation,
                                    make_standard)
 from realcech.groupoids import FiniteRealGroupoid
@@ -20,7 +20,12 @@ from realcech.proper import RepComplex
 from oracles import (DictLevel, LoopBasis, degeneracy, face, loop_coboundary_matrix,
                      loop_contraction_matrix, loop_induced_cochain_map,
                      loop_simplicial_identities, loop_solve)
-from test_proper import corpus_representations
+from test_proper import corpus_representations, rational_cases
+
+
+def fractions(scaled):
+    """The Fraction matrix num / scale of a Scaled matrix."""
+    return exact.frac_divide(*scaled)
 
 
 def assert_same(A, B):
@@ -145,7 +150,8 @@ class TestIntegralAssembly:
                             v = S.add_tuples(v, S.tau_tuple(v))
                         return values.setdefault(tup, v)
 
-                    got = cx.basis(n).from_values(value)
+                    got, scale = cx.basis(n).from_values(value)
+                    assert scale == 1
                     assert_same(got, LoopBasis(g, cx.sb, n).from_values(values.get))
 
     def test_non_fixed_value_raises_like_the_loop(self):
@@ -190,9 +196,9 @@ class TestIntegralAssembly:
         z = make_standard("Z_trivial")
         for g in (standard.discrete_space(2), standard.pair_groupoid(2, [1, 0])):
             dst = RealComplex(g, z).basis(0)
-            A = assemble(dst, 1, np.zeros(2, int), np.zeros(2, int),
-                         [exact.as_int_matrix([[big]])], np.zeros(2, int))
-            assert A[0, 0] == 2 * big and type(A[0, 0]) is int
+            A, scale = assemble(dst, 1, np.zeros(2, int), np.zeros(2, int),
+                                [exact.as_int_matrix([[big]])], np.zeros(2, int))
+            assert A[0, 0] == 2 * big and type(A[0, 0]) is int and scale == 1
 
 
 class TestRationalAssembly:
@@ -200,8 +206,15 @@ class TestRationalAssembly:
         for name, rep in vanish_representations():
             cx = RepComplex(rep.groupoid, rep)
             for n in range(4):
-                assert_same(cx.differential_matrix(n), loop_differential(cx, n))
-                assert_same(cx.contraction_matrix(n), loop_contraction_matrix(cx, n))
+                assert_same(fractions(cx.differential_matrix(n)), loop_differential(cx, n))
+                assert_same(fractions(cx.contraction_matrix(n)),
+                            loop_contraction_matrix(cx, n))
+
+    def test_public_differential_is_the_fraction_matrix(self, corpus):
+        q11 = make_standard("Q(1,1)")
+        for name, g in corpus:
+            for n in range(3):
+                assert_same(differential(g, q11, n), loop_differential(complex_for(g, q11), n))
 
     def test_from_values_matches_the_loop(self):
         rng = random.Random(8)
@@ -229,8 +242,8 @@ class TestRationalAssembly:
         assert rep.validate() == []
         cx = RepComplex(g, rep)
         for n in range(3):
-            assert_same(cx.differential_matrix(n), loop_differential(cx, n))
-            assert_same(cx.contraction_matrix(n), loop_contraction_matrix(cx, n))
+            assert_same(fractions(cx.differential_matrix(n)), loop_differential(cx, n))
+            assert_same(fractions(cx.contraction_matrix(n)), loop_contraction_matrix(cx, n))
 
     def test_non_real_action_raises_like_the_loop(self):
         # the swap action does not commute with nu = diag(1, -1): the value
@@ -266,6 +279,28 @@ class TestRationalAssembly:
                         assert (got is None) == (want is None)
                         if got is not None:
                             assert got[:, 0].tolist() == want.tolist()
+
+
+def test_coboundary_witnesses_match_the_fraction_path():
+    """On the rational cases in degrees 1-3, a cocycle and a perturbed one
+    have a primitive exactly when Fraction elimination on the loop d finds
+    one, and the witness b has d b = c.  That num / scale equals the loop
+    matrices, and that ranks and contraction verdicts equal Fraction
+    arithmetic, is checked by test_d_and_h_match_the_loop and by
+    test_proper.test_vanishing_and_contraction_match_fraction_arithmetic."""
+    rng = random.Random(23)
+    for name, g, rep in rational_cases():
+        cx = RepComplex(g, rep)
+        D = [loop_differential(cx, n) for n in range(4)]
+        for n in (1, 2, 3):
+            prim = np.array([Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                             for _ in range(D[n - 1].shape[1])], dtype=object)
+            noise = np.array([Fraction(rng.randint(-1, 1)) for _ in range(D[n].shape[1])],
+                             dtype=object)
+            for c in (D[n - 1] @ prim, D[n - 1] @ prim + noise):
+                b = cx.is_coboundary(n, c)
+                assert (b is None) == (exact.frac_solve(D[n - 1], c) is None), (name, n)
+                assert b is None or (D[n - 1] @ b == c).all(), (name, n)
 
 
 def test_batched_solve_matches_column_solves():

@@ -71,7 +71,7 @@ class TestRepresentationComplex:
         for name, g, rep in corpus_representations():
             cx = RepComplex(g, rep)
             for n in (0, 1):
-                P = cx.differential_matrix(n + 1) @ cx.differential_matrix(n)
+                P = cx.differential_matrix(n + 1).num @ cx.differential_matrix(n).num
                 assert all(v == 0 for v in P.flat), (name, n)
 
     def test_reality_preserved_by_h(self):
@@ -81,7 +81,7 @@ class TestRepresentationComplex:
         rng = random.Random(17)
         for name, g, rep in corpus_representations():
             cx = RepComplex(g, rep)
-            H = cx.contraction_matrix(1)
+            H = exact.frac_divide(*cx.contraction_matrix(1))
             src = cx.basis(2)
             vec = np.array([Fraction(rng.randint(-3, 3))
                             for _ in range(src.total)], dtype=object)
@@ -100,7 +100,7 @@ class TestHomotopyIdentity:
     def test_zero_cochain_maps_to_zero(self):
         _, g, rep = corpus_representations()[0]
         cx = RepComplex(g, rep)
-        H = cx.contraction_matrix(1)
+        H = exact.frac_divide(*cx.contraction_matrix(1))
         zero = np.array([Fraction(0)] * cx.basis(2).total, dtype=object)
         assert all(v == 0 for v in (H @ zero))
 
@@ -109,10 +109,9 @@ class TestHomotopyIdentity:
         for name, g, rep in corpus_representations()[:3]:
             cx = RepComplex(g, rep)
             for n in (1, 2):
-                D_n = cx.differential_matrix(n)
-                D_prev = cx.differential_matrix(n - 1)
-                H_n = cx.contraction_matrix(n)
-                H_prev = cx.contraction_matrix(n - 1)
+                D_n, D_prev, H_n, H_prev = (exact.frac_divide(*M) for M in (
+                    cx.differential_matrix(n), cx.differential_matrix(n - 1),
+                    cx.contraction_matrix(n), cx.contraction_matrix(n - 1)))
                 total = cx.basis(n).total
                 for _ in range(3):
                     f = np.array([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
@@ -166,7 +165,7 @@ class TestVanishing:
             cx = RepComplex(g, rep)
             for n in (1, 2):
                 total = cx.basis(n).total
-                D = cx.differential_matrix(n - 1)
+                D = exact.frac_divide(*cx.differential_matrix(n - 1))
                 prim = np.array([Fraction(rng.randint(-3, 3), rng.randint(1, 2))
                                  for _ in range(cx.basis(n - 1).total)],
                                 dtype=object)
@@ -174,28 +173,32 @@ class TestVanishing:
                 assert cx.is_cocycle(n, z), name
                 b = cx.is_coboundary(n, z)
                 assert b is not None, name
-                back = cx.differential_matrix(n - 1) @ b
+                back = D @ b
                 assert all(back[i] == z[i] for i in range(total)), name
                 # the contraction gives the same conclusion directly
-                H = cx.contraction_matrix(n - 1)
+                H = exact.frac_divide(*cx.contraction_matrix(n - 1))
                 hb = H @ z
-                assert all((cx.differential_matrix(n - 1) @ hb)[i] == z[i]
-                           for i in range(total)), name
+                assert all((D @ hb)[i] == z[i] for i in range(total)), name
 
 
 class _OneByOneComplex:
     """A stand-in complex of 1x1 matrices: d^1, d^0, h^1 and h^0 are the
-    given numbers (by default all 2**39)."""
+    given numbers (by default all 2**39), each as its numerator over its
+    denominator."""
 
     def __init__(self, d1=2 ** 39, d0=2 ** 39, h1=2 ** 39, h0=2 ** 39):
         self.d = {1: Fraction(d1), 0: Fraction(d0)}
         self.h = {1: Fraction(h1), 0: Fraction(h0)}
 
+    @staticmethod
+    def _scaled(x):
+        return exact.Scaled(np.array([[x.numerator]], dtype=object), x.denominator)
+
     def differential_matrix(self, n):
-        return np.array([[self.d[n]]], dtype=object)
+        return self._scaled(self.d[n])
 
     def contraction_matrix(self, n):
-        return np.array([[self.h[n]]], dtype=object)
+        return self._scaled(self.h[n])
 
     def basis(self, n):
         return SimpleNamespace(total=1)
@@ -254,7 +257,13 @@ def test_vanishing_and_contraction_match_fraction_arithmetic():
     for name, g, rep in rational_cases():
         report = vanishing_check(g, rep, 3)
         cx = RepComplex(g, rep)
-        H, D = cx.contraction_matrix, cx.differential_matrix
+
+        def H(n):
+            return exact.frac_divide(*cx.contraction_matrix(n))
+
+        def D(n):
+            return exact.frac_divide(*cx.differential_matrix(n))
+
         for row in report:
             n = row["degree"]
             assert row["rank_kernel"] == cx.basis(n).total - rank(D(n)), (name, n)
@@ -267,11 +276,11 @@ def test_vanishing_and_contraction_match_fraction_arithmetic():
 
 
 def test_vanishing_check_ranks_each_differential_once(monkeypatch):
-    from realcech import exact
+    # the ranks are the invariant factors of the integer numerators of d
     calls = []
-    frac_rank = exact.frac_rank
-    monkeypatch.setattr(exact, "frac_rank",
-                        lambda M: calls.append(M.shape) or frac_rank(M))
+    invariant_factors = exact.invariant_factors
+    monkeypatch.setattr(exact, "invariant_factors",
+                        lambda M: calls.append(M.shape) or invariant_factors(M))
     z3 = standard.cyclic_group(3)
     report = vanishing_check(z3, RealRepresentation.trivial(z3, 1, 1), 3)
     assert len(calls) == 4
@@ -280,3 +289,46 @@ def test_vanishing_check_ranks_each_differential_once(monkeypatch):
         {"degree": 2, "rank_kernel": 3, "rank_image": 3, "free_rank": 0},
         {"degree": 3, "rank_kernel": 6, "rank_image": 6, "free_rank": 0},
     ]
+
+
+def test_coboundary_witness_is_checked_against_the_cutoff():
+    # a doubled cutoff doubles h, so d h' c = 2c for every cocycle c != 0:
+    # the witness h' c fails d b = c and is refused, naming the degree
+    z3 = standard.cyclic_group(3)
+    rep = RealRepresentation.trivial(z3, 1, 1)
+    good = RepComplex(z3, rep)
+    bad = RepComplex(z3, rep, cutoff=[2 * c for c in canonical_cutoff(z3)])
+    assert verify_cutoff(z3, bad.cutoff) != []
+    rng = random.Random(5)
+    for n in (2, 3):   # d^0 = 0 here, so degree 1 has no nonzero cocycle
+        D = exact.frac_divide(*good.differential_matrix(n - 1))
+        prim = np.array([Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                         for _ in range(D.shape[1])], dtype=object)
+        c = D @ prim
+        assert c.any()
+        b = good.is_coboundary(n, c)
+        assert all(D @ b == c)
+        with pytest.raises(ValueError, match=rf"^h d \+ d h is not the identity in degree {n}:"):
+            bad.is_coboundary(n, c)
+        # the zero cocycle keeps its zero witness, a non-cocycle has none
+        assert not bad.is_coboundary(n, 0 * c).any()
+        e = np.array([Fraction(int(i == 0)) for i in range(len(c))], dtype=object)
+        assert bad.is_coboundary(n, e) is None and good.is_coboundary(n, e) is None
+    zero = [0] * good.basis(0).total
+    assert not good.is_coboundary(0, zero).any()
+    assert good.is_coboundary(0, [1] + zero[1:]) is None
+
+
+def test_only_fibre_sized_blocks_are_cleared(monkeypatch):
+    # d and h stay integer matrices with a scale from their assembly on:
+    # no nerve-sized matrix goes through exact.cleared
+    rows = []
+    cleared = exact.cleared
+    monkeypatch.setattr(exact, "cleared",
+                        lambda M: rows.append(np.shape(M)[0]) or cleared(M))
+    p3 = standard.pair_groupoid(3)
+    rep = RealRepresentation.trivial(p3, 1, 1)
+    assert [r["free_rank"] for r in vanishing_check(p3, rep, 3)] == [0, 0, 0]
+    cx = RepComplex(p3, rep)
+    assert all(contraction_is_homotopy(cx, n) for n in (1, 2, 3))
+    assert rows and max(rows) <= rep.dim
