@@ -10,8 +10,10 @@ exhaustive equivariant-map search) which must agree.
 
 import itertools
 
+import numpy as np
+
 from .cochains import RealComplex
-from .extensions import cocycle_witness
+from .extensions import as_cochain, cocycle_witness, element_index, group_tables
 
 
 class BundleError(ValueError):
@@ -25,11 +27,8 @@ class RealPrincipalBundle:
     def __init__(self, groupoid, S, cocycle):
         self.groupoid = groupoid
         self.S = S
-        self.cx = cocycle.complex if hasattr(cocycle, "complex") \
-            else RealComplex(groupoid, S)
-        if not hasattr(cocycle, "vector"):
-            cocycle = self.cx.cochain(1, cocycle)
-        self.cocycle = cocycle
+        self.cocycle = as_cochain(groupoid, S, 1, cocycle, BundleError)
+        self.cx = self.cocycle.complex
 
     def points(self):
         return [(x, s) for x in range(self.groupoid.n_objects)
@@ -54,40 +53,38 @@ class RealPrincipalBundle:
         return (int(self.groupoid.rho_obj[z[0]]), self.S.tau_tuple(z[1]))
 
     def verify(self):
-        """The real action axioms, re-checked on the materialized tables."""
-        G, S = self.groupoid, self.S
-        bad = []
-        for z in self.points():
-            if self.anchor(self.invol(z)) != int(G.rho_obj[self.anchor(z)]):
-                bad.append(f"anchor not equivariant at {z}")
-        for g in range(G.n_arrows):
-            for s in S.elements():
-                z = (int(G.src[g]), s)
-                gz = self.act(g, z)
-                if self.anchor(gz) != int(G.tgt[g]):
-                    bad.append(f"action breaks the anchor at {g}")
-                # involution intertwines the actions
-                if self.invol(gz) != self.act(int(G.rho_arr[g]), self.invol(z)):
-                    bad.append(f"involution not action-equivariant at ({g},{s})")
-                # S-action commutes with the groupoid action
-                for t in S.elements():
-                    if self.act(g, self.s_act(t, z)) != self.s_act(t, gz):
-                        bad.append(f"S-action does not commute at ({g},{s},{t})")
-        for x in range(G.n_objects):
-            u = int(G.unit[x])
-            for s in S.elements():
-                if self.act(u, (x, s)) != (x, s):
-                    bad.append(f"unit acts nontrivially at ({x},{s})")
-        for g in range(G.n_arrows):
-            for h in range(G.n_arrows):
-                k = G.comp[g, h]
-                if k < 0:
-                    continue
-                for s in S.elements():
-                    z = (int(G.src[h]), s)
-                    if self.act(g, self.act(h, z)) != self.act(int(k), z):
-                        bad.append(f"action not associative at ({g},{h},{s})")
-        return bad
+        """The real action axioms, re-checked on the materialized tables.
+        A point (x, s) is numbered x * |S| + i for s element i of
+        S.elements(); act[g, i] is g applied to (src g, s)."""
+        G = self.groupoid
+        ts, add, tau = group_tables(self.S)
+        ns, s = len(ts), np.arange(len(ts))
+        c = element_index(self.S, self.cx.basis(1).values(self.cocycle.vector))
+        points = np.arange(G.n_objects * ns)
+        invol = G.rho_obj[points // ns] * ns + tau[points % ns]
+        s_act = points - points % ns + add[:, points % ns]
+        act = G.tgt[:, None] * ns + add[c]
+        g, x = np.arange(G.n_arrows)[:, None], np.arange(G.n_objects)[:, None]
+        z = G.src[g] * ns + s
+        at_arrow = np.concatenate([
+            (act // ns != G.tgt[g])[..., None],
+            (invol[act] != act[G.rho_arr[g], invol[z] % ns])[..., None],
+            np.moveaxis(act[g, s_act[:, z] % ns] != s_act[:, act], 0, -1)],
+            axis=-1)
+        k = G.comp[:, :, None]
+        checks = [
+            ((invol // ns != G.rho_obj[points // ns]).reshape(-1, ns),
+             lambda x, s: f"anchor not equivariant at {(x, ts[s])}"),
+            (at_arrow, lambda g, s, j: (
+                f"action breaks the anchor at {g}" if j == 0 else
+                f"involution not action-equivariant at ({g},{ts[s]})" if j == 1
+                else f"S-action does not commute at ({g},{ts[s]},{ts[j - 2]})")),
+            (act[G.unit[x], s] != x * ns + s,
+             lambda x, s: f"unit acts nontrivially at ({x},{ts[s]})"),
+            ((k >= 0) & (act[g[..., None], act % ns] != act[k, s]),
+             lambda g, h, s: f"action not associative at ({g},{h},{ts[s]})")]
+        return [message(*w) for mask, message in checks
+                for w in np.argwhere(mask).tolist()]
 
 
 def bundle_from_cocycle(groupoid, S, c):
@@ -95,27 +92,17 @@ def bundle_from_cocycle(groupoid, S, c):
     with a witness pair when dc != 0."""
     if not S.is_finite():
         raise BundleError("only finite coefficient groups can be materialized")
-    cx = c.complex if hasattr(c, "complex") else RealComplex(groupoid, S)
-    if not hasattr(c, "vector"):
-        c = cx.cochain(1, c)
+    c = as_cochain(groupoid, S, 1, c, BundleError)
+    cx = c.complex
     if not cx.is_cocycle(c):
         raise BundleError(
             f"not a cocycle: action fails over pair {cocycle_witness(cx, c)}")
     return RealPrincipalBundle(groupoid, S, c)
 
 
-def _aligned(z1, z2):
-    if z1.groupoid is z2.groupoid and z1.S is z2.S:
-        return z2.cocycle
-    if not (z1.groupoid.structurally_equal(z2.groupoid)
-            and z1.S.structurally_equal(z2.S)):
-        raise BundleError("bundles must share base and coefficients")
-    return z1.cx.cochain(1, z2.cocycle.vector)
-
-
 def bundle_sum(z1, z2):
     """Contracted product; at cocycle level the cocycles add."""
-    other = _aligned(z1, z2)
+    other = as_cochain(z1.groupoid, z1.S, 1, z2.cocycle, BundleError, z1.cx)
     return RealPrincipalBundle(z1.groupoid, z1.S, z1.cocycle + other)
 
 
@@ -130,7 +117,7 @@ def bundles_isomorphic(z1, z2, cross_check=False):
     The cohomological route tests whether c1 - c2 is a coboundary; with
     cross_check=True the exhaustive search over equivariant maps is also
     run and must agree."""
-    other = _aligned(z1, z2)
+    other = as_cochain(z1.groupoid, z1.S, 1, z2.cocycle, BundleError, z1.cx)
     cx = z1.cx
     diff = z1.cocycle - other
     witness = cx.is_coboundary(diff)

@@ -283,6 +283,19 @@ class LevelBasis(OrbitBasis):
         val = M @ coords if w else exact.zeros(self.fibre.k, 1)[:, 0]
         return self.fibre.S.reduce_tuple(tuple(val))
 
+    def values(self, vector):
+        """Evaluate a stored coordinate vector at every tuple of the level:
+        a (count, k) object array of reduced S-values in level order."""
+        S, vector = self.fibre.S, np.asarray(vector, dtype=object)
+        out = exact.zeros(len(self.level), self.fibre.k)
+        for key in np.unique(self.value_key).tolist():
+            at = np.flatnonzero(self.value_key == key)
+            M = self.value_matrix(key)
+            cols = self.offsets[self.orbit_of[at]][:, None] + np.arange(M.shape[1])
+            out[at] = vector[cols] @ M.T
+        out[:, S.free_rank:] %= np.array(S.invariant_factors, dtype=object)
+        return out
+
 
 class RealCochain:
     """A degree-n real cochain in stored orbit coordinates."""

@@ -8,6 +8,14 @@ extension groupoid materializes omega as arrows S x G with product
 from any equivariant section via s(g1)s(g2) = omega(g1,g2) . s(g1 g2),
 so extract(build(omega)) == omega on the nose.
 
+Cochains are read as arrays, one evaluation per nerve level
+(`LevelBasis.values`): the product table of the extension groupoid
+reads omega once per composable pair, and the grading checks are masks
+over the arrows and the composition table.  An extension's explicit data
+(`AbstractExtension`: dicts of elements, product, S-action, involution
+and units) is checked by materializing it as a FiniteRealGroupoid and
+running its `validate`, plus two masks that `validate` does not cover.
+
 Sign conventions (kappa is a designated involution-fixed element of
 order 2, the image of -1):
 
@@ -20,11 +28,14 @@ product with the graded sign rule) is implemented independently and used
 as the oracle for the cup formula and the Dixmier-Douady sum law.
 """
 
+from functools import cached_property
+from math import prod
+
 import numpy as np
 
-from .cochains import RealComplex, complex_for
+from .cochains import RealCochain, RealComplex, complex_for
 from .coefficients import make_standard
-from .groupoids import FiniteRealGroupoid
+from .groupoids import FiniteRealGroupoid, _failures, max_arrows
 
 Z2 = make_standard("Z2_trivial")
 
@@ -33,55 +44,90 @@ class TwistError(ValueError):
     pass
 
 
+def as_cochain(base, S, n, value, error, cx=None):
+    """value as a degree-n cochain of (base, S).  A cochain of these very
+    objects is returned as it is; one of a structurally equal pair is
+    rebased into cx (by default a new complex of (base, S)), as equal data
+    give identical orbit bases; anything else that is a cochain raises
+    error naming both pairs.  Any other value is a coordinate vector."""
+    if isinstance(value, RealCochain):
+        own = value.complex
+        same = own.groupoid is base and own.S is S
+        if not (same or own.groupoid.structurally_equal(base)
+                and own.S.structurally_equal(S)):
+            raise error(f"expected a cochain of {base!r} with {S!r}, got one "
+                        f"of {own.groupoid!r} with {own.S!r}")
+        if value.degree != n:
+            raise error(f"expected a degree-{n} cochain, got degree {value.degree}")
+        if same:
+            return value
+        value = value.vector
+    return (cx or RealComplex(base, S)).cochain(n, value)
+
+
+def element_index(S, values):
+    """The position in S.elements() of every S-value along the last axis
+    of an integer array (S finite)."""
+    d = S.invariant_factors
+    strides = np.array([prod(d[j + 1:]) for j in range(len(d))], dtype=np.int64)
+    return (np.asarray(values, dtype=np.int64) % d) @ strides
+
+
+def group_tables(S):
+    """The elements of a finite S, and as positions among them the sum
+    table add[i, j] and the involution tau[i]."""
+    ts = list(S.elements())
+    T = np.array(ts, dtype=np.int64).reshape(len(ts), S.ngens)
+    return ts, element_index(S, T[:, None] + T), element_index(S, T @ S.tau.T.astype(np.int64))
+
+
+def _values(c):
+    """The values of a cochain at every tuple of its level, in level order."""
+    return c.complex.basis(c.degree).values(c.vector)
+
+
+def _bits(delta):
+    """A Z/2-valued 1-cochain as a 0/1 array over the arrows."""
+    return _values(delta)[:, 0].astype(np.int64)
+
+
 class GradedTwist:
     """(base, S, omega, delta) with omega normalized.  omega and delta are
     RealCochain values living in the base's cochain complexes."""
 
-    def __init__(self, base, S, omega, delta=None, check=True):
+    def __init__(self, base, S, omega, delta=None):
         self.base = base
         self.S = S
-        self.cx = omega.complex if hasattr(omega, "complex") else RealComplex(base, S)
-        if not hasattr(omega, "vector"):
-            omega = self.cx.cochain(2, omega)
-        self.omega = omega
-        self.zcx = RealComplex(base, Z2)
+        self.omega = as_cochain(base, S, 2, omega, TwistError)
+        self.cx = self.omega.complex
         if delta is None:
-            delta = self.zcx.zero_cochain(1)
-        elif not hasattr(delta, "vector"):
-            delta = self.zcx.cochain(1, delta)
-        self.delta = delta
-        if check:
-            if not self.cx.is_cocycle(self.omega):
-                raise TwistError("omega is not a 2-cocycle")
-            if not _is_normalized(base, self.omega):
-                raise TwistError("omega is not normalized on unit pairs")
-            if not self.zcx.is_cocycle(self.delta):
-                raise TwistError("delta is not a 1-cocycle")
+            delta = RealComplex(base, Z2).zero_cochain(1)
+        self.delta = as_cochain(base, Z2, 1, delta, TwistError)
+        self.zcx = self.delta.complex
+        if not self.cx.is_cocycle(self.omega):
+            raise TwistError("omega is not a 2-cocycle")
+        if not _is_normalized(base, self.omega):
+            raise TwistError("omega is not normalized on unit pairs")
+        if not self.zcx.is_cocycle(self.delta):
+            raise TwistError("delta is not a 1-cocycle")
 
-    def delta_value(self, g):
-        return int(self.delta.value_at((g,))[0]) % 2
 
-    def grading_is_zero(self):
-        return all(self.delta_value(g) == 0 for g in range(self.base.n_arrows))
+def _unit_pairs(cx):
+    """The positions in level 2 of (unit(tgt g), g) and of (g, unit(src g)),
+    over the arrows g."""
+    G, g = cx.groupoid, np.arange(cx.groupoid.n_arrows)
+    find = cx.basis(2).level.find
+    return find(np.column_stack([G.unit[G.tgt], g])), find(np.column_stack([g, G.unit[G.src]]))
 
 
 def _is_normalized(base, omega):
-    for g in range(base.n_arrows):
-        u_t = int(base.unit[base.tgt[g]])
-        u_s = int(base.unit[base.src[g]])
-        if any(v != 0 for v in omega.value_at((u_t, g))):
-            return False
-        if any(v != 0 for v in omega.value_at((g, u_s))):
-            return False
-    return True
+    return not (_values(omega)[np.concatenate(_unit_pairs(omega.complex))] != 0).any()
 
 
 def normalize_cocycle(cx, omega):
     """Subtract the canonical coboundary so unit pairs map to zero."""
-    base = cx.groupoid
-    b = cx.from_values(
-        1, lambda t: omega.value_at((int(base.unit[base.tgt[t[0]]]), t[0])))
-    return omega - cx.d(b)
+    w = _values(omega)[_unit_pairs(cx)[0]]
+    return omega - cx.d(cx.from_values(1, lambda t: w[t[0]]))
 
 
 class AbstractExtension:
@@ -112,51 +158,52 @@ class AbstractExtension:
                 return t
         raise AssertionError("fiber is not an S-torsor")
 
+    @cached_property
+    def _numbering(self):
+        """(position of each element, base arrow under each position)."""
+        return ({z: i for i, z in enumerate(self.elements)},
+                np.array([self.pi[z] for z in self.elements], dtype=np.int64))
+
+    def as_groupoid(self):
+        """Materialize as a FiniteRealGroupoid: arrow i is elements[i], and
+        its inverse is the arrow whose product with it is the unit at its
+        target."""
+        base, (index, pi) = self.base, self._numbering
+        table = np.full((len(pi), len(pi)), -1, dtype=np.int64)
+        a, b, c = np.array([(index[z], index[w], index[v])
+                            for (z, w), v in self.mult.items()],
+                           dtype=np.int64).reshape(-1, 3).T
+        table[a, b] = c
+        unit = np.array([index[self.units[x]] for x in range(base.n_objects)],
+                        dtype=np.int64)
+        inv = np.argmax(table == unit[base.tgt[pi]][:, None], axis=1)
+        rho = [index[self.invol[z]] for z in self.elements]
+        return FiniteRealGroupoid(base.n_objects, base.src[pi], base.tgt[pi],
+                                  unit, table, inv, base.rho_obj.copy(), rho)
+
     def verify(self):
-        """Groupoid-style sanity checks; list of violations."""
-        bad = []
-        G = self.base
-        for z in self.elements:
-            for w in self.elements:
-                g, h = self.pi[z], self.pi[w]
-                if G.src[g] == G.tgt[h]:
-                    zw = self.mult[(z, w)]
-                    if self.pi[zw] != G.comp[g, h]:
-                        bad.append(f"projection not multiplicative at {z},{w}")
-        for z in self.elements:
-            for w in self.elements:
-                for v in self.elements:
-                    g, h, k = self.pi[z], self.pi[w], self.pi[v]
-                    if G.src[g] == G.tgt[h] and G.src[h] == G.tgt[k]:
-                        lhs = self.mult[(self.mult[(z, w)], v)]
-                        rhs = self.mult[(z, self.mult[(w, v)])]
-                        if lhs != rhs:
-                            bad.append(f"associativity fails at {z},{w},{v}")
-                            return bad
-        for z in self.elements:
-            if self.invol[self.invol[z]] != z:
-                bad.append(f"involution not 2-periodic at {z}")
-        for z in self.elements:
-            for w in self.elements:
-                g, h = self.pi[z], self.pi[w]
-                if G.src[g] == G.tgt[h]:
-                    lhs = self.invol[self.mult[(z, w)]]
-                    rhs = self.mult[(self.invol[z], self.invol[w])]
-                    if lhs != rhs:
-                        bad.append(f"involution not multiplicative at {z},{w}")
-        for t in self.S.elements():
-            for z in self.elements:
-                lhs = self.invol[self.s_act[(t, z)]]
-                rhs = self.s_act[(self.S.tau_tuple(t), self.invol[z])]
-                if lhs != rhs:
-                    bad.append(f"involution not S-antiequivariant at {z}")
-        return bad
+        """FiniteRealGroupoid.validate on as_groupoid(), then what it does
+        not cover: pi is a functor onto the base, and the involution is
+        S-antiequivariant; list of violations."""
+        G, S, (index, pi) = self.as_groupoid(), self.S, self._numbering
+        defined = G.comp >= 0
+        product = np.where(defined, G.comp, 0)
+        ts, _, tau = group_tables(S)
+        # act[i, z]: element i of S acting on element z
+        act = np.array([[index[self.s_act[(t, z)]] for z in self.elements]
+                        for t in ts], dtype=np.int64).reshape(len(ts), -1)
+        return G.validate() + _failures(
+            ("projection not multiplicative at ({0},{1})",
+             defined & (pi[product] != self.base.comp[np.ix_(pi, pi)]))) + _failures(
+            ("involution not S-antiequivariant at ({0},{1})",
+             G.rho_arr[act] != act[tau][:, G.rho_arr]))
 
 
 class ExtensionGroupoid(AbstractExtension):
     """The extension groupoid of a normalized real 2-cocycle: arrows are
     pairs (t, g), product (t1,g1)(t2,g2) = (t1+t2+omega(g1,g2), g1 g2),
-    involution (tau t, rho g)."""
+    involution (tau t, rho g).  Raises ValueError past the arrow cap
+    before any table is built."""
 
     def __init__(self, twist_or_base, S=None, omega=None):
         if isinstance(twist_or_base, GradedTwist):
@@ -166,50 +213,37 @@ class ExtensionGroupoid(AbstractExtension):
             base = twist_or_base
         if not S.is_finite():
             raise TwistError("only finite coefficient groups can be materialized")
-        self.omega = omega
-        elems = [(e, g) for e in S.elements() for g in range(base.n_arrows)]
-        pi = {(e, g): g for (e, g) in elems}
-        mult = {}
-        for (e, g) in elems:
-            for (f, h) in elems:
-                if base.src[g] == base.tgt[h]:
-                    w = omega.value_at((g, h))
-                    t = S.add_tuples(S.add_tuples(e, f), w)
-                    mult[((e, g), (f, h))] = (t, int(base.comp[g, h]))
-        s_act = {(t, (e, g)): (S.add_tuples(t, e), g)
-                 for t in S.elements() for (e, g) in elems}
-        invol = {(e, g): (S.tau_tuple(e), int(base.rho_arr[g])) for (e, g) in elems}
+        m, cap = base.n_arrows, max_arrows()
+        if S.order() * m > cap:
+            raise ValueError(f"too many arrows ({S.order() * m} > {cap})")
+        self.omega = omega = as_cochain(base, S, 2, omega, TwistError)
+        # (t, g) is elems[i * m + g] for t element i of S
+        ts, add, tau = group_tables(S)
+        elems = [(t, g) for t in ts for g in range(m)]
+        # omega read once per composable pair (g, h), in level order, and
+        # (t_i, g)(t_j, h) = (t_i + t_j + omega(g, h), g h) for all i, j
+        g, h = omega.complex.basis(2).level.entries.T
+        w = element_index(S, _values(omega))
+        i, j = np.arange(len(ts))[:, None, None], np.arange(len(ts))[:, None]
+        left, right, out = (a.ravel().tolist() for a in np.broadcast_arrays(
+            i * m + g, j * m + h, add[add[i, j], w] * m + base.comp[g, h]))
+        mult = {(elems[a], elems[b]): elems[c] for a, b, c in zip(left, right, out)}
+        z = np.arange(len(elems))
+        moved = add[:, z // m] * m + z % m
+        s_act = {(ts[a], elems[b]): elems[c] for (a, b), c in np.ndenumerate(moved)}
+        invol = {elems[a]: elems[b] for a, b in
+                 enumerate((tau[z // m] * m + base.rho_arr[z % m]).tolist())}
         units = {x: (S.zero_tuple(), int(base.unit[x]))
                  for x in range(base.n_objects)}
+        pi = {(t, g): g for (t, g) in elems}
         super().__init__(base, S, elems, pi, mult, s_act, invol, units)
-
-    def as_groupoid(self):
-        """Materialize as a FiniteRealGroupoid (order |S| * |G|)."""
-        base, S = self.base, self.S
-        index = {z: i for i, z in enumerate(self.elements)}
-        m = len(self.elements)
-        src = [int(base.src[self.pi[z]]) for z in self.elements]
-        tgt = [int(base.tgt[self.pi[z]]) for z in self.elements]
-        unit = [index[self.units[x]] for x in range(base.n_objects)]
-        inv = [0] * m
-        for i, (e, g) in enumerate(self.elements):
-            gi = int(base.inv[g])
-            w = self.omega.value_at((g, gi))
-            inv[i] = index[(S.neg_tuple(S.add_tuples(e, w)), gi)]
-        table = np.full((m, m), -1, dtype=np.int64)
-        for (z, w_), k in self.mult.items():
-            table[index[z], index[w_]] = index[k]
-        rho_arr = [index[self.invol[z]] for z in self.elements]
-        return FiniteRealGroupoid(base.n_objects, src, tgt, unit, table, inv,
-                                  base.rho_obj.copy(), rho_arr)
 
 
 def build_extension(base, S, omega):
     """Materialize the extension of a normalized real 2-cocycle; raises
     TwistError with a witness triple when omega is not a cocycle."""
-    cx = omega.complex if hasattr(omega, "complex") else RealComplex(base, S)
-    if not hasattr(omega, "vector"):
-        omega = cx.cochain(2, omega)
+    omega = as_cochain(base, S, 2, omega, TwistError)
+    cx = omega.complex
     if not cx.is_cocycle(omega):
         witness = cocycle_witness(cx, omega)
         raise TwistError(f"not a cocycle: associativity fails over {witness}")
@@ -221,13 +255,8 @@ def build_extension(base, S, omega):
 def cocycle_witness(cx, c):
     """The first nerve tuple, in level order, at which dc is not zero;
     None when c is a cocycle."""
-    dc = cx.d(c)
-    lvl = cx.basis(c.degree + 1).level
-    for i in range(len(lvl)):
-        tup = lvl.tuple_at(i)
-        if any(v != 0 for v in dc.value_at(tup)):
-            return tup
-    return None
+    bad = np.flatnonzero((_values(cx.d(c)) != 0).any(axis=1))
+    return cx.basis(c.degree + 1).level.tuple_at(bad[0]) if bad.size else None
 
 
 def real_section(ext):
@@ -291,50 +320,29 @@ def _require_kappa(S, kappa, needed):
     return kappa
 
 
-def _sign_correction(cx, d_first, d_second, kappa):
-    """The 2-cochain (g1, g2) -> kappa * d_first(g1) * d_second(g2)."""
-    S = cx.S
-
-    def value(tup):
-        g1, g2 = tup
-        bit = (d_first(g1) * d_second(g2)) % 2
-        return kappa if bit else S.zero_tuple()
-
-    return cx.from_values(2, value)
-
-
-def _aligned(t1, t2):
-    """Rebase t2 into t1's complexes; twists built from equal data in
-    separate sessions produce identical orbit bases, so the coordinate
-    vectors carry over verbatim."""
-    if t1.base is t2.base and t1.S is t2.S:
-        return t2
-    if not (t1.base.structurally_equal(t2.base)
-            and t1.S.structurally_equal(t2.S)):
-        raise TwistError("twists must share base and coefficients")
-    return GradedTwist(t1.base, t1.S,
-                       t1.cx.cochain(2, t2.omega.vector),
-                       t1.zcx.cochain(1, t2.delta.vector), check=False)
+def _sign_correction(cx, first, second, kappa):
+    """The 2-cochain (g1, g2) -> kappa * first[g1] * second[g2], for 0/1
+    arrays over the arrows."""
+    zero = cx.S.zero_tuple()
+    return cx.from_values(2, lambda t: kappa if first[t[0]] & second[t[1]] else zero)
 
 
 def baer_sum(t1, t2, kappa=None):
     """Tensor product of graded twists at cocycle level."""
-    t2 = _aligned(t1, t2)
-    needed = any(t2.delta_value(g) and t1.delta_value(h)
-                 for g in range(t1.base.n_arrows)
-                 for h in range(t1.base.n_arrows))
-    kap = _require_kappa(t1.S, kappa, needed)
-    corr = _sign_correction(t1.cx, t2.delta_value, t1.delta_value, kap)
-    omega = t1.omega + t2.omega + corr
-    delta = t1.delta + t2.delta
-    return GradedTwist(t1.base, t1.S, omega, delta)
+    base, S = t1.base, t1.S
+    omega2 = as_cochain(base, S, 2, t2.omega, TwistError, t1.cx)
+    delta2 = as_cochain(base, Z2, 1, t2.delta, TwistError, t1.zcx)
+    d1, d2 = _bits(t1.delta), _bits(delta2)
+    kap = _require_kappa(S, kappa, d1.any() and d2.any())
+    corr = _sign_correction(t1.cx, d2, d1, kap)
+    return GradedTwist(base, S, t1.omega + omega2 + corr, t1.delta + delta2)
 
 
 def opposite(t, kappa=None):
     """Inverse twist: conjugate bundle structure and graded product."""
-    needed = any(t.delta_value(g) for g in range(t.base.n_arrows))
-    kap = _require_kappa(t.S, kappa, needed)
-    corr = _sign_correction(t.cx, t.delta_value, t.delta_value, kap)
+    d = _bits(t.delta)
+    kap = _require_kappa(t.S, kappa, d.any())
+    corr = _sign_correction(t.cx, d, d, kap)
     return GradedTwist(t.base, t.S, -t.omega + corr, t.delta)
 
 
@@ -347,29 +355,23 @@ def is_strictly_trivial(t):
     """(flag, splitting) - true iff the grading vanishes identically and
     omega is a coboundary; the splitting section g -> (-b(g), g) is
     rebuilt from the coboundary witness."""
-    if not t.grading_is_zero():
+    if _bits(t.delta).any():
         return False, None
     b = t.cx.is_coboundary(t.omega)
     if b is None:
         return False, None
-    section = {g: (t.S.neg_tuple(b.value_at((g,))), g)
-               for g in range(t.base.n_arrows)}
-    return True, section
+    return True, {g: (tuple(v), g) for g, v in enumerate(_values(-b).tolist())}
 
 
 def grading_cocycle(t):
     """The grading as a class in HR^1(base, Z/2); verifies the stored
     delta really is a multiplicative, involution-constant cocycle."""
-    base = t.base
-    for g in range(base.n_arrows):
-        if t.delta_value(int(base.rho_arr[g])) != t.delta_value(g):
-            raise TwistError("grading not constant on involution orbits")
-    for g in range(base.n_arrows):
-        for h in range(base.n_arrows):
-            k = base.comp[g, h]
-            if k >= 0 and t.delta_value(int(k)) != \
-                    (t.delta_value(g) + t.delta_value(h)) % 2:
-                raise TwistError("grading is not multiplicative")
+    base, d = t.base, _bits(t.delta)
+    if (d[base.rho_arr] != d).any():
+        raise TwistError("grading not constant on involution orbits")
+    defined = base.comp >= 0
+    if (defined & (d[np.where(defined, base.comp, 0)] != d[:, None] ^ d)).any():
+        raise TwistError("grading is not multiplicative")
     h1 = t.zcx.cohomology(1)
     return h1, h1.class_of(t.delta)
 
@@ -378,18 +380,14 @@ def cup(base, S, delta, delta_prime, kappa=None):
     """Cup product of two Z/2-valued 1-cocycles as a class in HR^2(S):
     the class of the 2-cocycle kappa * delta(g1) * delta'(g2)."""
     zcx = RealComplex(base, Z2)
-    if not hasattr(delta, "vector"):
-        delta = zcx.cochain(1, delta)
-    if not hasattr(delta_prime, "vector"):
-        delta_prime = zcx.cochain(1, delta_prime)
+    delta, delta_prime = (as_cochain(base, Z2, 1, d, TwistError, zcx)
+                          for d in (delta, delta_prime))
     for d in (delta, delta_prime):
-        if not zcx.is_cocycle(d):
+        if not d.complex.is_cocycle(d):
             raise TwistError("cup arguments must be 1-cocycles")
     kap = _require_kappa(S, kappa, True)
     cx = RealComplex(base, S)
-    dv = lambda g: int(delta.value_at((g,))[0]) % 2
-    dpv = lambda g: int(delta_prime.value_at((g,))[0]) % 2
-    coc = _sign_correction(cx, dv, dpv, kap)
+    coc = _sign_correction(cx, _bits(delta), _bits(delta_prime), kap)
     h2 = cx.cohomology(2)
     return h2, h2.class_of(coc), coc
 

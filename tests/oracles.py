@@ -6,7 +6,9 @@ assembler on a dict-of-tuples nerve that the array assembly in
 `cochains` must match, the loop groupoid constructions and validation
 that the array ones in `groupoids` must match, and the long exact
 sequence checked by enumerating elements and classes, with a loop
-connecting map, that the lattice checks of `les` must match."""
+connecting map, that the lattice checks of `les` must match, and the
+element-at-a-time extension groupoid and extension and bundle checks
+that the array ones in `extensions` and `bundles` must match."""
 
 import itertools
 
@@ -962,3 +964,111 @@ def enum_long_exact_sequence_check(ses, groupoid, through_degree=2):
         "S_dprime": [H_d[n].group_key() for n in range(through_degree + 1)],
     }
     return report
+
+
+# -- loop extension and bundle checks ------------------------------------
+#
+# The element-at-a-time code that `AbstractExtension.as_groupoid` and
+# `verify` and `RealPrincipalBundle.verify` replaced.  The extension
+# groupoid built here must equal the array one, `loop_extension_verify`
+# must flag every extension the array `verify` is required to flag, and
+# `loop_bundle_verify` must return the same messages in the same order.
+
+def loop_extension_groupoid(E):
+    """The FiniteRealGroupoid of an ExtensionGroupoid, with the inverse of
+    (e, g) computed as (-(e + omega(g, g^-1)), g^-1)."""
+    base, S = E.base, E.S
+    index = {z: i for i, z in enumerate(E.elements)}
+    m = len(E.elements)
+    src = [int(base.src[E.pi[z]]) for z in E.elements]
+    tgt = [int(base.tgt[E.pi[z]]) for z in E.elements]
+    unit = [index[E.units[x]] for x in range(base.n_objects)]
+    inv = [0] * m
+    for i, (e, g) in enumerate(E.elements):
+        gi = int(base.inv[g])
+        w = E.omega.value_at((g, gi))
+        inv[i] = index[(S.neg_tuple(S.add_tuples(e, w)), gi)]
+    table = np.full((m, m), -1, dtype=np.int64)
+    for (z, w_), k in E.mult.items():
+        table[index[z], index[w_]] = index[k]
+    rho_arr = [index[E.invol[z]] for z in E.elements]
+    return FiniteRealGroupoid(base.n_objects, src, tgt, unit, table, inv,
+                              base.rho_obj.copy(), rho_arr)
+
+
+def loop_extension_verify(E):
+    """Groupoid-style checks of an extension's explicit data, one element
+    pair and triple at a time; list of violations."""
+    bad = []
+    G = E.base
+    for z in E.elements:
+        for w in E.elements:
+            g, h = E.pi[z], E.pi[w]
+            if G.src[g] == G.tgt[h]:
+                zw = E.mult[(z, w)]
+                if E.pi[zw] != G.comp[g, h]:
+                    bad.append(f"projection not multiplicative at {z},{w}")
+    for z in E.elements:
+        for w in E.elements:
+            for v in E.elements:
+                g, h, k = E.pi[z], E.pi[w], E.pi[v]
+                if G.src[g] == G.tgt[h] and G.src[h] == G.tgt[k]:
+                    lhs = E.mult[(E.mult[(z, w)], v)]
+                    rhs = E.mult[(z, E.mult[(w, v)])]
+                    if lhs != rhs:
+                        bad.append(f"associativity fails at {z},{w},{v}")
+                        return bad
+    for z in E.elements:
+        if E.invol[E.invol[z]] != z:
+            bad.append(f"involution not 2-periodic at {z}")
+    for z in E.elements:
+        for w in E.elements:
+            g, h = E.pi[z], E.pi[w]
+            if G.src[g] == G.tgt[h]:
+                lhs = E.invol[E.mult[(z, w)]]
+                rhs = E.mult[(E.invol[z], E.invol[w])]
+                if lhs != rhs:
+                    bad.append(f"involution not multiplicative at {z},{w}")
+    for t in E.S.elements():
+        for z in E.elements:
+            lhs = E.invol[E.s_act[(t, z)]]
+            rhs = E.s_act[(E.S.tau_tuple(t), E.invol[z])]
+            if lhs != rhs:
+                bad.append(f"involution not S-antiequivariant at {z}")
+    return bad
+
+
+def loop_bundle_verify(b):
+    """`RealPrincipalBundle.verify` through the bundle's own act, s_act
+    and invol, one point at a time."""
+    G, S = b.groupoid, b.S
+    bad = []
+    for z in b.points():
+        if b.anchor(b.invol(z)) != int(G.rho_obj[b.anchor(z)]):
+            bad.append(f"anchor not equivariant at {z}")
+    for g in range(G.n_arrows):
+        for s in S.elements():
+            z = (int(G.src[g]), s)
+            gz = b.act(g, z)
+            if b.anchor(gz) != int(G.tgt[g]):
+                bad.append(f"action breaks the anchor at {g}")
+            if b.invol(gz) != b.act(int(G.rho_arr[g]), b.invol(z)):
+                bad.append(f"involution not action-equivariant at ({g},{s})")
+            for t in S.elements():
+                if b.act(g, b.s_act(t, z)) != b.s_act(t, gz):
+                    bad.append(f"S-action does not commute at ({g},{s},{t})")
+    for x in range(G.n_objects):
+        u = int(G.unit[x])
+        for s in S.elements():
+            if b.act(u, (x, s)) != (x, s):
+                bad.append(f"unit acts nontrivially at ({x},{s})")
+    for g in range(G.n_arrows):
+        for h in range(G.n_arrows):
+            k = G.comp[g, h]
+            if k < 0:
+                continue
+            for s in S.elements():
+                z = (int(G.src[h]), s)
+                if b.act(g, b.act(h, z)) != b.act(int(k), z):
+                    bad.append(f"action not associative at ({g},{h},{s})")
+    return bad

@@ -116,3 +116,32 @@ def test_trivial_group_single_class():
 def test_z2_mu4_two_classes():
     h1, reps = classify_bundles(z2, mu4)
     assert len(reps) == 2
+
+
+def test_cochain_of_another_group_is_rejected():
+    c = RealComplex(z2, mu2).from_values(1, lambda t: (t[0] % 2,))
+    with pytest.raises(BundleError, match=r"mu\(4\)_conj.*mu\(2\)_conj"):
+        bundle_from_cocycle(z2, mu4, c)
+    with pytest.raises(BundleError, match=r"mu\(4\)_conj.*mu\(2\)_conj"):
+        bundle_sum(bundle_from_cocycle(z2, mu4, [0, 0]),
+                   bundle_from_cocycle(z2, mu2, c))
+
+
+def test_verify_matches_the_loop_on_every_cochain(corpus):
+    """Every 1-cochain, cocycle or not, of the corpus groupoids with at
+    most 4 arrows: the same messages in the same order."""
+    import itertools
+    from realcech.bundles import RealPrincipalBundle
+    from oracles import loop_bundle_verify
+    flagged = 0
+    for name, g in corpus:
+        if g.n_arrows > 4:
+            continue
+        for S in (mu2, mu4):
+            cx = RealComplex(g, S)
+            for vec in itertools.product(*map(range, cx.basis(1).moduli)):
+                b = RealPrincipalBundle(g, S, cx.cochain(1, vec))
+                bad = b.verify()
+                assert bad == loop_bundle_verify(b), (name, vec)
+                flagged += bool(bad)
+    assert flagged > 100

@@ -266,3 +266,20 @@ class TestHRvsH:
         g = standard.cyclic_group(2)
         assert cohomology(g, mu4, 1).group_key() == (0, (2,))
         assert cohomology(g, mu4, 2).group_key() == (0, (2,))
+
+
+def test_values_match_value_at(corpus, presets):
+    """The array evaluation of a cochain equals value_at tuple by tuple,
+    free coordinates (Z_sign) and fixed orbits included."""
+    rng = random.Random(5)
+    for name, g in corpus:
+        for sname, S in presets:
+            if S.mode != "integral":
+                continue
+            cx = RealComplex(g, S)
+            for n in (0, 1, 2):
+                basis = cx.basis(n)
+                c = cx.cochain(n, [rng.randint(-9, 9) for _ in range(basis.total)])
+                assert [tuple(row) for row in basis.values(c.vector).tolist()] == \
+                    [c.value_at(basis.level.tuple_at(i))
+                     for i in range(len(basis.level))], (name, sname, n)

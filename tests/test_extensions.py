@@ -375,3 +375,152 @@ class TestClassificationTable:
         ext.ext_classification_table(standard.cyclic_group(4), 4)
         # levels 0-3 with Z/2 coefficients and 1-3 with mu(4)_conj
         assert len(built) == 7
+
+
+class TestCoefficientRule:
+    """A cochain is taken as one of (base, S) only when its own pair is
+    these objects or structurally equal to them."""
+
+    def test_cochain_of_another_group_is_rejected(self):
+        om = RealComplex(z2, mu2).from_values(
+            2, lambda t: (1,) if t == (1, 1) else (0,))
+        for call in (lambda: ext.build_extension(z2, mu4, om),
+                     lambda: ext.GradedTwist(z2, mu4, om),
+                     lambda: ext.ExtensionGroupoid(z2, mu4, om)):
+            with pytest.raises(ext.TwistError, match=r"mu\(4\)_conj.*mu\(2\)_conj"):
+                call()
+
+    def test_equal_pairs_are_rebased_and_own_complexes_reused(self):
+        om = RealComplex(z2, mu2).from_values(
+            2, lambda t: (1,) if t == (1, 1) else (0,))
+        assert ext.GradedTwist(z2, mu2, om).omega is om
+        z2_copy, mu2_copy = standard.cyclic_group(2), make_standard("mu(2)_conj")
+        t = ext.GradedTwist(z2_copy, mu2_copy, om)
+        assert t.cx.groupoid is z2_copy and t.cx.S is mu2_copy
+        assert list(t.omega.vector) == list(om.vector)
+        two = RealComplex(z2, ext.Z2).zero_cochain(2)
+        with pytest.raises(ext.TwistError, match="degree-1"):
+            ext.cup(z2, mu4, two, two)
+
+
+def test_arrow_cap_before_any_cochain_value(monkeypatch, count_calls):
+    from realcech.cochains import LevelBasis
+    z4 = standard.cyclic_group(4)
+    om = RealComplex(z4, mu4).zero_cochain(2)
+    monkeypatch.setenv("RGC_MAX_ARROWS", "8")
+    reads = count_calls(LevelBasis, "values") + count_calls(LevelBasis, "value_at")
+    with pytest.raises(ValueError, match=r"too many arrows \(16 > 8\)"):
+        ext.ExtensionGroupoid(z4, mu4, om)
+    assert reads == []
+
+
+def _twisted_involution_extension():
+    """Z/2 + Z/4 with inversion over Z/2, its involution over the non-unit
+    arrow shifted by an element of order 2: valid, with no real section."""
+    from realcech.coefficients import RealCoefficientGroup
+    import realcech.exact as exact
+    S = RealCoefficientGroup(0, [2, 4], exact.eye(2) * -1)
+    E = ext.ExtensionGroupoid(z2, S, RealComplex(z2, S).zero_cochain(2))
+    invol = {(e, g): (S.tau_tuple(e) if g == 0 else
+                      S.add_tuples(S.tau_tuple(e), (1, 0)), g)
+             for (e, g) in E.elements}
+    return ext.AbstractExtension(z2, S, E.elements, E.pi, E.mult, E.s_act,
+                                 invol, E.units)
+
+
+@pytest.fixture(scope="module")
+def built_extensions(corpus):
+    """Every extension of a corpus groupoid with at most 4 arrows by a
+    normalized 2-cocycle with mu(2)_conj or mu(4)_conj coefficients, and
+    Z/8 by the generator of HR^2(Z/8, mu(8)_conj)."""
+    out = []
+    for name, g in corpus:
+        if g.n_arrows > 4:
+            continue
+        for S in (mu2, mu4):
+            out += [ext.build_extension(g, S, om)
+                    for om in all_normalized_cocycles(g, S)[1]]
+    z8, mu8 = standard.cyclic_group(8), make_standard("mu(8)_conj")
+    cx = RealComplex(z8, mu8)
+    (rep, _), = cx.cohomology(2).representatives()
+    out.append(ext.build_extension(z8, mu8, ext.normalize_cocycle(cx, rep)))
+    return out
+
+
+class TestAgainstLoopOracles:
+    def test_as_groupoid_matches_the_loop(self, built_extensions):
+        from realcech import io
+        from oracles import loop_extension_groupoid
+        assert len(built_extensions) > 40
+        for E in built_extensions:
+            assert io.groupoid_to_json(E.as_groupoid()) == \
+                io.groupoid_to_json(loop_extension_groupoid(E))
+
+    def test_valid_extensions_verify_clean(self, built_extensions):
+        from oracles import loop_extension_verify
+        E0 = ext.build_extension(z2, mu2, RealComplex(z2, mu2).zero_cochain(2))
+        sign = lambda a: a % 2
+        valid = built_extensions + [
+            _twisted_involution_extension(),
+            ext.tensor_extensions(E0, sign, E0, sign, mu2.default_kappa())]
+        for E in valid:
+            assert E.verify() == []
+            if len(E.elements) <= 16:
+                assert loop_extension_verify(E) == []
+
+    def test_verify_flags_every_mutant_the_loop_flags(self):
+        import random
+        from oracles import loop_extension_verify
+        rng = random.Random(12)
+        sources = [
+            ext.build_extension(z2, mu4, RealComplex(z2, mu4).from_values(
+                2, lambda t: (2,) if t == (1, 1) else (0,))),
+            ext.build_extension(standard.cyclic_group(3, "inversion"), mu2,
+                                RealComplex(standard.cyclic_group(3, "inversion"),
+                                            mu2).zero_cochain(2)),
+            ext.build_extension(standard.pair_groupoid(2, [1, 0]), mu2,
+                                RealComplex(standard.pair_groupoid(2, [1, 0]),
+                                            mu2).zero_cochain(2)),
+            _twisted_involution_extension()]
+        flagged = 0
+        for n in range(600):
+            E = sources[n % len(sources)]
+            mult, s_act = dict(E.mult), dict(E.s_act)
+            invol, units = dict(E.invol), dict(E.units)
+            other = lambda z: rng.choice([w for w in E.elements if w != z])
+            kind = n // len(sources) % 4
+            if kind == 0:
+                key = rng.choice(list(mult))
+                mult[key] = other(mult[key])
+            elif kind == 1:
+                z, w = rng.sample(E.elements, 2)
+                invol[z], invol[w] = invol[w], invol[z]
+            elif kind == 2:
+                key = rng.choice(list(s_act))
+                s_act[key] = other(s_act[key])
+            else:
+                x = rng.randrange(E.base.n_objects)
+                units[x] = other(units[x])
+            M = ext.AbstractExtension(E.base, E.S, E.elements, E.pi, mult,
+                                      s_act, invol, units)
+            try:
+                loop_bad = loop_extension_verify(M)
+            except KeyError:  # a product left the composable pairs
+                loop_bad = [KeyError]
+            if loop_bad:
+                flagged += 1
+                assert M.verify() != [], (n, kind)
+        assert flagged > 300
+
+    def test_no_single_tuple_reads(self, count_calls):
+        from realcech.cochains import LevelBasis
+        zcx = RealComplex(z2, ext.Z2)
+        d = zcx.from_values(1, lambda t: (t[0],))
+        om = RealComplex(z2, mu4).from_values(
+            2, lambda t: (2,) if t == (1, 1) else (0,))
+        t = ext.GradedTwist(z2, mu4, om, d)
+        reads = count_calls(LevelBasis, "value_at")
+        ext.build_extension(z2, mu4, om)
+        ext.grading_cocycle(t)
+        ext.baer_sum(t, t)
+        assert reads == []
