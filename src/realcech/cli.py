@@ -112,12 +112,13 @@ def cmd_ext(args):
     if args.ext_command == "build":
         t = io.twist_from_json(io.load_json(args.twist))
         E = ext.build_extension(t.base, t.S, t.omega)
-        bad = E.verify()
+        G = E.as_groupoid()
+        bad = E.verify(G)
         if bad:
             for line in bad:
                 print(line, file=sys.stderr)
             return 1
-        _emit(args, {"extension": io.groupoid_to_json(E.as_groupoid()),
+        _emit(args, {"extension": io.groupoid_to_json(G),
                      "order": len(E.elements)})
         return 0
     if args.ext_command == "extract":

@@ -243,10 +243,11 @@ def coboundary_matrix(src, dst, last_face=None):
 
 
 class LevelBasis(OrbitBasis):
-    """Orbit basis of the degree-n real cochain group (integral fibre)."""
+    """Orbit basis of the degree-n real cochain group (integral fibre);
+    `known` is a nerve level to reuse, as in `nerve`."""
 
-    def __init__(self, groupoid, sblocks, n):
-        OrbitBasis.__init__(self, nerve(groupoid, n), sblocks)
+    def __init__(self, groupoid, sblocks, n, known=None):
+        OrbitBasis.__init__(self, nerve(groupoid, n, known), sblocks)
         self.moduli = [d for f in self.fixed.tolist()
                        for d in (sblocks.moduli_fixed if f else sblocks.moduli_S)]
         # the coordinates with a positive modulus, and those with modulus 0
@@ -346,7 +347,9 @@ class RealComplex:
 
     def basis(self, n):
         if n not in self._bases:
-            self._bases[n] = LevelBasis(self.groupoid, self.sb, n)
+            # every level below the top one built so far is reused
+            top = self._bases[max(self._bases)].level if self._bases else None
+            self._bases[n] = LevelBasis(self.groupoid, self.sb, n, top)
         return self._bases[n]
 
     def cochain(self, n, vector):
@@ -437,7 +440,11 @@ class CohomologyGroup(exact.GroupKey):
         return out
 
     def class_of(self, cochain):
-        """Canonical class coordinates; None if not a cocycle."""
+        """Canonical class coordinates; None if not a cocycle.  A trivial
+        group needs no presentation: its cocycles are the coboundaries,
+        and their coordinates are ()."""
+        if self.group_key() == (0, ()):
+            return None if self.complex.is_coboundary(cochain) is None else ()
         return self.presentation.class_coords(cochain.vector)
 
     def is_trivial_class(self, cochain):

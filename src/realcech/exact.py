@@ -7,7 +7,9 @@ arrays, so intermediate swell is harmless.  The Smith form reduces its
 working matrix D with vectorised numpy operations on an int64 copy, and
 promotes D to Python ints before any update whose result could reach
 2^62; the transforms are Python ints throughout, and the returned
-matrices are those of the scalar elimination, entry for entry.  Rational
+matrices are those of the scalar elimination, entry for entry.  With no
+transform asked for, the +-1 pivots are first eliminated on sparse rows
+of Python ints, and only the residual is reduced densely.  Rational
 matrices are `Scaled` integer ones, num standing for num / scale, so ranks
 are Smith forms of num; `cleared` scales a Fraction matrix to that pair,
 and rational kernels row-reduce the Fractions.  No floating point anywhere.
@@ -15,6 +17,7 @@ and rational kernels row-reduce the Fractions.  No floating point anywhere.
 Everything here is a pure function of its inputs; concurrent use is safe.
 """
 
+import heapq
 import itertools
 import math
 from collections import namedtuple
@@ -158,6 +161,67 @@ def _clear_below(X, t, T, Tinv):
         start = i + 1
 
 
+def _unit_pivots(M):
+    """(k, R): eliminate k pivots of value +-1 from the integer matrix M
+    and return the residual R, whose Smith diagonal with k ones in front
+    is that of M (dropping the zero rows and columns changes no
+    invariant factor).
+
+    The nonzero entries are kept as Python ints in one dict per row, with
+    the set of rows of each column.  Columns come off a heap, fewest
+    nonzeros first; an entry is stale once its column's count moved.  In
+    each column the pivot is the sparsest row holding a +-1 there: the
+    column is cleared against it by row operations, and then the pivot
+    row and column are dropped, which the column operations against the
+    pivot would do.  A column with no unit entry stays for the residual
+    unless a later row operation touches it again."""
+    m, n = M.shape
+    rows = [{} for _ in range(m)]
+    cols = [set() for _ in range(n)]
+    r, c = np.nonzero(M != 0)
+    for i, j, v in zip(r.tolist(), c.tolist(), M[r, c].tolist()):
+        rows[i][j] = int(v)
+        cols[j].add(i)
+    heap = [(len(rows_j), j) for j, rows_j in enumerate(cols)]
+    heapq.heapify(heap)
+    k = 0
+    while heap:
+        count, j = heapq.heappop(heap)
+        if count != len(cols[j]):
+            continue
+        units = [i for i in cols[j] if rows[i][j] in (1, -1)]
+        if not units:
+            continue
+        p = min(units, key=lambda i: (len(rows[i]), i))
+        pivot, rows[p] = rows[p], {}
+        for i in cols[j] - {p}:
+            row = rows[i]
+            f = row[j] * pivot[j]       # pivot[j] is its own inverse
+            for c, v in pivot.items():
+                if c not in row:
+                    row[c] = -f * v
+                    cols[c].add(i)
+                    continue
+                x = row[c] - f * v
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+                    cols[c].discard(i)
+        for c in pivot:
+            cols[c].discard(p)
+            heapq.heappush(heap, (len(cols[c]), c))
+        k += 1
+    live_rows = [i for i in range(m) if rows[i]]
+    live_cols = [j for j in range(n) if cols[j]]
+    where = {j: t for t, j in enumerate(live_cols)}
+    R = zeros(len(live_rows), len(live_cols))
+    for s, i in enumerate(live_rows):
+        for j, v in rows[i].items():
+            R[s, where[j]] = v
+    return k, R
+
+
 def smith_normal_form(mat, need_u=True, need_v=True, need_inverses=False,
                       v_rows=None):
     """Return (U, D, V) with U @ mat @ V == D, U and V unimodular.
@@ -169,9 +233,16 @@ def smith_normal_form(mat, need_u=True, need_v=True, need_inverses=False,
     rows (column operations act on each row of V on its own).  The
     results equal, entry for entry, those of the scalar elimination kept
     as an oracle in tests/oracles.py.
+
+    With no transform asked for, the +-1 pivots are eliminated first on
+    sparse rows (`_unit_pivots`), and the dense loop runs on the
+    residual only.  The Smith diagonal is unique, so D is the same.
     """
     M = as_int_matrix(mat)
     m, n = M.shape
+    ones = 0
+    if not (need_u or need_v or need_inverses):
+        ones, M = _unit_pivots(M)
     # the working copy of D: int64 unless an entry is already past _LIMIT
     D = M.astype(np.int64) if _top(M) < _LIMIT else np.frompyfunc(int, 1, 1)(M)
     U = eye(m) if (need_u or need_inverses) else None
@@ -185,7 +256,7 @@ def smith_normal_form(mat, need_u=True, need_v=True, need_inverses=False,
     VinvT = Vinv.T if Vinv is not None else None
 
     t = 0
-    while t < min(m, n):
+    while t < min(D.shape):
         pivot = _pivot(D, t)
         if pivot is None:
             break
@@ -216,13 +287,12 @@ def smith_normal_form(mat, need_u=True, need_v=True, need_inverses=False,
             continue
         t += 1
 
-    if D.dtype != object:
-        # D is diagonal by now: drop the int64 copy before the object one
-        # is allocated, so that the two never coexist
-        d = np.diagonal(D).astype(object)
-        del D
-        D = zeros(m, n)
-        D[range(len(d)), range(len(d))] = d
+    # D is diagonal by now: drop the working copy before the result is
+    # allocated, so that the two never coexist
+    d = [1] * ones + [int(x) for x in np.diagonal(D)]
+    del D
+    D = zeros(m, n)
+    D[range(len(d)), range(len(d))] = d
     if need_inverses:
         return U, D, V, Uinv, Vinv
     return (U if need_u else None), D, (V if need_v else None)
@@ -244,13 +314,29 @@ def invariant_factors(mat):
 
 
 def product(A, B):
-    """A @ B for integer matrices, as an object matrix of Python ints; in
-    int64 when a bound shows that no entry can overflow."""
+    """A @ B for integer matrices, as an object matrix of Python ints.
+    The nonzero entries are multiplied as triplets, one term per pair
+    A[i, l], B[l, j], and summed per cell in int64, when a bound shows
+    that no sum can overflow and there are no more terms than cells of A,
+    B and the result; otherwise A @ B on Python ints."""
     A, B = as_int_matrix(A), as_int_matrix(B)
+    (m, k), n = A.shape, B.shape[1]
+    ia, la = np.nonzero(A != 0)
+    lb, jb = np.nonzero(B != 0)
+    a, b = A[ia, la], B[lb, jb]
+    count = np.bincount(lb, minlength=k)
+    per = count[la]
     # |(A @ B)[i, j]| <= inner dim * max|A| * max|B|, and so is every partial sum
-    if _top(A) * _top(B) * A.shape[1] < _LIMIT:
-        return (A.astype(np.int64) @ B.astype(np.int64)).astype(object)
-    return A @ B
+    if _top(a) * _top(b) * k >= _LIMIT or per.sum() > A.size + B.size + m * n:
+        return A @ B
+    # term t pairs A's nonzero s[t] with B's nonzero e[t]; nonzeros come
+    # in row-major order, so those of row l of B are a run
+    s = np.repeat(np.arange(len(a)), per)
+    e = np.repeat((np.cumsum(count) - count)[la] - (np.cumsum(per) - per), per) + \
+        np.arange(len(s))
+    out = np.zeros(m * n, dtype=np.int64)
+    np.add.at(out, ia[s] * n + jb[e], a.astype(np.int64)[s] * b.astype(np.int64)[e])
+    return out.reshape(m, n).astype(object)
 
 
 def int_kernel(mat, rows=None):

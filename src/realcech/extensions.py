@@ -181,11 +181,13 @@ class AbstractExtension:
         return FiniteRealGroupoid(base.n_objects, base.src[pi], base.tgt[pi],
                                   unit, table, inv, base.rho_obj.copy(), rho)
 
-    def verify(self):
-        """FiniteRealGroupoid.validate on as_groupoid(), then what it does
-        not cover: pi is a functor onto the base, and the involution is
-        S-antiequivariant; list of violations."""
-        G, S, (index, pi) = self.as_groupoid(), self.S, self._numbering
+    def verify(self, groupoid=None):
+        """FiniteRealGroupoid.validate on as_groupoid(), or on `groupoid`
+        if the caller built it already, then what it does not cover: pi is
+        a functor onto the base, and the involution is S-antiequivariant;
+        list of violations."""
+        G = self.as_groupoid() if groupoid is None else groupoid
+        S, (index, pi) = self.S, self._numbering
         defined = G.comp >= 0
         product = np.where(defined, G.comp, 0)
         ts, _, tau = group_tables(S)

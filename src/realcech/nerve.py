@@ -110,18 +110,25 @@ class NerveLevel:
                 for i in range(self.n + 1)]
 
 
-def nerve(groupoid, n):
+def nerve(groupoid, n, known=None):
     """Enumerate nerve level n in lexicographic arrow order, joining each
-    tuple of level k with the arrows into the source of its last arrow."""
+    tuple of level k with the arrows into the source of its last arrow.
+    A level `known` of the same groupoid is reused with the levels below
+    it: level n is one of them, or is built up from it."""
     if n < 0:
         raise ValueError("degree must be >= 0")
     G = groupoid
-    level = NerveLevel(G, 0, np.arange(G.n_objects, dtype=np.int64).reshape(-1, 1))
-    entries = np.arange(G.n_arrows, dtype=np.int64).reshape(-1, 1)
-    for k in range(1, n + 1):
-        if k > 1:
-            i, g = arrows_into(G, G.src[entries[:, -1]])
-            entries = np.column_stack([entries[i], g])
+    level = known
+    if level is None:
+        level = NerveLevel(G, 0, np.arange(G.n_objects, dtype=np.int64).reshape(-1, 1))
+    while level.n > n:
+        level = level.lower
+    for k in range(level.n + 1, n + 1):
+        if k == 1:
+            entries = np.arange(G.n_arrows, dtype=np.int64).reshape(-1, 1)
+        else:
+            i, g = arrows_into(G, G.src[level.entries[:, -1]])
+            entries = np.column_stack([level.entries[i], g])
         level = NerveLevel(G, k, entries, level)
     return level
 

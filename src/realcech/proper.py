@@ -94,10 +94,11 @@ class RepFibre:
 
 
 class RepLevelBasis(OrbitBasis):
-    """Orbit basis of degree-n representation-valued real cochains."""
+    """Orbit basis of degree-n representation-valued real cochains;
+    `known` is a nerve level to reuse, as in `nerve`."""
 
-    def __init__(self, fibre, n):
-        OrbitBasis.__init__(self, nerve(fibre.rep.groupoid, n), fibre)
+    def __init__(self, fibre, n, known=None):
+        OrbitBasis.__init__(self, nerve(fibre.rep.groupoid, n, known), fibre)
 
     # bound on this class as well, so that bench/spans.py counts rational
     # corestriction apart from the integral kind
@@ -119,7 +120,9 @@ class RepComplex:
 
     def basis(self, n):
         if n not in self._bases:
-            self._bases[n] = RepLevelBasis(self.fibre, n)
+            # every level below the top one built so far is reused
+            top = self._bases[max(self._bases)].level if self._bases else None
+            self._bases[n] = RepLevelBasis(self.fibre, n, top)
         return self._bases[n]
 
     def differential_matrix(self, n):

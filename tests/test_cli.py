@@ -274,3 +274,21 @@ def test_cohomology_working_set(tmp_path, capsys):
         tracemalloc.stop()
     assert json.loads(capsys.readouterr().out) == {"free_rank": 0, "torsion": []}
     assert peak < 3.2 * 2 ** 20
+
+
+def test_ext_build_materialises_the_extension_once(tmp_path, capsys, count_calls):
+    from realcech import extensions as ext
+    z4 = standard.cyclic_group(4, "inversion")
+    mu4 = make_standard("mu(4)_conj")
+    cx = RealComplex(z4, mu4)
+    om = ext.normalize_cocycle(cx, cx.cohomology(2).representatives()[0][0])
+    tw = write(tmp_path, "twist.json", {"base": io.groupoid_to_json(z4),
+                                        "S": {"preset": "mu(4)_conj"},
+                                        "omega": om.serialize(), "delta": None})
+    E = ext.build_extension(z4, mu4, om)
+    want = io.dumps({"extension": io.groupoid_to_json(E.as_groupoid()),
+                     "order": len(E.elements)})
+    built = count_calls(ext.AbstractExtension, "as_groupoid")
+    assert cli.main(["ext", "build", tw]) == 0
+    assert capsys.readouterr().out == want
+    assert len(built) == 1

@@ -1,6 +1,8 @@
 """The group key of HR^n, read from the invariant factors of one matrix,
 against the presentation built from kernel and image."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -116,3 +118,44 @@ def test_cli_cohomology_builds_no_presentation(tmp_path, capsys, count_calls):
     assert len(big) == 1
     used = [args[0] for args in factors if args[0].size]
     assert len(used) == 1 and used[0] is big[0]
+
+
+def sample_cochains(cx, n, rng):
+    """The zero cochain, two coboundaries, and two random cochains."""
+    yield cx.zero_cochain(n)
+    for _ in range(2):
+        if n:
+            size = cx.basis(n - 1).total
+            yield cx.d(cx.cochain(n - 1, [rng.randint(-3, 3) for _ in range(size)]))
+    for _ in range(2):
+        yield cx.cochain(n, [rng.randint(-3, 3) for _ in range(cx.basis(n).total)])
+
+
+def test_trivial_groups_answer_class_queries_like_the_presentation():
+    rng = random.Random(17)
+    trivial = 0
+    for _, S in coefficient_presets():
+        for gname, g in corpus_groupoids():
+            cx = RealComplex(g, S)
+            for n in range(3):
+                h = cx.cohomology(n)
+                if h.group_key() != (0, ()):
+                    continue
+                trivial += 1
+                for c in sample_cochains(cx, n, rng):
+                    want = h.presentation.class_coords(c.vector)
+                    assert h.class_of(c) == want, (gname, n)
+                    assert h.is_trivial_class(c) == (want is not None)
+    assert trivial >= 40
+
+
+def test_trivial_group_builds_no_presentation(count_calls):
+    cx = RealComplex(standard.pair_groupoid(8), make_standard("Z2_trivial"))
+    h = cx.cohomology(1)
+    assert h.group_key() == (0, ())
+    built = count_calls(exact.AbelianGroupPresentation, "__init__")
+    zero, cocycle = cx.zero_cochain(1), cx.d(cx.from_values(0, lambda t: (t[0] % 2,)))
+    other = cx.from_values(1, lambda t: (1,) if t == (1,) else (0,))
+    assert (h.class_of(zero), h.class_of(cocycle), h.class_of(other)) == ((), (), None)
+    assert h.is_trivial_class(cocycle) and not h.is_trivial_class(other)
+    assert built == [] and "presentation" not in vars(h)

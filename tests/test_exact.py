@@ -383,3 +383,120 @@ def test_product_matches_object_product():
             assert got.dtype == object and got.shape == (m, n)
             assert all(type(x) is int for x in got.flat)
             assert got.tolist() == (A @ B).tolist()
+
+
+# -- the unit-pivot phase of the transform-free Smith form -----------------
+
+def entries_matrix(rng, m, n, values):
+    return exact.as_int_matrix(
+        [[rng.choice(values) for _ in range(n)] for _ in range(m)]).reshape(m, n)
+
+
+def unit_pivot_cases(rng):
+    """(kind, matrix) for the unit-pivot phase: sparse and rich in +-1, no
+    unit entry at all, small dense +-1, zero rows and columns and empty
+    shapes, entries at or past 2^62, and fill-in past 2^62 from int64
+    entries."""
+    for m, n in [(0, 0), (0, 5), (5, 0), (1, 1), (4, 3)]:
+        yield "zero", exact.zeros(m, n)
+    for _ in range(40):
+        m, n = rng.randint(1, 12), rng.randint(1, 12)
+        yield "sparse", entries_matrix(rng, m, n, [0] * 8 + [1, -1, 1, -1, 2, -3])
+    for _ in range(25):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        yield "no unit", entries_matrix(rng, m, n, [0, 0, 0, 2, -2, 3, 4, -6, 9])
+    for _ in range(25):
+        yield "dense", entries_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), [1, -1])
+    for _ in range(20):
+        M = entries_matrix(rng, rng.randint(2, 9), rng.randint(2, 9), [0] * 4 + [1, -1, 2])
+        M[rng.randrange(M.shape[0]), :] = 0
+        M[:, rng.randrange(M.shape[1])] = 0
+        yield "zero lines", M
+    for _ in range(20):
+        M = entries_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), [0, 0, 1, -1, 2])
+        for _ in range(rng.randint(1, 3)):
+            M[rng.randrange(M.shape[0]), rng.randrange(M.shape[1])] = rng.choice(
+                [2 ** 62, -2 ** 62, 2 ** 63 + 5, -3 * 2 ** 70])
+        yield "big", M
+    for _ in range(20):
+        # a unit pivot whose row and column hold entries near 2^40: clearing
+        # it leaves their products, near 2^80, in the residual
+        M = entries_matrix(rng, rng.randint(2, 6), rng.randint(2, 6), [0, 0, 1, -1, 3])
+        M[0, 0] = rng.choice([1, -1])
+        M[0, 1:] = [rng.randint(2 ** 40, 2 ** 41) for _ in range(M.shape[1] - 1)]
+        M[1:, 0] = [rng.randint(-2 ** 41, -2 ** 40) for _ in range(M.shape[0] - 1)]
+        yield "fill", M
+
+
+def test_unit_pivots_keep_the_invariant_factors():
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import invariant_factors
+    rng = random.Random(16)
+    kinds, pivoted, wide = {}, 0, 0
+    for kind, M in unit_pivot_cases(rng):
+        kinds[kind] = kinds.get(kind, 0) + 1
+        got = exact.smith_normal_form(M, need_u=False, need_v=False)
+        assert got[0] is None and got[2] is None
+        # the dense loop, which the transform path still takes, is the oracle
+        assert_same_snf(got[1:2], exact.smith_normal_form(M, need_u=False)[1:2])
+        want = [int(d) for d in invariant_factors(Matrix(M.tolist()).reshape(*M.shape),
+                                                  domain=ZZ) if d != 0]
+        assert exact.invariant_factors(M) == want, (kind, M.tolist())
+        k, R = exact._unit_pivots(M)
+        assert R.shape[0] <= M.shape[0] - k and R.shape[1] <= M.shape[1] - k
+        pivoted += k > 0
+        if kind == "no unit":
+            assert k == 0
+        if kind == "fill":
+            assert exact._top(M) < 2 ** 62
+            wide += exact._top(R) >= 2 ** 62
+    assert len(kinds) == 7 and pivoted >= 100 and wide >= 15
+
+
+def test_unit_pivots_match_the_dense_loop_on_key_matrices(count_calls):
+    from conftest import coefficient_presets, corpus_groupoids
+    from test_cohomology_key import MIXED
+    from realcech.cochains import cohomology_key
+    # the key matrices and free-part rank matrices of corpus x presets in
+    # degrees 0-3 and of the mixed coefficient groups in degrees 0-2
+    calls = count_calls(exact, "invariant_factors")
+    for top, groups in ((3, coefficient_presets()), (2, MIXED)):
+        for _, S in groups:
+            for _, g in corpus_groupoids():
+                cx = RealComplex(g, S)
+                for n in range(top + 1):
+                    cohomology_key(cx, n)
+    matrices = {(M.shape, tuple(M.flat)): M for (M,) in calls}
+    assert len(matrices) >= 200
+    for M in matrices.values():
+        assert_same_snf(exact.smith_normal_form(M, need_u=False, need_v=False)[1:2],
+                        exact.smith_normal_form(M, need_u=False)[1:2])
+
+
+def test_dense_loop_sees_only_the_residual_of_a_key(count_calls):
+    from realcech import standard
+    from realcech.cochains import cohomology_key
+    from realcech.coefficients import make_standard
+    cx = RealComplex(standard.pair_groupoid(3), make_standard("mu(4)_conj"))
+    cx.differential_matrix(3)
+    factors = count_calls(exact, "invariant_factors")
+    pivots = count_calls(exact, "_pivot")
+    assert cohomology_key(cx, 3) == (0, [])
+    assert max(args[0].shape for args in factors) == (324, 108)
+    # the dense loop looks for pivots in the residual only
+    assert all(args[0].shape[1] <= 11 for args in pivots)
+
+
+def test_sparse_product_matches_object_product():
+    rng = random.Random(18)
+    values = [0] * 12 + [1, -1, 2, -3]
+    for _ in range(60):
+        m, k, n = rng.randint(0, 30), rng.randint(0, 30), rng.randint(0, 30)
+        A, B = entries_matrix(rng, m, k, values), entries_matrix(rng, k, n, values)
+        if rng.random() < 0.3 and A.size and B.size:
+            # past the int64 bound, or just below it
+            A[rng.randrange(m), rng.randrange(k)] = rng.choice([2 ** 62, 2 ** 61 // (k * 3)])
+        got = exact.product(A, B)
+        assert got.dtype == object and got.shape == (m, n)
+        assert all(type(x) is int for x in got.flat)
+        assert got.tolist() == (A @ B).tolist()

@@ -68,3 +68,44 @@ def test_face_commutes_with_involution(corpus):
                 for i in range(n + 1):
                     assert face(g, n, i, lvl.rho(tup)) == \
                         lower.rho(face(g, n, i, tup)), (name, n, i, tup)
+
+
+def levels_below(level):
+    while level is not None:
+        yield level
+        level = level.lower
+
+
+def test_known_level_is_reused(corpus):
+    for name, g in corpus:
+        for start in range(4):
+            known = nerve(g, start)
+            for n in range(5):
+                lvl = nerve(g, n, known)
+                assert (lvl.entries == nerve(g, n).entries).all(), (name, start, n)
+                # known and its lower levels are shared, not rebuilt
+                top, below = (lvl, known) if n >= start else (known, lvl)
+                assert any(x is below for x in levels_below(top)), (name, start, n)
+
+
+def test_each_level_is_built_once_per_complex(count_calls):
+    from realcech.coefficients import RealRepresentation, make_standard
+    from realcech.cochains import RealComplex
+    from realcech.nerve import NerveLevel
+    from realcech.proper import RepComplex
+    g = standard.cyclic_group(4, "inversion")
+    built = count_calls(NerveLevel, "__init__")
+    cx = RealComplex(g, make_standard("mu(4)_conj"))
+    for n in range(5):
+        cx.differential_matrix(n)
+    assert len(built) == 6
+    # levels asked for from the top down are read off the first one
+    cx = RealComplex(g, make_standard("Z_sign"))
+    for n in (3, 1, 0, 2, 4):
+        cx.cohomology(n)
+    assert len(built) == 12
+    rc = RepComplex(g, RealRepresentation.trivial(g, 1, 1))
+    for n in range(4):
+        rc.differential_matrix(n)
+        rc.contraction_matrix(n)
+    assert len(built) == 17
