@@ -59,7 +59,7 @@ class RealPrincipalBundle:
         G = self.groupoid
         ts, add, tau = group_tables(self.S)
         ns, s = len(ts), np.arange(len(ts))
-        c = element_index(self.S, self.cx.basis(1).values(self.cocycle.vector))
+        c = element_index(self.S, self.cocycle.values())
         points = np.arange(G.n_objects * ns)
         invol = G.rho_obj[points // ns] * ns + tau[points % ns]
         s_act = points - points % ns + add[:, points % ns]
@@ -136,6 +136,8 @@ def _search_isomorphism(z1, z2):
     involutions)."""
     G, S = z1.groupoid, z1.S
     elems = list(S.elements())
+    # the value of each cocycle at every arrow, read once
+    c1, c2 = (z.cocycle.values().tolist() for z in (z1, z2))
     for combo in itertools.product(elems, repeat=G.n_objects):
         f = list(combo)
         ok = True
@@ -146,10 +148,8 @@ def _search_isomorphism(z1, z2):
         if not ok:
             continue
         for g in range(G.n_arrows):
-            c1 = z1.cocycle.value_at((g,))
-            c2 = z2.cocycle.value_at((g,))
-            lhs = S.add_tuples(c2, f[int(G.src[g])])
-            rhs = S.add_tuples(f[int(G.tgt[g])], c1)
+            lhs = S.add_tuples(c2[g], f[int(G.src[g])])
+            rhs = S.add_tuples(f[int(G.tgt[g])], c1[g])
             if lhs != rhs:
                 ok = False
                 break

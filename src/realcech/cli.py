@@ -66,8 +66,11 @@ def cmd_validate(args):
 
 def cmd_nerve(args):
     g = _groupoid(args)
-    levels = [{"n": n, "count": len(nerve(g, n))}
-              for n in range(args.max_degree + 1)]
+    # one enumeration, read downwards; a negative degree lists no level
+    levels, level = [], nerve(g, args.max_degree) if args.max_degree >= 0 else None
+    while level is not None:
+        levels.insert(0, {"n": level.n, "count": len(level)})
+        level = level.lower
     violations = check_simplicial_identities(g, min(args.max_degree, 4))
     if violations:
         for line in violations:

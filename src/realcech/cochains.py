@@ -18,6 +18,7 @@ Its group key comes from the invariant factors of one matrix, its
 generators and class coordinates from a presentation built on demand.
 """
 
+import weakref
 from collections import namedtuple
 from functools import cached_property
 
@@ -275,14 +276,9 @@ class LevelBasis(OrbitBasis):
                          for v, d in zip(vec, self.moduli)], dtype=object)
 
     def value_at(self, vector, tup):
-        """Evaluate a stored coordinate vector at a nerve tuple; returns
-        the S-element as a reduced tuple."""
-        i = self.level.index_of(tup)
-        off, M = self.value_expression(i)
-        w = M.shape[1]
-        coords = np.array(list(vector[off:off + w]), dtype=object)
-        val = M @ coords if w else exact.zeros(self.fibre.k, 1)[:, 0]
-        return self.fibre.S.reduce_tuple(tuple(val))
+        """The reduced S-value of a stored coordinate vector at one nerve
+        tuple, as a tuple: its row of `values`."""
+        return tuple(self.values(vector)[self.level.index_of(tup)].tolist())
 
     def values(self, vector):
         """Evaluate a stored coordinate vector at every tuple of the level:
@@ -309,6 +305,10 @@ class RealCochain:
 
     def value_at(self, tup):
         return self.complex.basis(self.degree).value_at(self.vector, tup)
+
+    def values(self):
+        """The value at every tuple of the level, in level order."""
+        return self.complex.basis(self.degree).values(self.vector)
 
     def __add__(self, other):
         assert self.degree == other.degree
@@ -344,6 +344,9 @@ class RealComplex:
         self._diffs = {}
         self._solvers = {}
         self._free_ranks = {}
+        # held weakly: a group holds its complex, and a cycle would keep
+        # every matrix of the complex alive until the cyclic collector ran
+        self._groups = weakref.WeakValueDictionary()
 
     def basis(self, n):
         if n not in self._bases:
@@ -406,7 +409,11 @@ class RealComplex:
         return self._free_ranks[n]
 
     def cohomology(self, n):
-        return CohomologyGroup(self, n)
+        """HR^n, built once per degree while anything holds it."""
+        group = self._groups.get(n)
+        if group is None:
+            group = self._groups[n] = CohomologyGroup(self, n)
+        return group
 
 
 class CohomologyGroup(exact.GroupKey):

@@ -224,6 +224,15 @@ def make_standard(name):
     raise ValueError(f"unknown coefficient preset {name!r}")
 
 
+def canonical_key(key):
+    """(rank, invariant factors > 1) of Z^rank + the sum of Z/d over the
+    factors d of key = (rank, factors): two keys name isomorphic groups
+    exactly when these agree."""
+    rank, factors = key
+    diagonal = np.diag(np.array(factors, dtype=object))
+    return rank, tuple(d for d in exact.invariant_factors(diagonal) if d > 1)
+
+
 def half_localized_decomposition(S):
     """Invert 2: returns (fixed part localized, imaginary part localized,
     split) where each localized group is (free_rank, odd invariant factors)
@@ -234,40 +243,17 @@ def half_localized_decomposition(S):
     parts is done here; a mismatch raises AssertionError.
     """
     def localize(free_rank, factors):
-        odd = []
-        for d in factors:
-            while d % 2 == 0:
-                d //= 2
-            if d > 1:
-                odd.append(d)
-        return (free_rank, tuple(sorted(odd)))
+        # 2 is a unit after inverting it: keep the odd part d / (d & -d)
+        return canonical_key((free_rank, [d // (d & -d) for d in factors]))
 
     fixed, _ = S.fixed_part()
     imag, _ = S.imaginary_part()
     loc_fixed = localize(fixed.free_rank, fixed.invariant_factors)
     loc_imag = localize(imag.free_rank, imag.invariant_factors)
     loc_total = localize(S.free_rank, S.invariant_factors)
-    combined = (loc_fixed[0] + loc_imag[0],
-                tuple(sorted(loc_fixed[1] + loc_imag[1])))
+    combined = (loc_fixed[0] + loc_imag[0], loc_fixed[1] + loc_imag[1])
 
-    def canon(key):
-        # canonical form: multiset of prime powers (elementary divisors)
-        rank, factors = key
-        eds = []
-        for d in factors:
-            dd = d
-            p = 3
-            while dd > 1:
-                while dd % p == 0:
-                    e = 0
-                    while dd % p == 0:
-                        dd //= p
-                        e += 1
-                    eds.append(p ** e)
-                p += 2
-        return rank, tuple(sorted(eds))
-
-    if canon(loc_total) != canon(combined):
+    if loc_total != canonical_key(combined):
         raise AssertionError(
             f"localization mismatch: {loc_total} vs fixed+imag {combined}")
 

@@ -350,9 +350,8 @@ def int_kernel(mat, rows=None):
     if m == 0:
         return np.eye(r, n, dtype=object)
     _, D, V = smith_normal_form(M, need_u=False, v_rows=r)
-    diag = diagonal_of(D)
-    cols = [j for j in range(n) if j >= len(diag) or diag[j] == 0]
-    return V[:, cols] if cols else zeros(r, 0)
+    # the columns of V past the rank of M
+    return V[:, sum(1 for d in diagonal_of(D) if d):]
 
 
 class IntSolver:
@@ -371,15 +370,11 @@ class IntSolver:
         self.m, self.n = M.shape
         # column operations act on each row of V on its own, so its
         # first n rows are those of the full transform
-        U, D, V = smith_normal_form(M, v_rows=n)
-        self.U, self.D, self.V = U, D, V
+        self.U, D, self.V = smith_normal_form(M, v_rows=n)
         self.diag = diagonal_of(D)
-        # rows of U @ b divided by a nonzero diagonal entry; the rest must vanish
-        pivot = np.array([i < len(self.diag) and self.diag[i] != 0
-                          for i in range(self.m)], dtype=bool)
-        self._pivots, self._rest = np.flatnonzero(pivot), np.flatnonzero(~pivot)
-        self._divisors = np.array([self.diag[i] for i in self._pivots],
-                                  dtype=object).reshape(-1, 1)
+        # the nonzero diagonal entries come first; rows of U @ b past them
+        # must vanish, the others are divided by them
+        self._divisors = np.array([d for d in self.diag if d], dtype=object).reshape(-1, 1)
 
     def solve(self, b):
         """A particular integer solution of M x = b (mod R), or None.  A
@@ -390,11 +385,11 @@ class IntSolver:
         if one:
             B = B.reshape(-1, 1)
         C = self.U @ B
-        P = C[self._pivots]
-        if (P % self._divisors).any() or C[self._rest].any():
+        r = len(self._divisors)
+        if (C[:r] % self._divisors).any() or C[r:].any():
             return None
         Y = zeros(self.n, B.shape[1])
-        Y[self._pivots] = P // self._divisors
+        Y[:r] = C[:r] // self._divisors
         X = self.V @ Y
         return X[:, 0] if one else X
 
@@ -427,13 +422,18 @@ class AbelianGroupPresentation(GroupKey):
     L is spanned by `sub_gens` (each expressible in K, checked).  Exposes
     free rank, invariant factors d_1 | d_2 | ..., generator lifts into the
     ambient Z^k, and canonical class coordinates for membership tests.
-    """
+
+    With P U Q = D the Smith form of the coordinates U of L in K, the
+    columns of basis @ P^-1 generate K / L with the orders of the diagonal
+    of D, and P maps K-coordinates to theirs.  Only the generators of
+    order != 1 are kept: `gens` holds them as columns, the torsion ones in
+    invariant-factor order and then the free ones, with their `orders` (0
+    for free) and the matching rows of P."""
 
     def __init__(self, basis, sub_gens):
         B = as_int_matrix(basis)
         G = as_int_matrix(sub_gens)
-        k = B.shape[0]
-        mdim = B.shape[1]
+        k, mdim = B.shape
         if G.shape[0] != k and G.size == 0:
             G = zeros(k, 0)
         self.ambient_dim = k
@@ -443,53 +443,38 @@ class AbelianGroupPresentation(GroupKey):
         if Umat is None:
             raise ValueError("image not contained in kernel")
         P, D, _, Pinv, _ = smith_normal_form(Umat, need_inverses=True)
-        self._P = P
-        self._Pinv = Pinv
         diag = diagonal_of(D)
-        self._orders = []          # per position: 1 (dead), d>1 (torsion), 0 (free)
-        for i in range(mdim):
-            d = abs(diag[i]) if i < len(diag) else 0
-            self._orders.append(d)
-        self.invariant_factors = [d for d in self._orders if d > 1]
-        self.free_rank = sum(1 for d in self._orders if d == 0)
-        gen_matrix = B @ Pinv if mdim else zeros(k, 0)
-        self._gen_cols = gen_matrix
-        # surviving generators: order != 1
-        self._live = [i for i, d in enumerate(self._orders) if d != 1]
+        self.invariant_factors = [d for d in diag if d > 1]
+        self.free_rank = mdim - sum(1 for d in diag if d)
+        # the diagonal is 1, ..., 1, the invariant factors, then 0 (free)
+        live = slice(sum(1 for d in diag if d == 1), mdim)
+        self.gens = B @ Pinv[:, live]
+        self.orders = self.invariant_factors + [0] * self.free_rank
+        self._P = P[live]
 
     def generators(self):
         """Ambient lift of each surviving generator, paired with its order."""
-        out = []
-        for i in self._live:
-            out.append((self._gen_cols[:, i], self._orders[i]))
-        return out
+        return list(zip(self.gens.T, self.orders))
 
     def split_generators(self):
         """(free generator columns, [(torsion column, order), ...]) with the
         torsion part in invariant-factor order."""
-        free = [self._gen_cols[:, i] for i in self._live if self._orders[i] == 0]
-        tors = [(self._gen_cols[:, i], self._orders[i])
-                for i in self._live if self._orders[i] > 1]
-        return free, tors
+        t = len(self.invariant_factors)
+        return list(self.gens.T[t:]), list(zip(self.gens.T[:t], self.invariant_factors))
 
     def class_coords(self, vec):
         """Canonical coordinates of [vec]; None if vec is not in K."""
         w = self._solver.solve(vec)
         if w is None:
             return None
-        w2 = self._P @ w
-        coords = []
-        for i in self._live:
-            d = self._orders[i]
-            coords.append(int(w2[i]) % d if d else int(w2[i]))
-        return tuple(coords)
+        coords = self._P @ w
+        t = len(self.invariant_factors)
+        coords[:t] %= np.array(self.invariant_factors, dtype=object)
+        return tuple(map(int, coords))
 
     def lift(self, coords):
         """Ambient representative of the class with the given coordinates."""
-        v = zeros(self.ambient_dim, 1)[:, 0]
-        for c, i in zip(coords, self._live):
-            v = v + c * self._gen_cols[:, i]
-        return v
+        return self.gens @ np.array(coords, dtype=object)
 
 
 def quotient(ker_basis, img_gens):
@@ -516,23 +501,16 @@ def lattice_mod_relations(constraint, relations, modulus_relations):
 def lattice_basis(gens):
     """A basis of the lattice spanned by the given generator columns.
 
-    span(G) == span(G @ V) for unimodular V, and in SNF coordinates the
-    nonzero columns of G @ V are independent.
+    span(G) == span(G @ V) for unimodular V, and in SNF coordinates
+    G @ V = U^-1 D, whose first rank columns are independent and whose
+    others are zero.
     """
     G = as_int_matrix(gens)
     n, g = G.shape
     if g == 0:
         return zeros(n, 0)
-    _, D2, V2 = smith_normal_form(G, need_u=False)
-    GV = G @ V2
-    diag = diagonal_of(D2)
-    rank = sum(1 for d in diag if d != 0)
-    cols = [GV[:, j] for j in range(g) if any(v != 0 for v in GV[:, j])]
-    if not cols:
-        return zeros(n, 0)
-    B = np.stack(cols, axis=1)
-    assert B.shape[1] == rank
-    return B
+    _, D, V = smith_normal_form(G, need_u=False)
+    return (G @ V)[:, :sum(1 for d in diagonal_of(D) if d)]
 
 
 # ----------------------------------------------------------------------

@@ -81,14 +81,9 @@ def group_tables(S):
     return ts, element_index(S, T[:, None] + T), element_index(S, T @ S.tau.T.astype(np.int64))
 
 
-def _values(c):
-    """The values of a cochain at every tuple of its level, in level order."""
-    return c.complex.basis(c.degree).values(c.vector)
-
-
 def _bits(delta):
     """A Z/2-valued 1-cochain as a 0/1 array over the arrows."""
-    return _values(delta)[:, 0].astype(np.int64)
+    return delta.values()[:, 0].astype(np.int64)
 
 
 class GradedTwist:
@@ -121,12 +116,12 @@ def _unit_pairs(cx):
 
 
 def _is_normalized(base, omega):
-    return not (_values(omega)[np.concatenate(_unit_pairs(omega.complex))] != 0).any()
+    return not (omega.values()[np.concatenate(_unit_pairs(omega.complex))] != 0).any()
 
 
 def normalize_cocycle(cx, omega):
     """Subtract the canonical coboundary so unit pairs map to zero."""
-    w = _values(omega)[_unit_pairs(cx)[0]]
+    w = omega.values()[_unit_pairs(cx)[0]]
     return omega - cx.d(cx.from_values(1, lambda t: w[t[0]]))
 
 
@@ -225,7 +220,7 @@ class ExtensionGroupoid(AbstractExtension):
         # omega read once per composable pair (g, h), in level order, and
         # (t_i, g)(t_j, h) = (t_i + t_j + omega(g, h), g h) for all i, j
         g, h = omega.complex.basis(2).level.entries.T
-        w = element_index(S, _values(omega))
+        w = element_index(S, omega.values())
         i, j = np.arange(len(ts))[:, None, None], np.arange(len(ts))[:, None]
         left, right, out = (a.ravel().tolist() for a in np.broadcast_arrays(
             i * m + g, j * m + h, add[add[i, j], w] * m + base.comp[g, h]))
@@ -257,7 +252,7 @@ def build_extension(base, S, omega):
 def cocycle_witness(cx, c):
     """The first nerve tuple, in level order, at which dc is not zero;
     None when c is a cocycle."""
-    bad = np.flatnonzero((_values(cx.d(c)) != 0).any(axis=1))
+    bad = np.flatnonzero((cx.d(c).values() != 0).any(axis=1))
     return cx.basis(c.degree + 1).level.tuple_at(bad[0]) if bad.size else None
 
 
@@ -362,7 +357,7 @@ def is_strictly_trivial(t):
     b = t.cx.is_coboundary(t.omega)
     if b is None:
         return False, None
-    return True, {g: (tuple(v), g) for g, v in enumerate(_values(-b).tolist())}
+    return True, {g: (tuple(v), g) for g, v in enumerate((-b).values().tolist())}
 
 
 def grading_cocycle(t):

@@ -167,10 +167,8 @@ class ConnectingMap:
 def _class_data(h):
     """(generator columns, relation matrix) of a cohomology group on its
     class coordinates: Z^g / span(diag(orders)), an order 0 being free."""
-    gens = h.presentation.generators()
-    G = np.array([col for col, _ in gens], dtype=object).reshape(
-        len(gens), h.presentation.ambient_dim).T
-    return G, np.diag(np.array([order for _, order in gens], dtype=object))
+    p = h.presentation
+    return p.gens, np.diag(np.array(p.orders, dtype=object))
 
 
 def _on_classes(image, h_to):

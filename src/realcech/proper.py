@@ -21,6 +21,7 @@ with one scale each; a coboundary witness is h c, checked by d h c = c.
 """
 
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -117,6 +118,9 @@ class RepComplex:
         self._diffs = {}
         self._ranks = {}
         self._homos = {}
+        # held weakly: a group holds its complex, and a cycle would keep
+        # every matrix of the complex alive until the cyclic collector ran
+        self._groups = weakref.WeakValueDictionary()
 
     def basis(self, n):
         if n not in self._bases:
@@ -157,7 +161,11 @@ class RepComplex:
         return self._homos[n]
 
     def cohomology(self, n):
-        return RationalCohomology(self, n)
+        """HR^n over Q, built once per degree while anything holds it."""
+        group = self._groups.get(n)
+        if group is None:
+            group = self._groups[n] = RationalCohomology(self, n)
+        return group
 
     def is_cocycle(self, n, vec):
         D = self.differential_matrix(n).num
@@ -203,27 +211,17 @@ class RationalCohomology(exact.GroupKey):
 
 def homotopy_identity_matrices(complex_, n):
     """(h d + d h, expected multiple of identity) on degree n >= 1, from
-    the integer numerators of d and h; in C-speed int64 arithmetic when a
-    bound on every entry proves that nothing can overflow, else in Python
-    ints."""
+    the integer numerators of d and h."""
     Dn, dn = complex_.differential_matrix(n)
     Dp, dp = complex_.differential_matrix(n - 1)
     Hn, hn = complex_.contraction_matrix(n)        # C^(n+1) -> C^n
     Hp, hp = complex_.contraction_matrix(n - 1)    # C^n -> C^(n-1)
-    # Hn @ Dn is hn*dn times h d and Dp @ Hp is dp*hp times d h; fn and fp
-    # bring both to one multiple of h d + d h
+    # Hn @ Dn is hn*dn times h d and Dp @ Hp is dp*hp times d h; both
+    # are brought to one multiple of h d + d h
     scale = math.lcm(hn * dn, dp * hp)
-    fn, fp = scale // (hn * dn), scale // (dp * hp)
-    tops = [np.abs(M).max(initial=0) for M in (Dn, Dp, Hn, Hp)]
-    top_Dn, top_Dp, top_Hn, top_Hp = tops
-    # |entry of f Hn @ Dn| <= f * inner dim * max|H| * max|D|, per product
-    bound = (fn * Hn.shape[1] * top_Hn * top_Dn
-             + fp * Dp.shape[1] * top_Dp * top_Hp)
-    dtype = np.int64 if max(bound, scale, *tops) <= 1 << 62 else object
-    Dn, Dp, Hn, Hp = (M.astype(dtype) for M in (Dn, Dp, Hn, Hp))
-    lhs = fn * (Hn @ Dn) + fp * (Dp @ Hp)
-    rhs = scale * np.eye(complex_.basis(n).total, dtype=np.int64).astype(dtype)
-    return lhs, rhs
+    lhs = scale // (hn * dn) * exact.product(Hn, Dn) + \
+        scale // (dp * hp) * exact.product(Dp, Hp)
+    return lhs, scale * exact.eye(complex_.basis(n).total)
 
 
 def contraction_is_homotopy(complex_, n):

@@ -8,9 +8,12 @@ that the array ones in `groupoids` must match, and the long exact
 sequence checked by enumerating elements and classes, with a loop
 connecting map, that the lattice checks of `les` must match, and the
 element-at-a-time extension groupoid and extension and bundle checks
-that the array ones in `extensions` and `bundles` must match."""
+that the array ones in `extensions` and `bundles` must match, and the
+presentation, canonical key and dense contraction identity that `exact`,
+`coefficients` and `proper` replaced."""
 
 import itertools
+import math
 
 import numpy as np
 
@@ -1072,3 +1075,93 @@ def loop_bundle_verify(b):
                 if b.act(g, b.act(h, z)) != b.act(int(k), z):
                     bad.append(f"action not associative at ({g},{h},{s})")
     return bad
+
+
+# -- the second implementations that `exact` replaced ----------------------
+#
+# The presentation with per-position orders and the full generator
+# matrix, the trial-division canonical form of a localized group key, and
+# the identity h d + d h multiplied as dense matrices: the references that
+# `exact.AbelianGroupPresentation`, `coefficients.canonical_key` and
+# `proper.homotopy_identity_matrices` must match.
+
+class LoopPresentation(exact.GroupKey):
+    """`exact.AbelianGroupPresentation` with every position of the Smith
+    diagonal kept: order 1 (dead), d > 1 (torsion) or 0 (free), the full
+    generator matrix basis @ P^-1, and loops over the surviving
+    positions."""
+
+    def __init__(self, basis, sub_gens):
+        B = exact.as_int_matrix(basis)
+        G = exact.as_int_matrix(sub_gens)
+        k, mdim = B.shape
+        if G.shape[0] != k and G.size == 0:
+            G = exact.zeros(k, 0)
+        self.ambient_dim = k
+        self._solver = exact.IntSolver(B)
+        Umat = self._solver.solve(G)
+        if Umat is None:
+            raise ValueError("image not contained in kernel")
+        P, D, _, Pinv, _ = exact.smith_normal_form(Umat, need_inverses=True)
+        diag = exact.diagonal_of(D)
+        self._P = P
+        self._orders = [abs(diag[i]) if i < len(diag) else 0 for i in range(mdim)]
+        self.invariant_factors = [d for d in self._orders if d > 1]
+        self.free_rank = sum(1 for d in self._orders if d == 0)
+        self._gen_cols = B @ Pinv if mdim else exact.zeros(k, 0)
+        self._live = [i for i, d in enumerate(self._orders) if d != 1]
+
+    def generators(self):
+        return [(self._gen_cols[:, i], self._orders[i]) for i in self._live]
+
+    def split_generators(self):
+        free = [self._gen_cols[:, i] for i in self._live if self._orders[i] == 0]
+        tors = [(self._gen_cols[:, i], self._orders[i])
+                for i in self._live if self._orders[i] > 1]
+        return free, tors
+
+    def class_coords(self, vec):
+        w = self._solver.solve(vec)
+        if w is None:
+            return None
+        w2 = self._P @ w
+        coords = []
+        for i in self._live:
+            d = self._orders[i]
+            coords.append(int(w2[i]) % d if d else int(w2[i]))
+        return tuple(coords)
+
+    def lift(self, coords):
+        v = exact.zeros(self.ambient_dim, 1)[:, 0]
+        for c, i in zip(coords, self._live):
+            v = v + c * self._gen_cols[:, i]
+        return v
+
+
+def trial_division_canon(key):
+    """(rank, sorted prime powers of the odd factors) by trial division:
+    two keys with odd factors name isomorphic groups exactly when these
+    agree."""
+    rank, factors = key
+    eds = []
+    for d in factors:
+        p = 3
+        while d > 1:
+            e = 0
+            while d % p == 0:
+                d //= p
+                e += 1
+            if e:
+                eds.append(p ** e)
+            p += 2
+    return rank, tuple(sorted(eds))
+
+
+def dense_homotopy_identity(complex_, n):
+    """`proper.homotopy_identity_matrices` with the numerators multiplied
+    as dense matrices of Python ints."""
+    (Dn, dn), (Dp, dp) = complex_.differential_matrix(n), complex_.differential_matrix(n - 1)
+    (Hn, hn), (Hp, hp) = complex_.contraction_matrix(n), complex_.contraction_matrix(n - 1)
+    scale = math.lcm(hn * dn, dp * hp)
+    lhs = scale // (hn * dn) * (Hn @ Dn) + scale // (dp * hp) * (Dp @ Hp)
+    return lhs, scale * exact.eye(complex_.basis(n).total)

@@ -292,3 +292,17 @@ def test_ext_build_materialises_the_extension_once(tmp_path, capsys, count_calls
     assert cli.main(["ext", "build", tw]) == 0
     assert capsys.readouterr().out == want
     assert len(built) == 1
+
+
+def test_nerve_levels_are_enumerated_once(tmp_path, capsys, count_calls):
+    from realcech import nerve
+    g = standard.pair_groupoid(3)
+    path = write(tmp_path, "pair3.json", io.groupoid_to_json(g))
+    built = count_calls(nerve.NerveLevel, "__init__")
+    assert cli.main(["nerve", path, "--max-degree", "4"]) == 0
+    # levels 0..4 for the counts, then 0..6 for the simplicial identities
+    assert len(built) == 5 + 7
+    counts = [len(nerve.nerve(g, n)) for n in range(5)]
+    assert json.loads(capsys.readouterr().out) == {
+        "levels": [{"n": n, "count": c} for n, c in enumerate(counts)],
+        "identities_verified": True}

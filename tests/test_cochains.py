@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -7,7 +9,7 @@ from realcech.cochains import (RealComplex, SBlocks, cochain_group, cohomology,
                                invariant_sections)
 from realcech.coefficients import make_standard
 
-from oracles import brute_cohomology_orders, orders_of_presentation
+from oracles import LoopBasis, brute_cohomology_orders, orders_of_presentation
 
 mu4 = make_standard("mu(4)_conj")
 mu2 = make_standard("mu(2)_conj")
@@ -270,7 +272,8 @@ class TestHRvsH:
 
 def test_values_match_value_at(corpus, presets):
     """The array evaluation of a cochain equals value_at tuple by tuple,
-    free coordinates (Z_sign) and fixed orbits included."""
+    and the loop basis's value expressions, free coordinates (Z_sign) and
+    fixed orbits included."""
     rng = random.Random(5)
     for name, g in corpus:
         for sname, S in presets:
@@ -279,7 +282,35 @@ def test_values_match_value_at(corpus, presets):
             cx = RealComplex(g, S)
             for n in (0, 1, 2):
                 basis = cx.basis(n)
+                loop = LoopBasis(g, cx.sb, n)
                 c = cx.cochain(n, [rng.randint(-9, 9) for _ in range(basis.total)])
-                assert [tuple(row) for row in basis.values(c.vector).tolist()] == \
-                    [c.value_at(basis.level.tuple_at(i))
-                     for i in range(len(basis.level))], (name, sname, n)
+                values = [tuple(row) for row in basis.values(c.vector).tolist()]
+                assert values == [c.value_at(basis.level.tuple_at(i))
+                                  for i in range(len(basis.level))], (name, sname, n)
+                expected = []
+                for i in range(len(loop.level)):
+                    off, M = loop.value_expression(i)
+                    expected.append(S.reduce_tuple(M @ c.vector[off:off + M.shape[1]]))
+                assert values == expected, (name, sname, n)
+
+
+def test_cohomology_is_built_once_per_degree(count_calls):
+    from realcech import cochains
+    cx = RealComplex(standard.cyclic_group(4, "inversion"), make_standard("mu(4)_conj"))
+    built = count_calls(cochains, "cohomology_key")
+    h2 = cx.cohomology(2)
+    assert cx.cohomology(2) is h2 and cx.cohomology(1) is not h2
+    assert len(built) == 2
+
+
+def test_cached_groups_leave_no_reference_cycle():
+    # the complex and its matrices are freed by reference counting alone
+    gc.disable()
+    try:
+        cx = RealComplex(standard.cyclic_group(2), make_standard("mu(4)_conj"))
+        h, ref = cx.cohomology(1), weakref.ref(cx)
+        h.class_of(cx.zero_cochain(1))
+        del cx, h
+        assert ref() is None
+    finally:
+        gc.enable()

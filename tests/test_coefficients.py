@@ -5,7 +5,10 @@ import pytest
 
 from realcech import exact, standard
 from realcech.coefficients import (RealCoefficientGroup, RealRepresentation,
-                                   half_localized_decomposition, make_standard)
+                                   canonical_key, half_localized_decomposition,
+                                   make_standard)
+
+from oracles import trial_division_canon
 
 
 class TestStandardInstances:
@@ -104,6 +107,37 @@ class TestHalfLocalization:
     def test_standard_instances(self, presets):
         for name, S in presets:
             half_localized_decomposition(S)  # raises on mismatch
+
+    def test_mixed_odd_parts(self):
+        # Z/15 with tau = 4: fixed part Z/3 and imaginary part Z/5, whose
+        # sum Z/3 + Z/5 is Z/15 again
+        fixed, imag, _ = half_localized_decomposition(RealCoefficientGroup(0, [15], [[4]]))
+        assert fixed == (0, (3,)) and imag == (0, (5,))
+        assert canonical_key((0, (3, 5))) == canonical_key((0, (15,))) == (0, (15,))
+        assert canonical_key((1, (3, 9))) != canonical_key((1, (27,)))
+
+    def test_canonical_key_matches_trial_division(self):
+        # odd prime powers grouped into factors at random; half of the
+        # pairs regroup the same prime powers
+        rng = random.Random(1419)
+        powers = [3, 3, 9, 27, 5, 25, 7, 11]
+
+        def regroup(rank, chosen):
+            factors = [1] * rng.randint(1, 3)
+            for q in chosen:
+                factors[rng.randrange(len(factors))] *= q
+            return rank, tuple(f for f in factors if f > 1)
+
+        same = 0
+        for _ in range(300):
+            rank, chosen = rng.randint(0, 1), rng.sample(powers, rng.randint(0, 4))
+            a = regroup(rank, chosen)
+            b = regroup(rank, chosen) if rng.random() < 0.5 else \
+                regroup(rng.randint(0, 1), rng.sample(powers, rng.randint(0, 4)))
+            agree = trial_division_canon(a) == trial_division_canon(b)
+            assert (canonical_key(a) == canonical_key(b)) == agree, (a, b)
+            same += agree
+        assert 100 < same < 250
 
     def test_random_small_tau_groups(self):
         rng = random.Random(20240402)

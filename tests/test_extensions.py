@@ -524,3 +524,17 @@ class TestAgainstLoopOracles:
         ext.grading_cocycle(t)
         ext.baer_sum(t, t)
         assert reads == []
+
+
+def test_dd_class_and_grading_share_one_hr1(count_calls):
+    from realcech import exact
+    z2 = standard.cyclic_group(2)
+    d = RealComplex(z2, ext.Z2).from_values(1, lambda t: (t[0],))
+    om = RealComplex(z2, mu4).from_values(2, lambda t: (2,) if t == (1, 1) else (0,))
+    t = ext.GradedTwist(z2, mu4, om, d)
+    built = count_calls(exact, "lattice_mod_relations")
+    delta_class, _, h1, h2 = ext.dd_class(t)
+    assert ext.grading_cocycle(t) == (h1, delta_class)
+    assert h1.group_key() == h2.group_key() == (0, (2,))
+    # one presentation of HR^1(Z/2) and one of HR^2(mu(4)_conj)
+    assert len(built) == 2

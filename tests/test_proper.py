@@ -1,10 +1,13 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from oracles import dense_homotopy_identity
 from realcech import exact, standard
 from realcech.coefficients import RealRepresentation, make_standard
 from realcech.cochains import cohomology
@@ -332,3 +335,27 @@ def test_only_fibre_sized_blocks_are_cleared(monkeypatch):
     cx = RepComplex(p3, rep)
     assert all(contraction_is_homotopy(cx, n) for n in (1, 2, 3))
     assert rows and max(rows) <= rep.dim
+
+
+def test_homotopy_identity_matches_dense_product():
+    for name, g, rep in rational_cases():
+        cx = RepComplex(g, rep)
+        for n in (1, 2, 3):
+            (lhs, rhs), (dense, eye) = homotopy_identity_matrices(cx, n), \
+                dense_homotopy_identity(cx, n)
+            assert lhs.tolist() == dense.tolist() and rhs.tolist() == eye.tolist(), (name, n)
+
+
+def test_rational_cohomology_is_built_once_per_degree():
+    g = standard.cyclic_group(3)
+    cx = RepComplex(g, RealRepresentation.trivial(g, 1, 1))
+    h1 = cx.cohomology(1)
+    assert cx.cohomology(1) is h1 and cx.cohomology(2) is not h1
+    # the group holds the complex, not the other way round: no cycle
+    gc.disable()
+    try:
+        ref = weakref.ref(cx)
+        del cx, h1
+        assert ref() is None
+    finally:
+        gc.enable()
