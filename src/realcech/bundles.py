@@ -9,6 +9,7 @@ exhaustive equivariant-map search) which must agree.
 """
 
 import itertools
+from functools import cached_property
 
 import numpy as np
 
@@ -37,13 +38,18 @@ class RealPrincipalBundle:
     def anchor(self, z):
         return z[0]
 
+    @cached_property
+    def _values(self):
+        # the cocycle at every arrow, read once: row g of level 1 is arrow g
+        return self.cocycle.values()
+
     def act(self, g, z):
         """g . z for z in the fiber over src(g)."""
         G = self.groupoid
         x, t = z
         if x != int(G.src[g]):
             raise BundleError("point is not in the source fiber")
-        c = self.cocycle.value_at((g,))
+        c = tuple(self._values[g].tolist())
         return (int(G.tgt[g]), self.S.add_tuples(c, t))
 
     def s_act(self, t, z):
@@ -59,7 +65,7 @@ class RealPrincipalBundle:
         G = self.groupoid
         ts, add, tau = group_tables(self.S)
         ns, s = len(ts), np.arange(len(ts))
-        c = element_index(self.S, self.cocycle.values())
+        c = element_index(self.S, self._values)
         points = np.arange(G.n_objects * ns)
         invol = G.rho_obj[points // ns] * ns + tau[points % ns]
         s_act = points - points % ns + add[:, points % ns]

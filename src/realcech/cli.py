@@ -66,12 +66,14 @@ def cmd_validate(args):
 
 def cmd_nerve(args):
     g = _groupoid(args)
-    # one enumeration, read downwards; a negative degree lists no level
-    levels, level = [], nerve(g, args.max_degree) if args.max_degree >= 0 else None
+    # one enumeration, read downwards and extended for the identities; a
+    # negative degree lists no level
+    top = nerve(g, args.max_degree) if args.max_degree >= 0 else None
+    levels, level = [], top
     while level is not None:
         levels.insert(0, {"n": level.n, "count": len(level)})
         level = level.lower
-    violations = check_simplicial_identities(g, min(args.max_degree, 4))
+    violations = check_simplicial_identities(g, min(args.max_degree, 4), top)
     if violations:
         for line in violations:
             print(line, file=sys.stderr)

@@ -3,16 +3,17 @@
 Smith normal form, Diophantine solving, integer kernels, and presentation
 of quotient lattices as abelian groups (free rank + invariant factors).
 Integer results are arbitrary-precision Python ints inside numpy object
-arrays, so intermediate swell is harmless.  The Smith form reduces its
-working matrix D with vectorised numpy operations on an int64 copy, and
-promotes D to Python ints before any update whose result could reach
-2^62; the transforms are Python ints throughout, and the returned
-matrices are those of the scalar elimination, entry for entry.  With no
-transform asked for, the +-1 pivots are first eliminated on sparse rows
-of Python ints, and only the residual is reduced densely.  Rational
-matrices are `Scaled` integer ones, num standing for num / scale, so ranks
-are Smith forms of num; `cleared` scales a Fraction matrix to that pair,
-and rational kernels row-reduce the Fractions.  No floating point anywhere.
+arrays, so intermediate swell is harmless.  The Smith form eliminates on
+sparse rows of Python ints: D and the transforms are kept as dicts of
+their nonzero entries, and each operation touches only the entries it
+changes.  Its operations and their order are those of the scalar
+elimination, so the returned matrices are that elimination's, entry for
+entry.  With no transform asked for, the +-1 pivots are first eliminated
+by a sparsest-first pass, and only the residual goes through the loop.
+Rational matrices are `Scaled` integer ones, num standing for num /
+scale, so ranks are Smith forms of num; `cleared` scales a Fraction matrix
+to that pair, and rational kernels row-reduce the Fractions.  No floating
+point anywhere.
 
 Everything here is a pure function of its inputs; concurrent use is safe.
 """
@@ -46,8 +47,7 @@ def eye(n):
     return np.identity(n, dtype=object)
 
 
-# |entries| of an int64 working matrix stay below this, so no product or
-# sum formed from them within a bound checked first can wrap
+# `product` sums in int64 only when a bound on every sum stays below this
 _LIMIT = 1 << 62
 
 
@@ -69,96 +69,6 @@ def _xgcd(a, b):
     if g < 0:
         x, y, g = -x, -y, -g
     return g, x, y
-
-
-def _pivot(D, t):
-    """(i, j) of the first entry of least nonzero |value| in D[t:, t:] in
-    row-major order, or None if that block is zero."""
-    A = D[t:, t:]
-    rows, cols = np.nonzero(A)
-    if not rows.size:
-        return None
-    k = np.argmin(np.abs(A[rows, cols]))
-    return t + rows[k], t + cols[k]
-
-
-def _indivisible_row(D, t):
-    """The first row below t holding an entry of D[t+1:, t+1:] that the
-    pivot D[t, t] does not divide, or None."""
-    p = D[t, t]
-    if p == 1:
-        return None
-    B = D[t + 1:, t + 1:]
-    rows, cols = np.nonzero(B)
-    bad = (B[rows, cols] % p).nonzero()[0]
-    return t + 1 + rows[bad[0]] if bad.size else None
-
-
-def _swap(X, t, i, T, Tinv):
-    """Swap rows t and i of X (active columns t: only) and of T, and
-    columns t and i of Tinv."""
-    if i == t:
-        return
-    X[[t, i], t:] = X[[i, t], t:]
-    if T is not None:
-        T[[t, i], :] = T[[i, t], :]
-    if Tinv is not None:
-        Tinv[:, [t, i]] = Tinv[:, [i, t]]
-
-
-def _clear_below(X, t, T, Tinv):
-    """Zero X[t+1:, t] by row operations against row t; return X, which
-    is a copy promoted to Python ints if an update could leave int64.
-
-    The rows are visited top to bottom, as a scalar loop would.  A row
-    whose entry the current pivot divides gets row_i -= q * row_t; such
-    operations commute until the pivot row changes, so each run of them
-    is one outer-product update.  Any other row takes a 2x2 gcd step with
-    row t, which makes the pivot their gcd.  T follows the row operations
-    and Tinv the inverse column operations.  Columns left of t are zero
-    in rows t and below, so only the active columns t: are touched.
-    """
-    start = t + 1
-    while True:
-        idx = start + X[start:, t].nonzero()[0]
-        if not idx.size:
-            return X
-        bad = (X[idx, t] % X[t, t]).nonzero()[0]
-        stop = bad[0] if bad.size else idx.size
-        if stop:
-            rows = idx[:stop]
-            q = X[rows, t] // X[t, t]
-            # only the columns where row t is nonzero change
-            cols = t + X[t, t:].nonzero()[0]
-            block = rows[:, None], cols
-            if X.dtype != object and (
-                    _top(X[block]) + _top(q) * _top(X[t, cols]) >= _LIMIT):
-                X, q = X.astype(object), q.astype(object)
-            X[block] -= np.outer(q, X[t, cols])
-            q = q.astype(object)
-            if T is not None:
-                cols = T[t].nonzero()[0]
-                T[rows[:, None], cols] -= np.outer(q, T[t, cols])
-            if Tinv is not None:
-                Tinv[:, t] += Tinv[:, rows] @ q
-        if not bad.size:
-            return X
-        i = idx[stop]
-        g, x, y = _xgcd(int(X[t, t]), int(X[i, t]))
-        a, b = int(X[t, t]) // g, int(X[i, t]) // g
-        if X.dtype != object:
-            ht, hi = _top(X[t, t:]), _top(X[i, t:])
-            if max(abs(x) * ht + abs(y) * hi, abs(b) * ht + abs(a) * hi) >= _LIMIT:
-                X = X.astype(object)
-        # rows (t, i) <- (x*t + y*i, -b*t + a*i); det = 1
-        X[t, t:], X[i, t:] = x * X[t, t:] + y * X[i, t:], -b * X[t, t:] + a * X[i, t:]
-        if T is not None:
-            T[t, :], T[i, :] = x * T[t, :] + y * T[i, :], -b * T[t, :] + a * T[i, :]
-        if Tinv is not None:
-            # inverse of [[x, y], [-b, a]] is [[a, -y], [b, x]]
-            Tinv[:, t], Tinv[:, i] = (a * Tinv[:, t] + b * Tinv[:, i],
-                                      -y * Tinv[:, t] + x * Tinv[:, i])
-        start = i + 1
 
 
 def _unit_pivots(M):
@@ -222,6 +132,206 @@ def _unit_pivots(M):
     return k, R
 
 
+def _axpy(dst, src, q):
+    """dst -= q * src, on lines kept as dicts {index: nonzero value}."""
+    for c, v in src.items():
+        x = dst.get(c, 0) - q * v
+        if x:
+            dst[c] = x
+        else:
+            del dst[c]
+
+
+def _mix(a, b, x, y, z, w):
+    """(x a + y b, z a + w b) for dict lines a and b, as two new dicts."""
+    new_a, new_b = {}, {}
+    for c in a.keys() | b.keys():
+        u, v = a.get(c, 0), b.get(c, 0)
+        if p := x * u + y * v:
+            new_a[c] = p
+        if q := z * u + w * v:
+            new_b[c] = q
+    return new_a, new_b
+
+
+def _replace(lines, cross, s, i, new_s, new_i):
+    """Set lines s and i of a matrix kept both as lines and as the
+    transposed lines `cross`."""
+    for k in (s, i):
+        for c in lines[k]:
+            del cross[c][k]
+    for k, new in ((s, new_s), (i, new_i)):
+        for c, v in new.items():
+            cross[c][k] = v
+        lines[k] = new
+
+
+class _Side:
+    """One side of the elimination of D: the lines it combines (rows for
+    row operations, columns for column operations), the transposed view
+    `cross` kept in step, the transform T whose lines follow the same
+    operations and Tinv, whose lines follow the inverse ones (T and Tinv
+    may be None).  Every row of D that an operation may change goes into
+    the set `dirty`."""
+
+    def __init__(self, lines, cross, T, Tinv, dirty, rowwise):
+        self.lines, self.cross, self.T, self.Tinv = lines, cross, T, Tinv
+        self.dirty, self.rowwise = dirty, rowwise
+
+    def op(self, i, t, q):
+        """line_i -= q * line_t"""
+        lines, cross = self.lines, self.cross
+        if self.rowwise:
+            self.dirty.add(i)
+        else:
+            self.dirty.update(lines[t])
+        dst = lines[i]
+        for c, v in lines[t].items():
+            x = dst.get(c, 0) - q * v
+            if x:
+                dst[c] = cross[c][i] = x
+            else:
+                del dst[c], cross[c][i]
+        if self.T is not None:
+            _axpy(self.T[i], self.T[t], q)
+        if self.Tinv is not None:
+            _axpy(self.Tinv[t], self.Tinv[i], -q)
+
+    def mix(self, t, i, x, y, z, w):
+        """(line_t, line_i) <- (x line_t + y line_i, z line_t + w line_i),
+        a step of determinant 1"""
+        lines = self.lines
+        if self.rowwise:
+            self.dirty.update((t, i))
+        else:
+            self.dirty.update(lines[t])
+            self.dirty.update(lines[i])
+        _replace(lines, self.cross, t, i, *_mix(lines[t], lines[i], x, y, z, w))
+        if self.T is not None:
+            self.T[t], self.T[i] = _mix(self.T[t], self.T[i], x, y, z, w)
+        if self.Tinv is not None:
+            # the inverse of [[x, y], [z, w]] is [[w, -y], [-z, x]]
+            self.Tinv[t], self.Tinv[i] = _mix(self.Tinv[t], self.Tinv[i], w, -z, -y, x)
+
+    def swap(self, t, i):
+        if i == t:
+            return
+        lines = self.lines
+        if self.rowwise:
+            self.dirty.update((t, i))
+        _replace(lines, self.cross, t, i, lines[i], lines[t])
+        for T in (self.T, self.Tinv):
+            if T is not None:
+                T[t], T[i] = T[i], T[t]
+
+    def negate(self, t):
+        if self.rowwise:
+            self.dirty.add(t)
+        line = self.lines[t]
+        for c, v in line.items():
+            line[c] = self.cross[c][t] = -v
+        for T in (self.T, self.Tinv):
+            if T is not None:
+                T[t] = {k: -v for k, v in T[t].items()}
+
+    def clear(self, t):
+        """Zero the entries past t of the cross line t by operations
+        against line t, in index order as the scalar loop does: line_i -=
+        q * line_t when the pivot divides the entry, otherwise a gcd step
+        on lines t and i, which makes the pivot their gcd."""
+        lines = self.lines
+        for i in sorted(self.cross[t]):
+            if i == t:
+                continue
+            p, v = lines[t][t], lines[i][t]
+            if v % p == 0:
+                self.op(i, t, v // p)
+            else:
+                g, x, y = _xgcd(p, v)
+                self.mix(t, i, x, y, -(v // g), p // g)
+
+
+def _eliminate(M, U, V, Uinv, Vinv):
+    """Reduce the integer matrix M to its Smith diagonal, which is
+    returned, with the scalar loop's operations in its order.  U and V^-1
+    are lists of row dicts, U^-1 and V of column dicts, each updated in
+    place when not None.
+
+    D is kept as one dict of nonzero Python ints per row and per column,
+    so an operation touches only the entries it changes.  Each row caches
+    its least |entry| and its gcd, recomputed only after an operation may
+    have changed the row: the pivot is the first least entry in row-major
+    order, and it divides everything below and right of it exactly when
+    it divides the gcd of every row below."""
+    m, n = M.shape
+    rows, cols = [{} for _ in range(m)], [{} for _ in range(n)]
+    r, c = np.nonzero(M != 0)
+    for i, j, v in zip(r.tolist(), c.tolist(), M[r, c].tolist()):
+        rows[i][j] = cols[j][i] = int(v)
+    # the caches: least is valid outside `dirty`, gcds outside `stale`
+    least, gcds = [math.inf] * m, [0] * m
+    dirty, stale = set(range(m)), set()
+    by_rows = _Side(rows, cols, U, Uinv, dirty, True)
+    by_cols = _Side(cols, rows, V, Vinv, dirty, False)
+
+    def refresh():
+        for i in dirty:
+            least[i] = min(map(abs, rows[i].values()), default=math.inf)
+        stale.update(dirty)
+        dirty.clear()
+
+    t = 0
+    while t < min(m, n):
+        refresh()
+        best = min(least[t:])
+        if best == math.inf:
+            break
+        i = least.index(best, t)
+        by_rows.swap(t, i)
+        by_cols.swap(t, min(k for k, v in rows[t].items() if abs(v) == best))
+        while True:
+            by_rows.clear(t)
+            by_cols.clear(t)
+            # a gcd step on columns can refill column t
+            if len(cols[t]) == 1:
+                break
+        if rows[t][t] < 0:
+            by_rows.negate(t)
+        p = rows[t][t]
+        if p != 1:
+            refresh()
+            for i in stale:
+                gcds[i] = math.gcd(*rows[i].values())
+            stale.clear()
+            bad = next((i for i in range(t + 1, m) if gcds[i] % p), None)
+            if bad is not None:
+                # fold the offending row into row t and redo this pivot
+                by_rows.op(t, bad, -1)
+                continue
+        t += 1
+    return [rows[k].get(k, 0) for k in range(min(m, n))]
+
+
+def _lines(k, size, live):
+    """The identity of order k cut to its first `size` lines, as dict
+    lines, or None when not `live`."""
+    return [{i: 1} if i < size else {} for i in range(k)] if live else None
+
+
+def _dense(lines, shape, columns=False):
+    """The object matrix of the given shape whose rows (columns, if
+    `columns`) are the dict lines."""
+    out = zeros(*shape)
+    for k, line in enumerate(lines):
+        if line:
+            idx, vals = list(line), list(line.values())
+            if columns:
+                out[idx, k] = vals
+            else:
+                out[k, idx] = vals
+    return out
+
+
 def smith_normal_form(mat, need_u=True, need_v=True, need_inverses=False,
                       v_rows=None):
     """Return (U, D, V) with U @ mat @ V == D, U and V unimodular.
@@ -232,69 +342,31 @@ def smith_normal_form(mat, need_u=True, need_v=True, need_inverses=False,
     order to limit swell.  With v_rows, V holds only its first v_rows
     rows (column operations act on each row of V on its own).  The
     results equal, entry for entry, those of the scalar elimination kept
-    as an oracle in tests/oracles.py.
+    as an oracle in tests/oracles.py: `_eliminate` performs the same
+    operations in the same order, on sparse rows of Python ints.
 
-    With no transform asked for, the +-1 pivots are eliminated first on
-    sparse rows (`_unit_pivots`), and the dense loop runs on the
-    residual only.  The Smith diagonal is unique, so D is the same.
+    With no transform asked for, the +-1 pivots are eliminated first
+    (`_unit_pivots`), and the loop runs on the residual only.  The Smith
+    diagonal is unique, so D is the same.
     """
     M = as_int_matrix(mat)
     m, n = M.shape
     ones = 0
     if not (need_u or need_v or need_inverses):
         ones, M = _unit_pivots(M)
-    # the working copy of D: int64 unless an entry is already past _LIMIT
-    D = M.astype(np.int64) if _top(M) < _LIMIT else np.frompyfunc(int, 1, 1)(M)
-    U = eye(m) if (need_u or need_inverses) else None
-    V = None
-    if need_v or need_inverses:
-        V = np.eye(n if v_rows is None else v_rows, n, dtype=object)
-    Uinv = eye(m) if need_inverses else None
-    Vinv = eye(n) if need_inverses else None
-    # column operations on D are row operations on D.T
-    VT = V.T if V is not None else None
-    VinvT = Vinv.T if Vinv is not None else None
-
-    t = 0
-    while t < min(D.shape):
-        pivot = _pivot(D, t)
-        if pivot is None:
-            break
-        _swap(D, t, pivot[0], U, Uinv)
-        _swap(D.T, t, pivot[1], VT, VinvT)
-        while True:
-            D = _clear_below(D, t, U, Uinv)
-            D = _clear_below(D.T, t, VT, VinvT).T
-            # a gcd step on columns can refill column t
-            if not D[t + 1:, t].nonzero()[0].size:
-                break
-        if D[t, t] < 0:
-            D[t, t] = -D[t, t]
-            if U is not None:
-                U[t, :] = -U[t, :]
-            if Uinv is not None:
-                Uinv[:, t] = -Uinv[:, t]
-        i = _indivisible_row(D, t)
-        if i is not None:
-            # fold the offending row into row t and redo this pivot
-            if D.dtype != object and _top(D[t, t:]) + _top(D[i, t:]) >= _LIMIT:
-                D = D.astype(object)
-            D[t, t:] += D[i, t:]
-            if U is not None:
-                U[t, :] += U[i, :]
-            if Uinv is not None:
-                Uinv[:, i] -= Uinv[:, t]
-            continue
-        t += 1
-
-    # D is diagonal by now: drop the working copy before the result is
-    # allocated, so that the two never coexist
-    d = [1] * ones + [int(x) for x in np.diagonal(D)]
-    del D
+    U = _lines(m, m, need_u or need_inverses)
+    v_rows = n if v_rows is None else v_rows
+    V = _lines(n, v_rows, need_v or need_inverses)
+    Uinv, Vinv = _lines(m, m, need_inverses), _lines(n, n, need_inverses)
+    d = [1] * ones + _eliminate(M, U, V, Uinv, Vinv)
     D = zeros(m, n)
     D[range(len(d)), range(len(d))] = d
+    if U is not None:
+        U = _dense(U, (m, m))
+    if V is not None:
+        V = _dense(V, (v_rows, n), columns=True)
     if need_inverses:
-        return U, D, V, Uinv, Vinv
+        return U, D, V, _dense(Uinv, (m, m), columns=True), _dense(Vinv, (n, n))
     return (U if need_u else None), D, (V if need_v else None)
 
 

@@ -177,15 +177,16 @@ def _after(f, g):
     return out
 
 
-def check_simplicial_identities(groupoid, max_degree):
+def check_simplicial_identities(groupoid, max_degree, known=None):
     """Exhaustively verify the simplicial identities and involution
     equivariance of the face and degeneracy index maps up to the given
-    degree.
+    degree.  A level `known` of the groupoid's nerve is read or extended
+    as in `nerve`, so the caller's levels are not enumerated again.
 
     Returns a list of violation descriptions (empty = all good), per
     degree in order of tuple and then of identity."""
     G = groupoid
-    levels = [nerve(G, max_degree + 2)]
+    levels = [nerve(G, max_degree + 2, known)]
     while levels[-1].lower is not None:
         levels.append(levels[-1].lower)
     levels.reverse()

@@ -1,8 +1,8 @@
 """Brute-force reference implementations, independent of the production
 code paths: cohomology by full enumeration of real cochains, used to
-derive and pin expected values for small cases, the dense scalar Smith
-normal form that the vectorised one in `exact` must match, the loop
-assembler on a dict-of-tuples nerve that the array assembly in
+derive and pin expected values for small cases, the scalar Smith normal
+form and the dense int64 one that the sparse one in `exact` must match,
+the loop assembler on a dict-of-tuples nerve that the array assembly in
 `cochains` must match, the loop groupoid constructions and validation
 that the array ones in `groupoids` must match, and the long exact
 sequence checked by enumerating elements and classes, with a loop
@@ -307,6 +307,172 @@ def smith_normal_form(mat, need_u=True, need_v=True, need_inverses=False):
             continue
         t += 1
 
+    if need_inverses:
+        return U, D, V, Uinv, Vinv
+    return (U if need_u else None), D, (V if need_v else None)
+
+
+# -- the dense int64 Smith normal form ---------------------------------------
+#
+# The scalar loop's operations on an int64 working copy of D, vectorised
+# with numpy: the second reference, fast enough for the matrices on which
+# the scalar loop above is too slow.
+
+def _dense_pivot(D, t):
+    """(i, j) of the first entry of least nonzero |value| in D[t:, t:] in
+    row-major order, or None if that block is zero."""
+    A = D[t:, t:]
+    rows, cols = np.nonzero(A)
+    if not rows.size:
+        return None
+    k = np.argmin(np.abs(A[rows, cols]))
+    return t + rows[k], t + cols[k]
+
+
+def _dense_indivisible_row(D, t):
+    """The first row below t holding an entry of D[t+1:, t+1:] that the
+    pivot D[t, t] does not divide, or None."""
+    p = D[t, t]
+    if p == 1:
+        return None
+    B = D[t + 1:, t + 1:]
+    rows, cols = np.nonzero(B)
+    bad = (B[rows, cols] % p).nonzero()[0]
+    return t + 1 + rows[bad[0]] if bad.size else None
+
+
+def _dense_swap(X, t, i, T, Tinv):
+    """Swap rows t and i of X (active columns t: only) and of T, and
+    columns t and i of Tinv."""
+    if i == t:
+        return
+    X[[t, i], t:] = X[[i, t], t:]
+    if T is not None:
+        T[[t, i], :] = T[[i, t], :]
+    if Tinv is not None:
+        Tinv[:, [t, i]] = Tinv[:, [i, t]]
+
+
+def _dense_clear_below(X, t, T, Tinv):
+    """Zero X[t+1:, t] by row operations against row t; return X, which
+    is a copy promoted to Python ints if an update could leave int64.
+
+    The rows are visited top to bottom, as a scalar loop would.  A row
+    whose entry the current pivot divides gets row_i -= q * row_t; such
+    operations commute until the pivot row changes, so each run of them
+    is one outer-product update.  Any other row takes a 2x2 gcd step with
+    row t, which makes the pivot their gcd.  T follows the row operations
+    and Tinv the inverse column operations.  Columns left of t are zero
+    in rows t and below, so only the active columns t: are touched.
+    """
+    start = t + 1
+    while True:
+        idx = start + X[start:, t].nonzero()[0]
+        if not idx.size:
+            return X
+        bad = (X[idx, t] % X[t, t]).nonzero()[0]
+        stop = bad[0] if bad.size else idx.size
+        if stop:
+            rows = idx[:stop]
+            q = X[rows, t] // X[t, t]
+            # only the columns where row t is nonzero change
+            cols = t + X[t, t:].nonzero()[0]
+            block = rows[:, None], cols
+            top = exact._top
+            if X.dtype != object and (
+                    top(X[block]) + top(q) * top(X[t, cols]) >= exact._LIMIT):
+                X, q = X.astype(object), q.astype(object)
+            X[block] -= np.outer(q, X[t, cols])
+            q = q.astype(object)
+            if T is not None:
+                cols = T[t].nonzero()[0]
+                T[rows[:, None], cols] -= np.outer(q, T[t, cols])
+            if Tinv is not None:
+                Tinv[:, t] += Tinv[:, rows] @ q
+        if not bad.size:
+            return X
+        i = idx[stop]
+        g, x, y = _xgcd(int(X[t, t]), int(X[i, t]))
+        a, b = int(X[t, t]) // g, int(X[i, t]) // g
+        if X.dtype != object:
+            ht, hi = exact._top(X[t, t:]), exact._top(X[i, t:])
+            if max(abs(x) * ht + abs(y) * hi, abs(b) * ht + abs(a) * hi) >= exact._LIMIT:
+                X = X.astype(object)
+        # rows (t, i) <- (x*t + y*i, -b*t + a*i); det = 1
+        X[t, t:], X[i, t:] = x * X[t, t:] + y * X[i, t:], -b * X[t, t:] + a * X[i, t:]
+        if T is not None:
+            T[t, :], T[i, :] = x * T[t, :] + y * T[i, :], -b * T[t, :] + a * T[i, :]
+        if Tinv is not None:
+            # inverse of [[x, y], [-b, a]] is [[a, -y], [b, x]]
+            Tinv[:, t], Tinv[:, i] = (a * Tinv[:, t] + b * Tinv[:, i],
+                                      -y * Tinv[:, t] + x * Tinv[:, i])
+        start = i + 1
+
+
+def dense_smith_normal_form(mat, need_u=True, need_v=True, need_inverses=False,
+                            v_rows=None):
+    """`exact.smith_normal_form` as a dense loop: the scalar loop's
+    operations on an int64 working copy of D, promoted to Python ints
+    before any update whose result could reach 2^62, with each run of
+    row operations against one pivot row done as one outer-product
+    update.  Same signature and results, entry for entry; with no
+    transform asked for, the residual of `exact._unit_pivots` is
+    reduced."""
+    M = exact.as_int_matrix(mat)
+    m, n = M.shape
+    ones = 0
+    if not (need_u or need_v or need_inverses):
+        ones, M = exact._unit_pivots(M)
+    # the working copy of D: int64 unless an entry is already past _LIMIT
+    D = M.astype(np.int64) if exact._top(M) < exact._LIMIT else np.frompyfunc(int, 1, 1)(M)
+    U = exact.eye(m) if (need_u or need_inverses) else None
+    V = None
+    if need_v or need_inverses:
+        V = np.eye(n if v_rows is None else v_rows, n, dtype=object)
+    Uinv = exact.eye(m) if need_inverses else None
+    Vinv = exact.eye(n) if need_inverses else None
+    # column operations on D are row operations on D.T
+    VT = V.T if V is not None else None
+    VinvT = Vinv.T if Vinv is not None else None
+
+    t = 0
+    while t < min(D.shape):
+        pivot = _dense_pivot(D, t)
+        if pivot is None:
+            break
+        _dense_swap(D, t, pivot[0], U, Uinv)
+        _dense_swap(D.T, t, pivot[1], VT, VinvT)
+        while True:
+            D = _dense_clear_below(D, t, U, Uinv)
+            D = _dense_clear_below(D.T, t, VT, VinvT).T
+            # a gcd step on columns can refill column t
+            if not D[t + 1:, t].nonzero()[0].size:
+                break
+        if D[t, t] < 0:
+            D[t, t] = -D[t, t]
+            if U is not None:
+                U[t, :] = -U[t, :]
+            if Uinv is not None:
+                Uinv[:, t] = -Uinv[:, t]
+        i = _dense_indivisible_row(D, t)
+        if i is not None:
+            # fold the offending row into row t and redo this pivot
+            if D.dtype != object and exact._top(D[t, t:]) + exact._top(D[i, t:]) >= exact._LIMIT:
+                D = D.astype(object)
+            D[t, t:] += D[i, t:]
+            if U is not None:
+                U[t, :] += U[i, :]
+            if Uinv is not None:
+                Uinv[:, i] -= Uinv[:, t]
+            continue
+        t += 1
+
+    # D is diagonal by now: drop the working copy before the result is
+    # allocated, so that the two never coexist
+    d = [1] * ones + [int(x) for x in np.diagonal(D)]
+    del D
+    D = exact.zeros(m, n)
+    D[range(len(d)), range(len(d))] = d
     if need_inverses:
         return U, D, V, Uinv, Vinv
     return (U if need_u else None), D, (V if need_v else None)

@@ -114,6 +114,10 @@ class TestNerve:
         for g in (broken_comp, broken_rho):
             bad = check_simplicial_identities(g, 3)
             assert bad and bad == loop_simplicial_identities(g, 3)
+            # a known level, below, at or above the levels checked, is read
+            # or extended and gives the same report
+            for k in range(7):
+                assert check_simplicial_identities(g, 3, nerve(g, k)) == bad
 
 
 class TestIntegralAssembly:

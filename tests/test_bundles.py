@@ -145,3 +145,25 @@ def test_verify_matches_the_loop_on_every_cochain(corpus):
                 assert bad == loop_bundle_verify(b), (name, vec)
                 flagged += bool(bad)
     assert flagged > 100
+
+
+def test_act_reads_the_cocycle_once(corpus, count_calls):
+    """Every point of every bundle of the HR^1 classes of the corpus, acted
+    on by every arrow: one evaluation of the cocycle per bundle, values
+    equal to those read one arrow at a time, and axioms equal to the
+    loop's."""
+    from realcech.cochains import LevelBasis
+    from oracles import loop_bundle_verify
+    calls = count_calls(LevelBasis, "values")
+    for name, g in corpus:
+        for S in (mu2, mu4):
+            _, bundles = classify_bundles(g, S)
+            for coords, b in bundles:
+                points = [(a, (int(g.src[a]), s))
+                          for a in range(g.n_arrows) for s in S.elements()]
+                before = len(calls)
+                got = [b.act(a, z) for a, z in points]
+                assert len(calls) == before + 1, (name, coords)
+                assert got == [(int(g.tgt[a]), S.add_tuples(b.cocycle.value_at((a,)), z[1]))
+                               for a, z in points], (name, coords)
+                assert b.verify() == loop_bundle_verify(b) == [], (name, coords)

@@ -300,9 +300,22 @@ def test_nerve_levels_are_enumerated_once(tmp_path, capsys, count_calls):
     path = write(tmp_path, "pair3.json", io.groupoid_to_json(g))
     built = count_calls(nerve.NerveLevel, "__init__")
     assert cli.main(["nerve", path, "--max-degree", "4"]) == 0
-    # levels 0..4 for the counts, then 0..6 for the simplicial identities
-    assert len(built) == 5 + 7
+    # levels 0..4 for the counts, extended by 5 and 6 for the identities
+    assert len(built) == 5 + 2
     counts = [len(nerve.nerve(g, n)) for n in range(5)]
     assert json.loads(capsys.readouterr().out) == {
         "levels": [{"n": n, "count": c} for n, c in enumerate(counts)],
         "identities_verified": True}
+
+
+@pytest.mark.parametrize("k", range(-2, 6))
+def test_nerve_output_for_every_max_degree(tmp_path, capsys, k):
+    from realcech.nerve import check_simplicial_identities, nerve
+    g = standard.cyclic_group(4, "inversion")
+    path = write(tmp_path, "z4.json", io.groupoid_to_json(g))
+    assert cli.main(["nerve", path, "--max-degree", str(k)]) == 0
+    # the identities checked on levels of their own, the counts level by level
+    assert check_simplicial_identities(g, min(k, 4)) == []
+    assert capsys.readouterr().out == io.dumps({
+        "levels": [{"n": n, "count": len(nerve(g, n))} for n in range(k + 1)],
+        "identities_verified": True})

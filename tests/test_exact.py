@@ -437,8 +437,9 @@ def test_unit_pivots_keep_the_invariant_factors():
         kinds[kind] = kinds.get(kind, 0) + 1
         got = exact.smith_normal_form(M, need_u=False, need_v=False)
         assert got[0] is None and got[2] is None
-        # the dense loop, which the transform path still takes, is the oracle
-        assert_same_snf(got[1:2], exact.smith_normal_form(M, need_u=False)[1:2])
+        # the dense loop, which skips the unit-pivot phase with a transform
+        # asked for, is the oracle
+        assert_same_snf(got[1:2], oracles.dense_smith_normal_form(M, need_u=False)[1:2])
         want = [int(d) for d in invariant_factors(Matrix(M.tolist()).reshape(*M.shape),
                                                   domain=ZZ) if d != 0]
         assert exact.invariant_factors(M) == want, (kind, M.tolist())
@@ -470,21 +471,73 @@ def test_unit_pivots_match_the_dense_loop_on_key_matrices(count_calls):
     assert len(matrices) >= 200
     for M in matrices.values():
         assert_same_snf(exact.smith_normal_form(M, need_u=False, need_v=False)[1:2],
-                        exact.smith_normal_form(M, need_u=False)[1:2])
+                        oracles.dense_smith_normal_form(M, need_u=False)[1:2])
 
 
-def test_dense_loop_sees_only_the_residual_of_a_key(count_calls):
+def test_elimination_sees_only_the_residual_of_a_key(count_calls):
     from realcech import standard
     from realcech.cochains import cohomology_key
     from realcech.coefficients import make_standard
     cx = RealComplex(standard.pair_groupoid(3), make_standard("mu(4)_conj"))
     cx.differential_matrix(3)
     factors = count_calls(exact, "invariant_factors")
-    pivots = count_calls(exact, "_pivot")
+    loops = count_calls(exact, "_eliminate")
     assert cohomology_key(cx, 3) == (0, [])
     assert max(args[0].shape for args in factors) == (324, 108)
-    # the dense loop looks for pivots in the residual only
-    assert all(args[0].shape[1] <= 11 for args in pivots)
+    # the elimination loop runs on the residual of the unit pivots only
+    assert loops and all(args[0].shape[1] <= 11 for args in loops)
+
+
+# -- the sparse elimination against the dense int64 loop -------------------
+
+def sparse_cases(rng):
+    """40 seeded sparse matrices up to 80 x 120, entries from {0, +-1,
+    +-2, +-4, 3}, about one and a half nonzeros per row, and a v_rows
+    for each."""
+    for _ in range(40):
+        m, n = rng.randint(1, 80), rng.randint(1, 120)
+        M = exact.zeros(m, n)
+        for _ in range(3 * m // 2 + 1):
+            M[rng.randrange(m), rng.randrange(n)] = rng.choice([1, -1, 2, -2, 4, -4, 3])
+        yield M, rng.randint(0, n)
+
+
+def test_snf_matches_dense_oracle_on_sparse_matrices():
+    rng = random.Random(15)
+    non_unit = 0
+    for M, v_rows in sparse_cases(rng):
+        for flags in FLAG_SETS + [dict(need_u=False, v_rows=v_rows),
+                                  dict(need_inverses=True, v_rows=v_rows)]:
+            want = oracles.dense_smith_normal_form(M, **flags)
+            assert_same_snf(exact.smith_normal_form(M, **flags), want)
+        # an invariant factor > 1 comes from gcd steps or fold-backs
+        non_unit += any(d > 1 for d in exact.diagonal_of(want[1]))
+    assert non_unit >= 5
+
+
+def test_snf_matches_dense_oracle_on_presentations(corpus, presets, monkeypatch):
+    """The Smith forms of int_kernel, lattice_basis, IntSolver and the
+    presentation itself, for HR^0..HR^2 of corpus x presets."""
+    calls, original = [], exact.smith_normal_form
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "smith_normal_form", recorded)
+    for _, g in corpus:
+        for _, S in presets:
+            cx = RealComplex(g, S)
+            for n in range(3):
+                cx.cohomology(n).presentation
+    monkeypatch.undo()
+    callers = {"need_inverses": 0, "v_rows": 0, "need_u": 0}
+    for args, kwargs in calls:
+        for key in callers:
+            callers[key] += key in kwargs
+        assert_same_snf(exact.smith_normal_form(*args, **kwargs),
+                        oracles.dense_smith_normal_form(*args, **kwargs))
+    assert min(callers.values()) >= 100
 
 
 def test_sparse_product_matches_object_product():
