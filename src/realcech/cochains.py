@@ -18,6 +18,7 @@ Its group key comes from the invariant factors of one matrix, its
 generators and class coordinates from a presentation built on demand.
 """
 
+import math
 import weakref
 from collections import namedtuple
 from functools import cached_property
@@ -65,6 +66,9 @@ class SBlocks:
     def fixed_coords(self, x, X):
         return self._fixed_solver.solve(X)
 
+    def scaled(self, M):
+        return exact.Scaled(M, 1)
+
 
 Orbit = namedtuple("Orbit", "kind rep partner anchor")
 
@@ -77,9 +81,11 @@ class OrbitBasis:
     (the width of a free orbit), `identity`, `element` (coerce a value),
     `embedding(x)` (the fixed vectors at a rho-fixed object x, as
     columns), `partner(x)` (the map from the value at a representative with
-    anchor x to the value at its partner) and `fixed_coords(x, X)` (the
+    anchor x to the value at its partner), `fixed_coords(x, X)` (the
     coordinates in `embedding(x)` of the integer columns X, or None if one
-    is not fixed; a common scale of X carries over to them).
+    is not fixed; a common scale of X carries over to them) and
+    `scaled(M)` (one of those fibre matrices as an `exact.Scaled` integer
+    matrix).
 
     Orbits are numbered in the order of their representatives, the smaller
     index of a free orbit's two tuples.  Per orbit there are arrays reps,
@@ -100,14 +106,16 @@ class OrbitBasis:
         self.partners = rho[self.reps]
         self.fixed = self.partners == self.reps
         self.anchors = level.anchors[self.reps]
-        self.orbit_of = np.searchsorted(self.reps, np.minimum(i, rho))
+        rep = np.minimum(i, rho)
+        self.orbit_of = np.searchsorted(self.reps, rep)
         # 0: the identity at a representative; 2x + 1: partner(x) and
         # 2x + 2: embedding(x), x the anchor of the representative
-        x = self.anchors[self.orbit_of]
-        self.value_key = np.where(rho == i, 2 * x + 2, np.where(i < rho, 0, 2 * x + 1))
-        self.widths = np.full(len(self.reps), fibre.k)
+        self.value_key = np.where(i < rho, 0, 2 * level.anchors[rep] + 1 + (i == rho))
+        # a free orbit is k wide, a fixed one as wide as the embedding at its anchor
+        width_at = np.zeros(self.groupoid.n_objects, dtype=np.int64)
         for a in set(self.anchors[self.fixed].tolist()):
-            self.widths[self.fixed & (self.anchors == a)] = fibre.embedding(a).shape[1]
+            width_at[a] = fibre.embedding(a).shape[1]
+        self.widths = np.where(self.fixed, width_at[self.anchors], fibre.k)
         self.offsets = np.cumsum(self.widths) - self.widths
         self.total = int(self.widths.sum())
 
@@ -145,8 +153,9 @@ class OrbitBasis:
         """Stored coordinates of the cochain whose value at each orbit
         representative is value_fn(tuple), as a Scaled vector; the value
         at a fixed tuple must be fixed by the involution."""
-        values = [np.array(self.fibre.element(value_fn(self.level.tuple_at(r))),
-                           dtype=object).reshape(-1, 1) for r in self.reps.tolist()]
+        values = [exact.cleared(np.array(self.fibre.element(value_fn(self.level.tuple_at(r))),
+                                         dtype=object).reshape(-1, 1))
+                  for r in self.reps.tolist()]
         every = np.arange(len(values))
         num, scale = assemble(self, 1, every, 0 * every, values, every, ValueError)
         return exact.Scaled(num[:, 0], scale)
@@ -155,72 +164,104 @@ class OrbitBasis:
 def assemble(dst, ncols, rows, cols, mats, keys, error=AssertionError):
     """The matrix with a row block per orbit of dst and ncols columns that
     sums, over the terms t, the fibre-valued matrix mats[keys[t]] placed
-    in the block of orbit rows[t] from column cols[t] on.
+    in the block of orbit rows[t] from column cols[t] on.  Each of mats
+    is an `exact.Scaled` pair (P, s), the matrix P / s.
 
     A free orbit stores its summed block as it is.  A fixed orbit stores
     the corestriction of its columns, one batched call per anchor; a zero
     column stays zero, and a nonzero column that is not fixed raises
-    error.  The sums run on the matrices that `exact.cleared` scales to
-    integers, in int64 when a bound shows that no sum can overflow, and
-    the result is that integer matrix with its scale, `exact.Scaled` (the
-    scale is 1 on an integral fibre)."""
+    error.  The sums run on integers, in int64 when a bound shows that no
+    sum can overflow: each P / s is brought to one common scale, the lcm
+    of the denominators of all entries in lowest terms (the lcm of
+    s / gcd(s, content of P) over the mats), so the result, an
+    `exact.Scaled` integer matrix, is `exact.cleared` of the matrices put
+    side by side (the scale is 1 on an integral fibre)."""
     fibre, k = dst.fibre, dst.fibre.k
-    num, scale = exact.cleared(np.concatenate(list(mats) + [exact.zeros(k, 0)], axis=1))
-    # the nonzero entries (a, b, v) of the matrices, matrix by matrix
-    b, a = np.nonzero((num != 0).T)
-    v = num[a, b]
-    first_col = np.cumsum([0] + [M.shape[1] for M in mats])
-    owner = np.searchsorted(first_col, b, side="right") - 1
-    count = np.bincount(owner, minlength=len(mats))
+    # the common scale: the lcm of the denominators in lowest terms
+    scale = math.lcm(*[s // math.gcd(s, *P.ravel().tolist()) for P, s in mats if s != 1])
+    # the nonzero entries of the matrices, matrix by matrix: the value v
+    # at row a and column b of its matrix, coded b * k + a, over the scale
+    v, ab, count = [], [], []
+    for P, s in mats:
+        f, w = scale // math.gcd(scale, s), s // math.gcd(scale, s)
+        before = len(v)
+        for a, row in enumerate(P.tolist()):
+            for b, x in enumerate(row):
+                if x:
+                    v.append(x * f // w)
+                    ab.append(b * k + a)
+        count.append(len(v) - before)
+    count = np.array(count, dtype=np.int64)
     # one entry per term and nonzero of its matrix
     per = count[keys]
     term = np.repeat(np.arange(len(keys)), per)
     e = np.repeat((np.cumsum(count) - count)[keys], per) + segments(per)
     if not e.size:
         return exact.Scaled(exact.zeros(dst.total, ncols), scale)
-    if max(abs(x) for x in v) * len(keys) < 1 << 62:
-        v = v.astype(np.int64)  # no sum of len(keys) entries can overflow
-    code = (rows[term] * k + a[e]) * ncols + cols[term] + b[e] - first_col[owner[e]]
-    order = np.argsort(code, kind="stable")
-    code, v = code[order], v[e][order]
-    starts = np.flatnonzero(np.diff(code, prepend=-1))
+    # no sum of len(keys) entries can overflow int64 under this bound
+    small = max(map(abs, v)) * len(keys) < 1 << 62
+    v = np.array(v, dtype=np.int64 if small else object)
+    # the cell (orbit r, column c, fibre row a) of each entry, coded
+    # (r * ncols + c) * k + a, summed over equal codes
+    code = ((rows * ncols + cols) * k)[term] + np.array(ab, dtype=np.int64)[e]
+    order = np.argsort(code)
+    code, v = code[order], v[e[order]]
+    starts = np.flatnonzero(_run_starts(code))
     code, v = code[starts], np.add.reduceat(v, starts).astype(object)
-    r, a, c = code // (k * ncols), code // ncols % k, code % ncols
-    free = ~dst.fixed[r]
-    # allocated once the term-sized arrays are gone
+    pair, a = np.divmod(code, k)
+    r, c = np.divmod(pair, ncols)
+    fixed = dst.fixed[r]
     A = exact.zeros(dst.total, ncols)
+    free = ~fixed
     A[dst.offsets[r[free]] + a[free], c[free]] = v[free]
     # the k-vector of each (fixed orbit, column) pair, corestricted
-    pair, col = np.unique(r[~free] * ncols + c[~free], return_inverse=True)
-    X = exact.zeros(k, len(pair))
-    X[a[~free], col] = v[~free]
-    orbit, c = pair // ncols, pair % ncols
+    new = _run_starts(pair[fixed])
+    X = exact.zeros(k, int(new.sum()))
+    X[a[fixed], np.cumsum(new) - 1] = v[fixed]
+    orbit, c = r[fixed][new], c[fixed][new]
     bad = []
-    for x in sorted(set(dst.anchors[orbit].tolist())):
-        sel = np.flatnonzero(dst.anchors[orbit] == x)
+    at = dst.anchors[orbit]
+    for x in sorted(set(at.tolist())):
+        sel = np.flatnonzero(at == x)
         W = fibre.fixed_coords(x, X[:, sel])
         if W is None:
             bad.append(next(orbit[s] for s in sel
                             if fibre.fixed_coords(x, X[:, [s]]) is None))
         else:
-            rows_W = dst.offsets[orbit[sel]] + np.arange(W.shape[0])[:, None]
-            A[rows_W, c[sel]] = W
+            A[dst.offsets[orbit[sel]] + np.arange(W.shape[0])[:, None], c[sel]] = W
     if bad:
         tup = dst.level.tuple_at(dst.reps[min(bad)])
         raise error(f"value at fixed tuple {tup} is not fixed by the involution")
     return exact.Scaled(A, scale)
 
 
+def _run_starts(x):
+    """True at each entry of the sorted array x that differs from the one
+    before it."""
+    new = np.empty(len(x), dtype=bool)
+    new[:1] = True
+    np.not_equal(x[1:], x[:-1], out=new[1:])
+    return new
+
+
 def face_sum(dst, src, rows, tuples, factors, fkeys, error=AssertionError):
     """The Scaled matrix from the orbit basis src to dst whose block at
     orbit rows[t] of dst sums, over the terms t, factors[fkeys[t]] @ (the
-    value of src at its tuple tuples[t]).  Each distinct product of a
-    factor and a value matrix is formed once."""
+    value of src at its tuple tuples[t]).  The factors are `exact.Scaled`
+    fibre matrices, and each distinct product of a factor and a value
+    matrix is formed once, on integers."""
     if (tuples < 0).any():
         raise ValueError("a face is not a tuple of the nerve: the groupoid is not valid")
     nv = 2 * src.groupoid.n_objects + 1
-    pairs, keys = np.unique(fkeys * nv + src.value_key[tuples], return_inverse=True)
-    mats = [factors[p // nv] @ src.value_matrix(p % nv) for p in pairs.tolist()]
+    # the distinct (factor, value matrix) pairs in order, and the pair of each term
+    code = fkeys * nv + src.value_key[tuples]
+    used = np.zeros(len(factors) * nv, dtype=bool)
+    used[code] = True
+    pairs, keys = np.flatnonzero(used), (np.cumsum(used) - 1)[code]
+    mats = []
+    for p in pairs.tolist():
+        (F, f), (V, v) = factors[p // nv], src.fibre.scaled(src.value_matrix(p % nv))
+        mats.append(exact.Scaled(F @ V, f * v))
     return assemble(dst, src.total, rows, src.offsets[src.orbit_of[tuples]],
                     mats, keys, error)
 
@@ -232,14 +273,17 @@ def coboundary_matrix(src, dst, last_face=None):
     last face of a tuple with last arrow g, which is anchored at another
     object."""
     n, reps = src.n, dst.reps
-    tuples = np.concatenate([dst.level.faces[i][reps] for i in range(n + 2)])
+    tuples = dst.level.faces[:, reps].ravel()
     rows = np.tile(np.arange(len(reps)), n + 2)
     fkeys = np.repeat(np.arange(n + 2) % 2, len(reps))
-    factors = [src.fibre.identity, -src.fibre.identity]
+    scaled = src.fibre.scaled
+    one, scale = scaled(src.fibre.identity)
+    factors = [exact.Scaled(one, scale), exact.Scaled(-one, scale)]
     if last_face is not None:
         arrows, which = np.unique(dst.level.entries[reps, -1], return_inverse=True)
         fkeys[(n + 1) * len(reps):] = 2 + which
-        factors += [(-1) ** (n + 1) * last_face(g) for g in arrows.tolist()]
+        factors += [exact.Scaled((-1) ** (n + 1) * M, s)
+                    for M, s in (scaled(last_face(g)) for g in arrows.tolist())]
     return face_sum(dst, src, rows, tuples, factors, fkeys)
 
 

@@ -337,7 +337,8 @@ def smith_normal_form(mat, need_u=True, need_v=True, need_inverses=False,
     """Return (U, D, V) with U @ mat @ V == D, U and V unimodular.
 
     D is diagonal with a divisibility chain d_1 | d_2 | ... and d_i >= 0.
-    With need_inverses, returns (U, D, V, Uinv, Vinv) instead.
+    With need_inverses, returns (U, D, V, Uinv, Vinv) instead; with
+    need_v=False as well, V and Vinv are not computed and are None.
     Pivoting picks the first minimal nonzero absolute value in row-major
     order to limit swell.  With v_rows, V holds only its first v_rows
     rows (column operations act on each row of V on its own).  The
@@ -356,8 +357,8 @@ def smith_normal_form(mat, need_u=True, need_v=True, need_inverses=False,
         ones, M = _unit_pivots(M)
     U = _lines(m, m, need_u or need_inverses)
     v_rows = n if v_rows is None else v_rows
-    V = _lines(n, v_rows, need_v or need_inverses)
-    Uinv, Vinv = _lines(m, m, need_inverses), _lines(n, n, need_inverses)
+    V = _lines(n, v_rows, need_v)
+    Uinv, Vinv = _lines(m, m, need_inverses), _lines(n, n, need_inverses and need_v)
     d = [1] * ones + _eliminate(M, U, V, Uinv, Vinv)
     D = zeros(m, n)
     D[range(len(d)), range(len(d))] = d
@@ -366,8 +367,9 @@ def smith_normal_form(mat, need_u=True, need_v=True, need_inverses=False,
     if V is not None:
         V = _dense(V, (v_rows, n), columns=True)
     if need_inverses:
-        return U, D, V, _dense(Uinv, (m, m), columns=True), _dense(Vinv, (n, n))
-    return (U if need_u else None), D, (V if need_v else None)
+        return U, D, V, _dense(Uinv, (m, m), columns=True), \
+            None if Vinv is None else _dense(Vinv, (n, n))
+    return (U if need_u else None), D, V
 
 
 def diagonal_of(D):
@@ -514,7 +516,7 @@ class AbelianGroupPresentation(GroupKey):
         Umat = self._solver.solve(G)
         if Umat is None:
             raise ValueError("image not contained in kernel")
-        P, D, _, Pinv, _ = smith_normal_form(Umat, need_inverses=True)
+        P, D, _, Pinv, _ = smith_normal_form(Umat, need_v=False, need_inverses=True)
         diag = diagonal_of(D)
         self.invariant_factors = [d for d in diag if d > 1]
         self.free_rank = mdim - sum(1 for d in diag if d)
@@ -604,18 +606,18 @@ def as_frac_matrix(rows):
     return _fraction(M)
 
 
-def cleared(mat):
-    """(mat * scale as Python ints in an object matrix, scale), where the
-    scale is the lcm of the denominators of the entries."""
-    num, den = _ratio(as_int_matrix(mat))
-    scale = math.lcm(*set(den.flat))
-    return num * (scale // den), scale
-
-
 # an integer matrix num standing for the rational matrix num / scale, and
 # the Fraction num / scale of every entry of num
 Scaled = namedtuple("Scaled", "num scale")
 frac_divide = np.frompyfunc(Fraction, 2, 1)
+
+
+def cleared(mat):
+    """Scaled(mat * scale as Python ints in an object matrix, scale), where
+    the scale is the lcm of the denominators of the entries."""
+    num, den = _ratio(as_int_matrix(mat))
+    scale = math.lcm(*set(den.flat))
+    return Scaled(num * (scale // den), scale)
 
 
 def frac_zeros(m, n):

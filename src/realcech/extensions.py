@@ -35,7 +35,7 @@ import numpy as np
 
 from .cochains import RealCochain, RealComplex, complex_for
 from .coefficients import make_standard
-from .groupoids import FiniteRealGroupoid, _failures, max_arrows
+from .groupoids import FiniteRealGroupoid, _failures, check_arrow_cap
 
 Z2 = make_standard("Z2_trivial")
 
@@ -109,10 +109,8 @@ class GradedTwist:
 
 def _unit_pairs(cx):
     """The positions in level 2 of (unit(tgt g), g) and of (g, unit(src g)),
-    over the arrows g."""
-    G, g = cx.groupoid, np.arange(cx.groupoid.n_arrows)
-    find = cx.basis(2).level.find
-    return find(np.column_stack([G.unit[G.tgt], g])), find(np.column_stack([g, G.unit[G.src]]))
+    over the arrows g: the two degeneracies of level 1."""
+    return cx.basis(2).level.lower.degeneracies
 
 
 def _is_normalized(base, omega):
@@ -210,9 +208,8 @@ class ExtensionGroupoid(AbstractExtension):
             base = twist_or_base
         if not S.is_finite():
             raise TwistError("only finite coefficient groups can be materialized")
-        m, cap = base.n_arrows, max_arrows()
-        if S.order() * m > cap:
-            raise ValueError(f"too many arrows ({S.order() * m} > {cap})")
+        m = base.n_arrows
+        check_arrow_cap(S.order() * m)
         self.omega = omega = as_cochain(base, S, 2, omega, TwistError)
         # (t, g) is elems[i * m + g] for t element i of S
         ts, add, tau = group_tables(S)

@@ -22,6 +22,14 @@ def max_arrows():
         return 1 << 16
 
 
+def check_arrow_cap(count):
+    """ValueError if a groupoid of count arrows would pass the cap; checked
+    before anything of that size is allocated."""
+    cap = max_arrows()
+    if count > cap:
+        raise ValueError(f"too many arrows ({count} > {cap})")
+
+
 def _indices(name, values, shape, bound, low=0):
     """values as an int64 array, checked to have the given shape and every
     entry in [low, bound)."""
@@ -65,9 +73,7 @@ class FiniteRealGroupoid:
                  rho_obj=None, rho_arr=None):
         n = self.n_objects = int(n_objects)
         m = self.n_arrows = len(src)
-        cap = max_arrows()
-        if m > cap:
-            raise ValueError(f"too many arrows ({m} > {cap})")
+        check_arrow_cap(m)
         self.src = _indices("src", src, (m,), n)
         self.tgt = _indices("tgt", tgt, (m,), n)
         self.unit = _indices("unit", unit, (n,), m)
@@ -269,9 +275,8 @@ def _pullback(G, phi, rho_z):
         raise ValueError(f"involution mismatch at {bad[0]}")
     fibre = np.bincount(phi, minlength=G.n_objects)
     block = fibre[G.tgt] * fibre[G.src]
-    count, cap = int(block.sum()), max_arrows()
-    if count > cap:
-        raise ValueError(f"too many arrows ({count} > {cap})")
+    count = int(block.sum())
+    check_arrow_cap(count)
     # gamma contributes the block phi^-1(tgt gamma) x phi^-1(src gamma)
     by_phi, first = np.argsort(phi, kind="stable"), np.cumsum(fibre) - fibre
     gamma, w = _ragged(np.zeros(m, dtype=np.int64), block)
@@ -310,9 +315,8 @@ def product_with_group(groupoid, S):
         raise ValueError("only finite coefficient groups can be materialized")
     G, m = groupoid, groupoid.n_arrows
     elems = list(S.elements())
-    count, cap = len(elems) * m, max_arrows()
-    if count > cap:
-        raise ValueError(f"too many arrows ({count} > {cap})")
+    count = len(elems) * m
+    check_arrow_cap(count)
     index = {e: i for i, e in enumerate(elems)}
     neg = np.array([index[S.neg_tuple(e)] for e in elems])
     sig = np.array([index[S.tau_tuple(e)] for e in elems])

@@ -81,7 +81,8 @@ def induced_cochain_map(cx_a, cx_b, f, n):
     structure is identical on both sides)."""
     ba, bb = cx_a.basis(n), cx_b.basis(n)
     # orbit o of ba maps to orbit o of bb by f @ (the value matrix of its kind)
-    mats = [exact.as_int_matrix(f) @ _values(ba, fixed) for fixed in (False, True)]
+    mats = [exact.Scaled(exact.as_int_matrix(f) @ _values(ba, fixed), 1)
+            for fixed in (False, True)]
     return assemble(bb, ba.total, np.arange(len(ba.reps)), ba.offsets, mats,
                     ba.fixed.astype(int),
                     lambda _: SequenceError("map does not respect the fixed subgroups")).num

@@ -3,10 +3,15 @@
 Level n lists all composable n-tuples of arrows (level 0 = objects) in
 lexicographic order of arrow indices; this ordering is part of the
 external contract, so cochain matrices are reproducible across runs.
-Each tuple has a mixed-radix code (radix: the number of arrows, or of
-objects on level 0), and sorted codes are exactly that order, so a tuple
-is found by binary search.  Face and degeneracy maps follow the standard
-conventions:
+Level n + 1 is enumerated by joining each tuple of level n with the
+arrows into its anchor (the source of its last arrow), so the tuple p
+followed by an arrow g sits at a known place (`NerveLevel.extend`), and
+the face, degeneracy and involution maps are index gathers through that
+enumeration, with no search.  Each tuple also has a mixed-radix code
+(radix: the number of arrows, or of objects on level 0), and sorted
+codes are exactly that order, so a single tuple is found by binary
+search (`find`, `index_of`).  Face and degeneracy maps follow the
+standard conventions:
 
     face 0 drops the first arrow, face i (0<i<n) composes g_i g_{i+1},
     face n drops the last arrow; for 1-tuples face 0 = src, face 1 = tgt.
@@ -15,8 +20,8 @@ conventions:
 
 The componentwise involution commutes with all of them.
 `face_entries` and `degeneracy_entries` act on every row of an entries
-array (`face` and `degeneracy` on one tuple), and `NerveLevel.faces`
-gives the face maps as index arrays.
+array (`face` and `degeneracy` on one tuple), and `NerveLevel.faces`,
+`degeneracies` and `rho_indices` give the maps as index arrays.
 """
 
 from functools import cached_property
@@ -45,15 +50,22 @@ class NerveLevel:
 
     entries: (count, n) array of arrow indices for n >= 1, or the object
     indices as a (count, 1) array for n == 0, in lexicographic order.
-    lower: level n - 1, the target of the face maps (None on level 0)."""
+    lower: level n - 1, the target of the face maps (None on level 0).
+    parent: the row of level n - 1 that each tuple was joined from, the
+    tuple without its last arrow (the target of the arrow on level 1)."""
 
-    def __init__(self, groupoid, n, entries, lower=None):
+    def __init__(self, groupoid, n, entries, lower=None, parent=None):
         self.groupoid = groupoid
         self.n = n
         self.entries = entries
         self.lower = lower
+        self.parent = parent
         self.radix = groupoid.n_objects if n == 0 else groupoid.n_arrows
-        self.codes = self._codes(entries)
+
+    @cached_property
+    def codes(self):
+        """The mixed-radix code of every tuple, in increasing order."""
+        return self._codes(self.entries)
 
     def _codes(self, entries):
         # int64 while the radix expansion fits, Python ints past it
@@ -91,23 +103,75 @@ class NerveLevel:
         return tuple(int(G.rho_arr[g]) for g in tup)
 
     @cached_property
-    def rho_indices(self):
-        """Index of the involution image of every tuple (-1 outside)."""
-        G = self.groupoid
-        return self.find((G.rho_obj if self.n == 0 else G.rho_arr)[self.entries])
-
-    @cached_property
     def anchors(self):
         """The object whose fibre holds a cochain's value at each tuple:
         the source of the last arrow, or the object itself on level 0."""
         return self.entries[:, 0] if self.n == 0 else self.groupoid.src[self.entries[:, -1]]
 
     @cached_property
+    def _joined(self):
+        # (first, rank): the row of level n + 1 joined first from each
+        # tuple, and each arrow's position among the arrows into its target
+        G = self.groupoid
+        into = np.bincount(G.tgt, minlength=G.n_objects)
+        if self.lower is not None:
+            rank = self.lower._joined[1]
+        else:
+            rank = np.empty(G.n_arrows, dtype=np.int64)
+            rank[np.argsort(G.tgt, kind="stable")] = segments(into)
+        count = into[self.anchors]
+        return np.cumsum(count) - count, rank
+
+    def extend(self, p, g):
+        """The index in level n + 1 of tuple p followed by arrow g, for
+        index arrays p and g (broadcast together); -1 where p or g is -1 or
+        where g does not compose, its target not being the anchor of p."""
+        ok = (g >= 0) & (self.groupoid.tgt[g] == _padded(self.anchors)[p])
+        if self.n == 0:
+            return np.where(ok, g, -1)   # level 1 is every arrow, in order
+        first, rank = self._joined
+        return np.where(ok, first[p] + rank[g], -1)
+
+    @cached_property
+    def rho_indices(self):
+        """Index of the involution image of every tuple (-1 outside)."""
+        G = self.groupoid
+        if self.n <= 1:
+            return G.rho_obj if self.n == 0 else G.rho_arr
+        lower = self.lower
+        return lower.extend(lower.rho_indices[self.parent], G.rho_arr[self.entries[:, -1]])
+
+    @cached_property
     def faces(self):
-        """Face i, for i = 0..n, as an index array into the lower level
-        (-1 where a face is not a tuple of the nerve)."""
-        return [self.lower.find(face_entries(self.groupoid, self.entries, self.n, i))
-                for i in range(self.n + 1)]
+        """Face i, for i = 0..n, as row i of an (n + 1, count) index array
+        into the lower level (-1 where a face is not a tuple of the nerve):
+        the faces of the parent followed by the last arrow, the parent's
+        parent followed by the composite of the last two arrows, and the
+        parent; on level 1, the source and the target."""
+        G, n, p = self.groupoid, self.n, self.parent
+        if n == 1:
+            return np.stack([G.src, G.tgt])
+        lower, last = self.lower, self.entries[:, -1]
+        out = np.empty((n + 1, len(self)), dtype=np.int64)
+        out[:n - 1] = lower.lower.extend(lower.faces[:n - 1, p], last)
+        merged = G.comp[self.entries[:, -2], last]
+        out[n - 1] = merged if n == 2 else lower.lower.extend(lower.parent[p], merged)
+        out[n] = p
+        return out
+
+    @cached_property
+    def degeneracies(self):
+        """Degeneracy i, for i = 0..n, as row i of an (n + 1, count) index
+        array into level n + 1 (-1 where it is not a tuple of the nerve):
+        a degeneracy of the parent followed by the last arrow, and for
+        i = n the tuple followed by the unit at its anchor."""
+        G, n = self.groupoid, self.n
+        if n == 0:
+            return G.unit.reshape(1, -1)
+        out = np.empty((n + 1, len(self)), dtype=np.int64)
+        out[:n] = self.extend(self.lower.degeneracies[:, self.parent], self.entries[:, -1])
+        out[n] = self.extend(np.arange(len(self)), G.unit[self.anchors])
+        return out
 
 
 def nerve(groupoid, n, known=None):
@@ -125,11 +189,12 @@ def nerve(groupoid, n, known=None):
         level = level.lower
     for k in range(level.n + 1, n + 1):
         if k == 1:
+            parent = G.tgt
             entries = np.arange(G.n_arrows, dtype=np.int64).reshape(-1, 1)
         else:
-            i, g = arrows_into(G, G.src[level.entries[:, -1]])
-            entries = np.column_stack([level.entries[i], g])
-        level = NerveLevel(G, k, entries, level)
+            parent, g = arrows_into(G, level.anchors)
+            entries = np.column_stack([level.entries[parent], g])
+        level = NerveLevel(G, k, entries, level, parent)
     return level
 
 
@@ -170,11 +235,10 @@ def degeneracy_entries(groupoid, entries, n, i):
     return np.column_stack([entries[:, :i], unit, entries[:, i:]])
 
 
-def _after(f, g):
-    """The index map f after g; -1 (not a tuple of the nerve) stays -1."""
-    out = np.full_like(g, -1)
-    out[g >= 0] = f[g[g >= 0]]
-    return out
+def _padded(maps):
+    """Each index map (a row of maps) with a -1 appended: a gather through
+    it takes -1 (not a tuple of the nerve) to -1."""
+    return np.concatenate([maps, np.full(maps.shape[:-1] + (1,), -1)], axis=-1)
 
 
 def check_simplicial_identities(groupoid, max_degree, known=None):
@@ -190,44 +254,45 @@ def check_simplicial_identities(groupoid, max_degree, known=None):
     while levels[-1].lower is not None:
         levels.append(levels[-1].lower)
     levels.reverse()
-    F = [lvl.faces if lvl.n else [] for lvl in levels[:-1]]
-    rho = [lvl.rho_indices for lvl in levels[:-1]]
+    # every map padded, so that composites are plain gathers; the checks
+    # below run on the tuples and the -1 after them, which report drops
+    F = [_padded(lvl.faces) if lvl.n else None for lvl in levels[:-1]]
+    rho = [_padded(lvl.rho_indices) for lvl in levels[:-1]]
     # D[n][i]: degeneracy i of level n, as an index array into level n+1
-    D = [[levels[n + 1].find(degeneracy_entries(G, lvl.entries, n, i))
-          for i in range(n + 1)] for n, lvl in enumerate(levels[:-1])]
+    D = [_padded(lvl.degeneracies) for lvl in levels[:-1]]
     bad = []
 
     def report(lvl, found):
-        # found: (mask over the tuples of lvl, message with a {tup} slot)
-        hits = sorted((k, seq) for seq, (mask, _) in enumerate(found)
-                      for k in np.flatnonzero(mask))
-        bad.extend(found[seq][1].format(tup=lvl.tuple_at(k)) for k, seq in hits)
+        # found: (mask, message with a {tup} slot); hits in order of tuple,
+        # then of check
+        k, seq = np.nonzero(np.stack([mask[:-1] for mask, _ in found]).T)
+        bad.extend(found[s][1].format(tup=lvl.tuple_at(t))
+                   for t, s in zip(k.tolist(), seq.tolist()))
 
     for n in range(1, max_degree + 1):
         report(levels[n], [(F[n][i] < 0, f"face leaves nerve: n={n} i={i} {{tup}}")
                            for i in range(n + 1)] + [
-            (_after(F[n - 1][i], F[n][j]) != _after(F[n - 1][j - 1], F[n][i]),
+            (F[n - 1][i][F[n][j]] != F[n - 1][j - 1][F[n][i]],
              f"face-face fails: n={n} i={i} j={j} {{tup}}")
             for j in range(n + 1) for i in range(j) if n >= 2] + [
-            (_after(F[n][i], rho[n]) != _after(rho[n - 1], F[n][i]),
+            (F[n][i][rho[n]] != rho[n - 1][F[n][i]],
              f"face not equivariant: n={n} i={i} {{tup}}") for i in range(n + 1)])
     for n in range(0, max_degree + 1):
-        ident = np.arange(len(levels[n]))
+        ident = _padded(np.arange(len(levels[n])))
         report(levels[n], [check for i, dg in enumerate(D[n]) for check in (
             (dg < 0, f"degeneracy leaves nerve: n={n} i={i} {{tup}}"),
             # e_j eta_j = e_{j+1} eta_j = id
-            ((dg >= 0) & ((_after(F[n + 1][i], dg) != ident) |
-                          (_after(F[n + 1][i + 1], dg) != ident)),
+            ((dg >= 0) & ((F[n + 1][i][dg] != ident) | (F[n + 1][i + 1][dg] != ident)),
              f"face-degeneracy unit fails: n={n} i={i} {{tup}}"),
-            ((dg >= 0) & (_after(dg, rho[n]) != _after(rho[n + 1], dg)),
+            ((dg >= 0) & (dg[rho[n]] != rho[n + 1][dg]),
              f"degeneracy not equivariant: n={n} i={i} {{tup}}"))] + [
             # eta_i eta_j = eta_{j+1} eta_i for i <= j
-            (_after(D[n + 1][i], D[n][j]) != _after(D[n + 1][j + 1], D[n][i]),
+            (D[n + 1][i][D[n][j]] != D[n + 1][j + 1][D[n][i]],
              f"deg-deg fails: n={n} i={i} j={j} {{tup}}")
             for j in range(n + 1) for i in range(j + 1)] + [
             # mixed identities e_i eta_j
-            (_after(F[n + 1][i], D[n][j]) != (_after(D[n - 1][j - 1], F[n][i]) if i < j
-                                              else _after(D[n - 1][j], F[n][i - 1])),
+            (F[n + 1][i][D[n][j]] != (D[n - 1][j - 1][F[n][i]] if i < j
+                                      else D[n - 1][j][F[n][i - 1]]),
              f"mixed fails: n={n} i={i} j={j}")
             for j in range(n + 1) for i in range(n + 2) if n >= 1 and (i < j or i > j + 1)])
     return bad

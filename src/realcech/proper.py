@@ -61,13 +61,16 @@ class RepFibre:
     value is nu of it.  A fixed orbit stores coordinates in the +1
     eigenbasis of nu at its (rho-fixed) anchor object, the `frac_kernel`
     basis, which has a unit row at each free column: the coordinates of
-    a fixed vector are its entries at those rows."""
+    a fixed vector are its entries at those rows.  Its matrices (the
+    identity, nu_x, the basis E_x and act_g) are cleared to integers once
+    each, by `scaled`."""
 
     def __init__(self, rep):
         self.rep = rep
         self.k = rep.dim
         self.identity = exact.as_frac_matrix(exact.eye(rep.dim))
         self._fixed_basis = {}
+        self._scaled = {}
 
     def element(self, value):
         return [Fraction(v) for v in value]
@@ -82,7 +85,7 @@ class RepFibre:
         if x not in self._fixed_basis:
             E = exact.frac_kernel(self.rep.nu[x] - self.identity)
             units = [E.tolist().index(u) for u in exact.eye(E.shape[1]).tolist()]
-            self._fixed_basis[x] = E, exact.cleared(E), units
+            self._fixed_basis[x] = E, self.scaled(E), units
         return self._fixed_basis[x]
 
     def partner(self, x):
@@ -92,6 +95,15 @@ class RepFibre:
         _, (E, scale), units = self._fixed(x)
         W = X[units]
         return W if (E @ W == scale * X).all() else None
+
+    def scaled(self, M):
+        """`exact.cleared(M)` for one of the fibre's own matrices, computed
+        once per matrix object (which is kept, so that its id stays its
+        own)."""
+        hit = self._scaled.get(id(M))
+        if hit is None:
+            hit = self._scaled[id(M)] = M, exact.cleared(M)
+        return hit[1]
 
 
 class RepLevelBasis(OrbitBasis):
@@ -148,16 +160,18 @@ class RepComplex:
         if n not in self._homos:
             dst, src = self.basis(n), self.basis(n + 1)
             G = self.groupoid
-            # one term per representative tup and arrow gamma into its anchor
+            # one term per representative tup and arrow gamma into its
+            # anchor, at the tuple (tup, gamma) of the level above
             rows, gammas = arrows_into(G, dst.anchors)
-            longer = gammas[:, None] if n == 0 else np.column_stack(
-                [dst.level.entries[dst.reps[rows]], gammas])
+            longer = dst.level.extend(dst.reps[rows], gammas)
             arrows, fkeys = np.unique(gammas, return_inverse=True)
             sign = 1 if (n + 1) % 2 == 0 else -1
-            factors = [sign * self.cutoff[int(G.src[g])] * self.rep.act(g)
-                       for g in arrows.tolist()]
-            self._homos[n] = face_sum(dst, src, rows, src.level.find(longer),
-                                      factors, fkeys)
+            factors = []
+            for g in arrows.tolist():
+                c = Fraction(self.cutoff[int(G.src[g])])
+                A, a = self.fibre.scaled(self.rep.act(g))
+                factors.append(exact.Scaled(sign * c.numerator * A, c.denominator * a))
+            self._homos[n] = face_sum(dst, src, rows, longer, factors, fkeys)
         return self._homos[n]
 
     def cohomology(self, n):

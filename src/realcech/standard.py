@@ -3,12 +3,13 @@ disjoint unions, and the order-2 action groupoid on two points."""
 
 import numpy as np
 
-from .groupoids import (FiniteRealGroupoid, discrete_space, pullback_groupoid,
-                        renumber_arrows)
+from .groupoids import (FiniteRealGroupoid, check_arrow_cap, discrete_space,
+                        pullback_groupoid, renumber_arrows)
 
 
 def cyclic_group(n, involution="trivial"):
     """Z/n as a one-object groupoid; involution 'trivial' or 'inversion'."""
+    check_arrow_cap(n)   # before the n x n table is built
     table = np.array([[(a + b) % n for b in range(n)] for a in range(n)],
                      dtype=np.int64)
     inv = [(-a) % n for a in range(n)]
@@ -54,6 +55,7 @@ def disjoint_union(g1, g2, swap=False):
     (necessarily isomorphic-with-matching-indices) summands."""
     n1, m1 = g1.n_objects, g1.n_arrows
     n2, m2 = g2.n_objects, g2.n_arrows
+    check_arrow_cap(m1 + m2)
     src = list(g1.src) + [s + n1 for s in g2.src]
     tgt = list(g1.tgt) + [t + n1 for t in g2.tgt]
     unit = list(g1.unit) + [u + m1 for u in g2.unit]

@@ -8,7 +8,9 @@ that the array ones in `groupoids` must match, and the long exact
 sequence checked by enumerating elements and classes, with a loop
 connecting map, that the lattice checks of `les` must match, and the
 element-at-a-time extension groupoid and extension and bundle checks
-that the array ones in `extensions` and `bundles` must match, and the
+that the array ones in `extensions` and `bundles` must match, the
+nerve's face, degeneracy and involution maps by search and the Fraction
+route to the scaled d and h that `nerve` and `proper` replaced, and the
 presentation, canonical key and dense contraction identity that `exact`,
 `coefficients` and `proper` replaced."""
 
@@ -18,6 +20,7 @@ import math
 import numpy as np
 
 from realcech import exact
+from realcech import nerve as nerve_mod
 from realcech.cochains import RealComplex
 from realcech.groupoids import FiniteRealGroupoid
 from realcech.les import SequenceError, induced_cochain_map
@@ -170,15 +173,16 @@ def smith_normal_form(mat, need_u=True, need_v=True, need_inverses=False):
     reproduce entry for entry: (U, D, V) with U @ mat @ V == D.
 
     D is diagonal with a divisibility chain d_1 | d_2 | ... and d_i >= 0.
-    With need_inverses, returns (U, D, V, Uinv, Vinv) instead.
+    With need_inverses, returns (U, D, V, Uinv, Vinv) instead; with
+    need_v=False as well, V and Vinv are None.
     Pivoting picks the minimal nonzero absolute value to limit swell.
     """
     D = exact.as_int_matrix(mat).copy()
     m, n = D.shape
     U = _eye(m) if (need_u or need_inverses) else None
-    V = _eye(n) if (need_v or need_inverses) else None
+    V = _eye(n) if need_v else None
     Uinv = _eye(m) if need_inverses else None
-    Vinv = _eye(n) if need_inverses else None
+    Vinv = _eye(n) if need_inverses and need_v else None
 
     def row_op(i, j, q):
         # row_i -= q * row_j
@@ -427,10 +431,10 @@ def dense_smith_normal_form(mat, need_u=True, need_v=True, need_inverses=False,
     D = M.astype(np.int64) if exact._top(M) < exact._LIMIT else np.frompyfunc(int, 1, 1)(M)
     U = exact.eye(m) if (need_u or need_inverses) else None
     V = None
-    if need_v or need_inverses:
+    if need_v:
         V = np.eye(n if v_rows is None else v_rows, n, dtype=object)
     Uinv = exact.eye(m) if need_inverses else None
-    Vinv = exact.eye(n) if need_inverses else None
+    Vinv = exact.eye(n) if need_inverses and need_v else None
     # column operations on D are row operations on D.T
     VT = V.T if V is not None else None
     VinvT = Vinv.T if Vinv is not None else None
@@ -749,6 +753,92 @@ def loop_simplicial_identities(groupoid, max_degree):
                     if face(G, n + 1, i, dg) != rhs:
                         bad.append(f"mixed fails: n={n} i={i} j={j}")
     return bad
+
+
+# -- the nerve's index maps by search ------------------------------------
+#
+# The face, degeneracy and involution maps as the nerve computed them
+# before they became gathers through its enumeration: every image tuple
+# is written out and found by binary search on the codes of its level.
+# So is each tuple (tup, gamma) of the contraction.  With them, the scale
+# of d and h as the assembly of Fraction products gave it.
+
+def search_faces(level):
+    """`NerveLevel.faces` by search: an (n + 1, count) index array."""
+    G, n = level.groupoid, level.n
+    return np.array([level.lower.find(nerve_mod.face_entries(G, level.entries, n, i))
+                     for i in range(n + 1)]).reshape(n + 1, len(level))
+
+
+def search_degeneracies(level):
+    """`NerveLevel.degeneracies` by search, into the level above."""
+    G, n = level.groupoid, level.n
+    upper = nerve_mod.nerve(G, n + 1, level)
+    return np.array([upper.find(nerve_mod.degeneracy_entries(G, level.entries, n, i))
+                     for i in range(n + 1)]).reshape(n + 1, len(level))
+
+
+def search_rho(level):
+    """`NerveLevel.rho_indices` by search."""
+    G = level.groupoid
+    return level.find((G.rho_obj if level.n == 0 else G.rho_arr)[level.entries])
+
+
+def search_contraction_tuples(cx, n):
+    """(rows, gammas, tuples): one term of h: C^(n+1) -> C^n per orbit
+    representative tup of degree n (its row) and arrow gamma into its
+    anchor, with the index of (tup, gamma) in level n + 1 by search."""
+    dst, G = cx.basis(n), cx.groupoid
+    rows, gammas = nerve_mod.arrows_into(G, dst.anchors)
+    longer = gammas[:, None] if n == 0 else np.column_stack(
+        [dst.level.entries[dst.reps[rows]], gammas])
+    return rows, gammas, cx.basis(n + 1).level.find(longer)
+
+
+def _fraction_scale(src, tuples, factors, fkeys):
+    # the distinct products factor @ (value matrix at a tuple), formed in
+    # Fractions, side by side: their cleared scale
+    keys = sorted(set(zip(fkeys.tolist(), src.value_key[tuples].tolist())))
+    mats = [exact.as_frac_matrix(factors[f]) @ src.value_matrix(v) for f, v in keys]
+    return exact.cleared(np.concatenate(mats + [exact.frac_zeros(src.fibre.k, 0)], axis=1))[1]
+
+
+def _scaled_from_fractions(F, scale):
+    num = F * scale
+    assert all(v.denominator == 1 for v in num.flat)
+    return exact.Scaled(np.frompyfunc(int, 1, 1)(num).astype(object).reshape(F.shape), scale)
+
+
+def fraction_differential(cx, n):
+    """d^n of a RepComplex as Scaled(num, scale) by the Fraction route:
+    the matrix of `loop_coboundary_matrix`, over the scale of the Fraction
+    products at the faces found by search."""
+    src, dst = cx.basis(n), cx.basis(n + 1)
+    reps = dst.reps
+    tuples = search_faces(dst.level)[:, reps].ravel()
+    last = dst.level.entries[reps, -1].tolist()
+    factors = [cx.fibre.identity, -cx.fibre.identity] + \
+        [(-1) ** (n + 1) * cx.rep.act_inv(g) for g in last]
+    fkeys = np.concatenate([np.arange(n + 1).repeat(len(reps)) % 2, 2 + np.arange(len(reps))])
+    F = loop_coboundary_matrix(LoopBasis(cx.groupoid, cx.fibre, n),
+                               LoopBasis(cx.groupoid, cx.fibre, n + 1),
+                               last_face=lambda tup: cx.rep.act_inv(tup[-1]))
+    return _scaled_from_fractions(F, _fraction_scale(src, tuples, factors, fkeys))
+
+
+def fraction_contraction(cx, n):
+    """h: C^(n+1) -> C^n of a RepComplex as Scaled(num, scale) by the
+    Fraction route: the matrix of `loop_contraction_matrix`, over the
+    scale of the Fraction products cutoff * act(gamma) @ (value matrix)
+    at the tuples (tup, gamma) found by search."""
+    from fractions import Fraction
+    G = cx.groupoid
+    _, gammas, tuples = search_contraction_tuples(cx, n)
+    sign = 1 if (n + 1) % 2 == 0 else -1
+    factors = [sign * Fraction(cx.cutoff[int(G.src[g])]) * cx.rep.act(g)
+               for g in gammas.tolist()]
+    scale = _fraction_scale(cx.basis(n + 1), tuples, factors, np.arange(len(gammas)))
+    return _scaled_from_fractions(loop_contraction_matrix(cx, n), scale)
 
 
 def loop_solve(solver, b):

@@ -17,9 +17,11 @@ from realcech import nerve as nerve_mod
 from realcech.nerve import check_simplicial_identities, degeneracy_entries, nerve
 from realcech.proper import RepComplex
 
-from oracles import (DictLevel, LoopBasis, degeneracy, face, loop_coboundary_matrix,
+from oracles import (DictLevel, LoopBasis, degeneracy, face, fraction_contraction,
+                     fraction_differential, loop_coboundary_matrix,
                      loop_contraction_matrix, loop_induced_cochain_map,
-                     loop_simplicial_identities, loop_solve)
+                     loop_simplicial_identities, loop_solve, search_contraction_tuples,
+                     search_degeneracies, search_faces, search_rho)
 from test_proper import corpus_representations, rational_cases
 
 
@@ -45,6 +47,34 @@ def vanish_representations():
     return reps + [(name, rep) for name, _, rep in corpus_representations()]
 
 
+def bench_representations():
+    """The six representations of the benchmark's rational workload."""
+    reps = [(name, RealRepresentation.trivial(g, 1, 1)) for name, g in (
+        ("Z4", standard.cyclic_group(4)), ("pair3", standard.pair_groupoid(3)),
+        ("pair3_swap01", standard.pair_groupoid(3, [1, 0, 2])),
+        ("flip", standard.flip_action_groupoid()),
+        ("Z4_inv", standard.cyclic_group(4, "inversion")))]
+    z4i = standard.cyclic_group(4, "inversion")
+    rot = np.array([[0, -1], [1, 0]])
+    action = [np.linalg.matrix_power(rot, g).tolist() for g in range(4)]
+    return reps + [("Z4_inv_rot", RealRepresentation(z4i, 1, 1, action, [[[1, 0], [0, -1]]]))]
+
+
+def invalid_groupoids():
+    """Groupoids that pass the constructor's checks but not validate():
+    a composable pair with no composite, composites with the wrong
+    endpoints, and an involution that is not a functor."""
+    p2 = standard.pair_groupoid(2)
+    no_composite, wrong_ends = p2.comp.copy(), p2.comp.copy()
+    no_composite[0, 0] = -1
+    wrong_ends[wrong_ends == 1] = 2
+    return [(name, FiniteRealGroupoid(2, p2.src, p2.tgt, p2.unit, comp, p2.inv,
+                                      rho_arr=rho))
+            for name, comp, rho in (("no composite", no_composite, None),
+                                    ("wrong endpoints", wrong_ends, None),
+                                    ("rho not a functor", p2.comp, [0, 2, 1, 3]))]
+
+
 def loop_differential(cx, n):
     if isinstance(cx, RepComplex):
         return loop_coboundary_matrix(
@@ -63,6 +93,57 @@ class TestNerve:
                 assert (np.diff(lvl.codes) > 0).all(), name
                 rho = [ref.index[ref.rho(t)] for t in ref.tuples]
                 assert lvl.rho_indices.tolist() == rho, name
+
+    def test_index_maps_equal_the_search_maps(self, corpus):
+        # faces, degeneracies and rho as gathers through the enumeration
+        # against the images written out and found by binary search
+        cases = [(name, g, 5) for name, g in corpus] + [
+            ("Z6_inv", standard.cyclic_group(6, "inversion"), 5),
+            ("pair4", standard.pair_groupoid(4), 4),
+            ("Z8_inv", standard.cyclic_group(8, "inversion"), 4)]
+        for name, g, top in cases:
+            for n in range(top + 1):
+                lvl = nerve(g, n)
+                assert lvl.rho_indices.tolist() == search_rho(lvl).tolist(), (name, n)
+                assert lvl.degeneracies.tolist() == search_degeneracies(lvl).tolist(), (name, n)
+                if n:
+                    assert lvl.faces.tolist() == search_faces(lvl).tolist(), (name, n)
+
+    def test_contraction_tuples_equal_the_search(self):
+        for name, rep in vanish_representations():
+            cx = RepComplex(rep.groupoid, rep)
+            for n in range(4):
+                rows, gammas, want = search_contraction_tuples(cx, n)
+                dst = cx.basis(n)
+                assert dst.level.extend(dst.reps[rows], gammas).tolist() == want.tolist()
+
+    def test_invalid_groupoids_keep_their_minus_ones_and_errors(self):
+        z_sign = make_standard("Z_sign")
+        errors = {"no composite": "a face is not a tuple of the nerve: the groupoid is not valid",
+                  "wrong endpoints": "a face is not a tuple of the nerve: the groupoid is not valid",
+                  "rho not a functor": "the involution does not map the nerve to itself"}
+        violation = {"no composite": "face leaves nerve: n=2 i=1 (0, 0)",
+                     "wrong endpoints": "face leaves nerve: n=3 i=2 (0, 0, 1)",
+                     "rho not a functor": "face not equivariant: n=1 i=0 (1,)"}
+        for name, g in invalid_groupoids():
+            assert g.validate(), name
+            missing = 0
+            for n in range(5):
+                lvl = nerve(g, n)
+                maps = [(lvl.rho_indices, search_rho(lvl)),
+                        (lvl.degeneracies, search_degeneracies(lvl))]
+                if n:
+                    maps.append((lvl.faces, search_faces(lvl)))
+                for got, want in maps:
+                    assert got.tolist() == want.tolist(), (name, n)
+                    missing += int((got == -1).sum())
+            assert missing, name
+            with pytest.raises(ValueError, match=f"^{errors[name]}$"):
+                cx = RealComplex(g, z_sign)
+                for n in range(4):
+                    cx.differential_matrix(n)
+            # the scalar faces of the loop check raise on these groupoids
+            assert violation[name] in check_simplicial_identities(g, 3)
 
     def test_array_faces_equal_scalar_faces(self, corpus):
         for name, g in corpus:
@@ -201,11 +282,32 @@ class TestIntegralAssembly:
         for g in (standard.discrete_space(2), standard.pair_groupoid(2, [1, 0])):
             dst = RealComplex(g, z).basis(0)
             A, scale = assemble(dst, 1, np.zeros(2, int), np.zeros(2, int),
-                                [exact.as_int_matrix([[big]])], np.zeros(2, int))
+                                [exact.Scaled(exact.as_int_matrix([[big]]), 1)],
+                                np.zeros(2, int))
             assert A[0, 0] == 2 * big and type(A[0, 0]) is int and scale == 1
 
 
 class TestRationalAssembly:
+    def test_d_and_h_equal_the_fraction_route(self):
+        # num and scale: the integer fibre against Fraction products at
+        # the tuples found by search, cleared side by side as before
+        cases = [(name, RepComplex(rep.groupoid, rep)) for name, rep in bench_representations()]
+        name, g, rep = corpus_representations()[3]    # pair2 conjugated
+        cases.append((name + ", cutoff 3/4, 5/6",
+                      RepComplex(g, rep, cutoff=[Fraction(3, 4), Fraction(5, 6)])))
+        # 2/3 * act(1) = [[0, 4], [1, 0]] / 3: a product whose content, 2,
+        # divides the product of the scales, 6, so that the scale is 3
+        z2 = standard.cyclic_group(2)
+        half = RealRepresentation(z2, 2, 0, [[[1, 0], [0, 1]], [[0, 2], [Fraction(1, 2), 0]]],
+                                  [[[1, 0], [0, 1]]])
+        cases.append(("Z2 scaled swap, cutoff 2/3", RepComplex(z2, half, cutoff=[Fraction(2, 3)])))
+        for name, cx in cases:
+            for n in range(4):
+                for got, want in ((cx.differential_matrix(n), fraction_differential(cx, n)),
+                                  (cx.contraction_matrix(n), fraction_contraction(cx, n))):
+                    assert got.scale == want.scale, (name, n)
+                    assert_same(got.num, want.num)
+
     def test_d_and_h_match_the_loop(self):
         for name, rep in vanish_representations():
             cx = RepComplex(rep.groupoid, rep)

@@ -173,6 +173,19 @@ def assert_same_snf(got, want):
         assert [int(x) for x in A.flat] == [int(x) for x in B.flat]
 
 
+def test_inverses_without_v_leave_out_v_and_its_inverse():
+    # need_v=False with need_inverses=True: U, D and U^-1 as with V, and
+    # neither V nor V^-1, in the package and in the oracle alike
+    rng = random.Random(21)
+    for M in oracle_cases(rng):
+        U, D, _, Uinv, _ = exact.smith_normal_form(M, need_inverses=True)
+        for snf in (exact.smith_normal_form, oracles.smith_normal_form,
+                    oracles.dense_smith_normal_form):
+            got = snf(M, need_v=False, need_inverses=True)
+            assert got[2] is None and got[4] is None
+            assert_same_snf([got[0], got[1], got[3]], [U, D, Uinv])
+
+
 def oracle_cases(rng):
     """Random matrices whose elimination takes unit pivots, gcd steps or
     fold-backs, plus empty shapes and zero rows or columns."""

@@ -202,9 +202,12 @@ def test_size_cap_follows_the_environment(monkeypatch):
     lambda: standard.pair_groupoid(32),
     lambda: product_with_group(standard.pair_groupoid(8),
                                make_standard("mu(16)_trivial")),
+    lambda: standard.cyclic_group(1024),
+    # the summands are built once, at collection, under the default cap
+    lambda half=standard.cyclic_group(512): standard.disjoint_union(half, half),
 ])
 def test_constructions_refuse_before_allocating(monkeypatch, build):
-    # both have 1024 arrows: an 8 MiB composition table
+    # each has 1024 arrows: an 8 MiB composition table
     monkeypatch.setenv("RGC_MAX_ARROWS", "1000")
     tracemalloc.start()
     try:
