@@ -27,7 +27,7 @@ rep = RealRepresentation.trivial(z3, 1, 1)
 cx = RepComplex(z3, rep)
 for n in (1, 2, 3):
     lhs, rhs = homotopy_identity_matrices(cx, n)
-    print(f"degree {n}: h.d + d.h == identity:", bool((lhs == rhs).all()),
+    print(f"degree {n}: h.d + d.h == identity:", lhs == rhs,
           f"(matrix size {lhs.shape})")
 
 print("\nvanishing report for Z/3 with Q(1,1):")

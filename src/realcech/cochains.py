@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from . import exact
-from .nerve import face, nerve, segments  # noqa: F401 -- bench/spans.py patches face here
+from .nerve import distinct, face, nerve  # noqa: F401 -- bench/spans.py patches face here
 
 
 class SBlocks:
@@ -158,7 +158,7 @@ class OrbitBasis:
                   for r in self.reps.tolist()]
         every = np.arange(len(values))
         num, scale = assemble(self, 1, every, 0 * every, values, every, ValueError)
-        return exact.Scaled(num[:, 0], scale)
+        return exact.Scaled(exact.to_dense(num)[:, 0], scale)
 
 
 def assemble(dst, ncols, rows, cols, mats, keys, error=AssertionError):
@@ -173,75 +173,91 @@ def assemble(dst, ncols, rows, cols, mats, keys, error=AssertionError):
     error.  The sums run on integers, in int64 when a bound shows that no
     sum can overflow: each P / s is brought to one common scale, the lcm
     of the denominators of all entries in lowest terms (the lcm of
-    s / gcd(s, content of P) over the mats), so the result, an
-    `exact.Scaled` integer matrix, is `exact.cleared` of the matrices put
-    side by side (the scale is 1 on an integral fibre)."""
-    fibre, k = dst.fibre, dst.fibre.k
+    s / gcd(s, content of P) over the mats).  The result is
+    `exact.Scaled(num, scale)`, num an `exact.Sparse` matrix, and num /
+    scale is `exact.cleared` of the matrices put side by side (the scale
+    is 1 on an integral fibre).  No dense matrix of its shape is formed."""
+    fibre, k, shape = dst.fibre, dst.fibre.k, (dst.total, ncols)
     # the common scale: the lcm of the denominators in lowest terms
     scale = math.lcm(*[s // math.gcd(s, *P.ravel().tolist()) for P, s in mats if s != 1])
-    # the nonzero entries of the matrices, matrix by matrix: the value v
-    # at row a and column b of its matrix, coded b * k + a, over the scale
-    v, ab, count = [], [], []
+    # the nonzero entries of each matrix over the scale, padded with zeros
+    # to one length: the value at row a and column b, coded a * ncols + b
+    entries = []
     for P, s in mats:
         f, w = scale // math.gcd(scale, s), s // math.gcd(scale, s)
-        before = len(v)
-        for a, row in enumerate(P.tolist()):
-            for b, x in enumerate(row):
-                if x:
-                    v.append(x * f // w)
-                    ab.append(b * k + a)
-        count.append(len(v) - before)
-    count = np.array(count, dtype=np.int64)
-    # one entry per term and nonzero of its matrix
-    per = count[keys]
-    term = np.repeat(np.arange(len(keys)), per)
-    e = np.repeat((np.cumsum(count) - count)[keys], per) + segments(per)
-    if not e.size:
-        return exact.Scaled(exact.zeros(dst.total, ncols), scale)
+        entries.append([(a * ncols + b, x * f // w) for a, row in enumerate(P.tolist())
+                        for b, x in enumerate(row) if x])
+    width = max(map(len, entries), default=0)
+    if not (width and len(keys)):
+        none = np.zeros(0, dtype=np.int64)
+        return exact.Scaled(exact.Sparse(shape, none, none, none), scale)
+    top = max(abs(x) for es in entries for _, x in es)
+    pad = [0] * width
+    ab = np.array([([c for c, _ in es] + pad)[:width] for es in entries], dtype=np.int64)
     # no sum of len(keys) entries can overflow int64 under this bound
-    small = max(map(abs, v)) * len(keys) < 1 << 62
-    v = np.array(v, dtype=np.int64 if small else object)
-    # the cell (orbit r, column c, fibre row a) of each entry, coded
-    # (r * ncols + c) * k + a, summed over equal codes
-    code = ((rows * ncols + cols) * k)[term] + np.array(ab, dtype=np.int64)[e]
+    v = np.array([([x for _, x in es] + pad)[:width] for es in entries],
+                 dtype=np.int64 if top * len(keys) < 1 << 62 else object)[keys]
+    # the cell (orbit r, fibre row a, column c) of each entry, coded
+    # (r * k + a) * ncols + c, summed over equal codes
+    code = (rows * (k * ncols) + cols)[:, None] + ab[keys]
+    if any(len(es) < width for es in entries):
+        # the padding is no entry (and may code a cell past the last)
+        live = v != 0
+        code, v = code[live], v[live]
+    code, v = code.ravel(), v.ravel()
     order = np.argsort(code)
-    code, v = code[order], v[e[order]]
-    starts = np.flatnonzero(_run_starts(code))
-    code, v = code[starts], np.add.reduceat(v, starts).astype(object)
-    pair, a = np.divmod(code, k)
-    r, c = np.divmod(pair, ncols)
+    code, v = code[order], v[order]
+    starts = np.flatnonzero(exact.run_starts(code))
+    if len(starts) < len(code):
+        code, v = code[starts], np.add.reduceat(v, starts)
+    ra, c = np.divmod(code, ncols)
+    r, a = np.divmod(ra, k)
     fixed = dst.fixed[r]
-    A = exact.zeros(dst.total, ncols)
     free = ~fixed
-    A[dst.offsets[r[free]] + a[free], c[free]] = v[free]
-    # the k-vector of each (fixed orbit, column) pair, corestricted
-    new = _run_starts(pair[fixed])
-    X = exact.zeros(k, int(new.sum()))
-    X[a[fixed], np.cumsum(new) - 1] = v[fixed]
-    orbit, c = r[fixed][new], c[fixed][new]
-    bad = []
+    live = free & (v != 0)
+    out = [((dst.offsets[r] + a)[live], c[live], v[live])]
+    if fixed.any():
+        # the k-vector of each (fixed orbit, column) pair, corestricted
+        pair, a, vf = ra[fixed] // k * ncols + c[fixed], a[fixed], v[fixed]
+        if k > 1:
+            # entries come by (orbit, fibre row, column): group them by pair
+            by_pair = np.argsort(pair, kind="stable")
+            pair, a, vf = pair[by_pair], a[by_pair], vf[by_pair]
+        new = exact.run_starts(pair)
+        X = exact.zeros(k, int(new.sum()))
+        X[a, np.cumsum(new) - 1] = vf.astype(object)
+        orbit, col = np.divmod(pair[new], ncols)
+        out += _corestricted(dst, orbit, col, X, error)
+    rows, cols, vals = (np.concatenate(x) for x in zip(*out)) if len(out) > 1 else out[0]
+    if vals.dtype == object:
+        vals = exact._packed(vals)
+    if len(out) > 1:
+        # rows of fixed orbits go between those of free ones
+        order = np.argsort(rows * ncols + cols, kind="stable")
+        rows, cols, vals = rows[order], cols[order], vals[order]
+    return exact.Scaled(exact.Sparse(shape, rows, cols, vals), scale)
+
+
+def _corestricted(dst, orbit, col, X, error):
+    """The entries (rows, columns, values) of the stored coordinates of
+    the fixed orbits at the columns col, from their k-vectors X, with
+    one batched corestriction per anchor; error if one is not fixed."""
+    fibre, out, bad = dst.fibre, [], []
     at = dst.anchors[orbit]
-    for x in sorted(set(at.tolist())):
-        sel = np.flatnonzero(at == x)
+    anchors = sorted(set(at.tolist()))
+    for x in anchors:
+        sel = np.flatnonzero(at == x) if len(anchors) > 1 else slice(None)
         W = fibre.fixed_coords(x, X[:, sel])
         if W is None:
-            bad.append(next(orbit[s] for s in sel
+            bad.append(next(o for o, s in zip(orbit[sel], np.arange(len(at))[sel])
                             if fibre.fixed_coords(x, X[:, [s]]) is None))
-        else:
-            A[dst.offsets[orbit[sel]] + np.arange(W.shape[0])[:, None], c[sel]] = W
+            continue
+        i, s = np.nonzero(W)
+        out.append((dst.offsets[orbit[sel][s]] + i, col[sel][s], exact._packed(W[i, s])))
     if bad:
         tup = dst.level.tuple_at(dst.reps[min(bad)])
         raise error(f"value at fixed tuple {tup} is not fixed by the involution")
-    return exact.Scaled(A, scale)
-
-
-def _run_starts(x):
-    """True at each entry of the sorted array x that differs from the one
-    before it."""
-    new = np.empty(len(x), dtype=bool)
-    new[:1] = True
-    np.not_equal(x[1:], x[:-1], out=new[1:])
-    return new
+    return out
 
 
 def face_sum(dst, src, rows, tuples, factors, fkeys, error=AssertionError):
@@ -254,10 +270,7 @@ def face_sum(dst, src, rows, tuples, factors, fkeys, error=AssertionError):
         raise ValueError("a face is not a tuple of the nerve: the groupoid is not valid")
     nv = 2 * src.groupoid.n_objects + 1
     # the distinct (factor, value matrix) pairs in order, and the pair of each term
-    code = fkeys * nv + src.value_key[tuples]
-    used = np.zeros(len(factors) * nv, dtype=bool)
-    used[code] = True
-    pairs, keys = np.flatnonzero(used), (np.cumsum(used) - 1)[code]
+    pairs, keys = distinct(fkeys * nv + src.value_key[tuples], len(factors) * nv)
     mats = []
     for p in pairs.tolist():
         (F, f), (V, v) = factors[p // nv], src.fibre.scaled(src.value_matrix(p % nv))
@@ -274,16 +287,23 @@ def coboundary_matrix(src, dst, last_face=None):
     object."""
     n, reps = src.n, dst.reps
     tuples = dst.level.faces[:, reps].ravel()
-    rows = np.tile(np.arange(len(reps)), n + 2)
-    fkeys = np.repeat(np.arange(n + 2) % 2, len(reps))
+    # term t is face t // len(reps) of representative t % len(reps)
+    t = np.arange(len(tuples))
+    rows, fkeys = t % len(reps), t // len(reps) % 2
     scaled = src.fibre.scaled
     one, scale = scaled(src.fibre.identity)
     factors = [exact.Scaled(one, scale), exact.Scaled(-one, scale)]
     if last_face is not None:
-        arrows, which = np.unique(dst.level.entries[reps, -1], return_inverse=True)
-        fkeys[(n + 1) * len(reps):] = 2 + which
-        factors += [exact.Scaled((-1) ** (n + 1) * M, s)
-                    for M, s in (scaled(last_face(g)) for g in arrows.tolist())]
+        arrows, which = distinct(dst.level.entries[reps, -1], dst.groupoid.n_arrows)
+        # arrows whose maps the fibre clears to one matrix share a factor
+        first, index = {}, []
+        for g in arrows.tolist():
+            M, s = maps = scaled(last_face(g))
+            if id(maps) not in first:
+                first[id(maps)] = len(factors)
+                factors.append(exact.Scaled((-1) ** (n + 1) * M, s))
+            index.append(first[id(maps)])
+        fkeys[(n + 1) * len(reps):] = np.array(index, dtype=np.int64)[which]
     return face_sum(dst, src, rows, tuples, factors, fkeys)
 
 
@@ -293,11 +313,21 @@ class LevelBasis(OrbitBasis):
 
     def __init__(self, groupoid, sblocks, n, known=None):
         OrbitBasis.__init__(self, nerve(groupoid, n, known), sblocks)
-        self.moduli = [d for f in self.fixed.tolist()
-                       for d in (sblocks.moduli_fixed if f else sblocks.moduli_S)]
-        # the coordinates with a positive modulus, and those with modulus 0
-        self.torsion_coords = [i for i, d in enumerate(self.moduli) if d > 0]
-        self.free_coords = [i for i, d in enumerate(self.moduli) if d == 0]
+
+    @cached_property
+    def moduli(self):
+        sb = self.fibre
+        return [d for f in self.fixed.tolist() for d in (sb.moduli_fixed if f else sb.moduli_S)]
+
+    @cached_property
+    def torsion_coords(self):
+        """The coordinates with a positive modulus."""
+        return [i for i, d in enumerate(self.moduli) if d > 0]
+
+    @cached_property
+    def free_coords(self):
+        """The coordinates with modulus 0."""
+        return [i for i, d in enumerate(self.moduli) if d == 0]
 
     def presentation(self):
         """The cochain group as an abelian group presentation."""
@@ -412,9 +442,11 @@ class RealComplex:
         return RealCochain(self, n, self.basis(n).from_values(value_fn).num)
 
     def differential_matrix(self, n):
-        """Integer matrix of d: CR^n -> CR^(n+1) in the orbit bases."""
+        """Integer matrix of d: CR^n -> CR^(n+1) in the orbit bases, as a
+        dense object matrix."""
         if n not in self._diffs:
-            self._diffs[n] = coboundary_matrix(self.basis(n), self.basis(n + 1)).num
+            self._diffs[n] = exact.to_dense(
+                coboundary_matrix(self.basis(n), self.basis(n + 1)).num)
         return self._diffs[n]
 
     def _image(self, cochain):
@@ -528,7 +560,7 @@ def cohomology_key(cx, n):
     E = _over_moduli(there, D_n[:, here.torsion_coords] * here.torsion_moduli(),
                      f"d^{n} does not map the relations of degree {n} "
                      f"into those of degree {n + 1}")
-    G = -_over_moduli(there, exact.product(D_n, D_prev),
+    G = -_over_moduli(there, exact.to_dense(exact.product(D_n, D_prev)),
                       f"d^{n} o d^{n - 1} does not vanish modulo the "
                       f"relations of degree {n + 1}")
     M = np.block([[D_prev, here.relation_matrix()], [G, -E]])
@@ -570,7 +602,7 @@ def cochain_group(groupoid, S, n):
 def differential(groupoid, S, n):
     """d^n as an integer matrix, or for rational S a Fraction matrix."""
     D = complex_for(groupoid, S).differential_matrix(n)
-    return exact.frac_divide(*D) if S.mode == "rational" else D
+    return exact.frac_divide(exact.to_dense(D.num), D.scale) if S.mode == "rational" else D
 
 
 def cohomology(groupoid, S, n):

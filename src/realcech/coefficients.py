@@ -55,6 +55,7 @@ class RealCoefficientGroup:
             raise ValueError("tau has wrong shape")
         self.name = name
         self._check_involution()
+        self._fixed = None
 
     # relation lattice: d_j * e_{free_rank + j}
     def relations(self):
@@ -142,8 +143,12 @@ class RealCoefficientGroup:
         return part, E
 
     def fixed_part(self):
-        """(fixed subgroup with trivial involution, inclusion matrix)."""
-        return self._eigen_part(1)
+        """(fixed subgroup with trivial involution, read-only inclusion
+        matrix), computed once per group."""
+        if self._fixed is None:
+            self._fixed = self._eigen_part(1)
+            self._fixed[1].setflags(write=False)
+        return self._fixed
 
     def imaginary_part(self):
         """(subgroup {s : tau(s) = -s} with trivial involution, inclusion)."""

@@ -10,10 +10,15 @@ changes.  Its operations and their order are those of the scalar
 elimination, so the returned matrices are that elimination's, entry for
 entry.  With no transform asked for, the +-1 pivots are first eliminated
 by a sparsest-first pass, and only the residual goes through the loop.
+
+`Sparse` keeps an integer matrix as its nonzero entries (int64 indices,
+int64 values below 2^62 in size, Python ints past that); `product`
+multiplies them as triplets, and the unit-pivot pass reads them directly.
 Rational matrices are `Scaled` integer ones, num standing for num /
-scale, so ranks are Smith forms of num; `cleared` scales a Fraction matrix
-to that pair, and rational kernels row-reduce the Fractions.  No floating
-point anywhere.
+scale: the rational complexes keep num `Sparse` from assembly on, and
+`frac_rank` takes their rank from the unit pivots and a small residual;
+`cleared` scales a Fraction matrix to that pair, and rational kernels
+row-reduce the Fractions.  No floating point anywhere.
 
 Everything here is a pure function of its inputs; concurrent use is safe.
 """
@@ -56,6 +61,119 @@ def _top(A):
     return max(int(A.max()), -int(A.min())) if A.size else 0
 
 
+def _packed(v):
+    """The integer values v as int64 when every |v| < 2^62, otherwise as
+    Python ints in an object array."""
+    if v.dtype == object:
+        try:
+            w = v.astype(np.int64)
+        except OverflowError:
+            return v
+        return w if _top(w) < _LIMIT else v
+    return v.astype(np.int64, copy=False) if _top(v) < _LIMIT else v.astype(object)
+
+
+def run_starts(x):
+    """True at each entry of the sorted array x that differs from the one
+    before it."""
+    new = np.empty(len(x), dtype=bool)
+    new[:1] = True
+    np.not_equal(x[1:], x[:-1], out=new[1:])
+    return new
+
+
+class Sparse:
+    """An integer matrix of the given shape kept as its nonzero entries in
+    row-major order: int64 arrays `rows` and `cols` and the values `vals`,
+    int64 while every |value| < 2^62 and Python ints in an object array
+    past that.  `sparse` builds one from entries, `as_sparse` from a dense
+    matrix, and `to_dense` goes back.  Two are equal when their shapes
+    and entries are; `A @ x` for a dense vector or matrix x is dense, and
+    `A + B` and `A * f` (f an int) are exact."""
+
+    __slots__ = ("shape", "rows", "cols", "vals")
+
+    def __init__(self, shape, rows, cols, vals):
+        self.shape = (int(shape[0]), int(shape[1]))
+        self.rows, self.cols, self.vals = rows, cols, vals
+
+    @property
+    def nnz(self):
+        return len(self.vals)
+
+    def __eq__(self, other):
+        return isinstance(other, Sparse) and self.shape == other.shape and \
+            np.array_equal(self.rows, other.rows) and np.array_equal(self.cols, other.cols) \
+            and np.array_equal(self.vals, other.vals)
+
+    def __add__(self, other):
+        return sparse(self.shape, np.concatenate([self.rows, other.rows]),
+                      np.concatenate([self.cols, other.cols]),
+                      np.concatenate([self.vals, other.vals]))
+
+    def __mul__(self, f):
+        f = int(f)
+        if not f:
+            return sparse(self.shape, self.rows[:0], self.cols[:0], self.vals[:0])
+        vals = self.vals if self.vals.dtype == object or _top(self.vals) * abs(f) < _LIMIT \
+            else self.vals.astype(object)
+        return Sparse(self.shape, self.rows, self.cols, _packed(vals * f))
+
+    def __matmul__(self, x):
+        """self @ x for a dense vector or matrix x of Python ints or
+        Fractions, as an object array."""
+        x = np.asarray(x, dtype=object)
+        out = np.zeros((self.shape[0],) + x.shape[1:], dtype=object)
+        if self.nnz:
+            vals = self.vals.astype(object).reshape((-1,) + (1,) * (x.ndim - 1))
+            starts = np.flatnonzero(run_starts(self.rows))
+            out[self.rows[starts]] = np.add.reduceat(vals * x[self.cols], starts)
+        return out
+
+
+def sparse(shape, rows, cols, vals):
+    """The Sparse matrix of the given shape that sums the integer values
+    vals at the positions (rows, cols); sums run in int64 only when no
+    sum can reach 2^62."""
+    n = int(shape[1])
+    code = rows * n + cols
+    order = np.argsort(code, kind="stable")
+    code, vals = code[order], vals[order]
+    starts = np.flatnonzero(run_starts(code))
+    if len(starts) < len(code):
+        if vals.dtype != object and _top(vals) * len(vals) >= _LIMIT:
+            vals = vals.astype(object)
+        code, vals = code[starts], np.add.reduceat(vals, starts)
+    keep = vals != 0
+    if not keep.all():
+        code, vals = code[keep], vals[keep]
+    r, c = np.divmod(code, n) if n else (code, code)
+    return Sparse(shape, r, c, _packed(vals))
+
+
+def as_sparse(mat):
+    """A Sparse matrix as it is; any other integer matrix (an array or
+    nested lists) as a Sparse one."""
+    if isinstance(mat, Sparse):
+        return mat
+    M = mat if isinstance(mat, np.ndarray) and mat.ndim == 2 else as_int_matrix(mat)
+    r, c = np.nonzero(M)
+    return Sparse(M.shape, r, c, _packed(M[r, c]))
+
+
+def to_dense(A):
+    """The object matrix of Python ints of a Sparse matrix."""
+    out = zeros(*A.shape)
+    out[A.rows, A.cols] = A.vals.astype(object)
+    return out
+
+
+def sparse_identity(n, value=1):
+    """value times the identity matrix of order n, as a Sparse matrix."""
+    i = np.arange(n if value else 0)
+    return Sparse((n, n), i, i, _packed(np.full(len(i), value, dtype=object)))
+
+
 def _xgcd(a, b):
     # returns (g, x, y) with x*a + y*b == g == gcd(a, b), g >= 0
     x, nx = 1, 0
@@ -73,52 +191,60 @@ def _xgcd(a, b):
 
 def _unit_pivots(M):
     """(k, R): eliminate k pivots of value +-1 from the integer matrix M
-    and return the residual R, whose Smith diagonal with k ones in front
-    is that of M (dropping the zero rows and columns changes no
-    invariant factor).
+    (Sparse, or coerced to it) and return the dense residual R, whose
+    Smith diagonal with k ones in front is that of M (dropping the zero
+    rows and columns changes no invariant factor).
 
     The nonzero entries are kept as Python ints in one dict per row, with
     the set of rows of each column.  Columns come off a heap, fewest
     nonzeros first; an entry is stale once its column's count moved.  In
-    each column the pivot is the sparsest row holding a +-1 there: the
-    column is cleared against it by row operations, and then the pivot
-    row and column are dropped, which the column operations against the
-    pivot would do.  A column with no unit entry stays for the residual
-    unless a later row operation touches it again."""
-    m, n = M.shape
-    rows = [{} for _ in range(m)]
+    each column the pivot is the sparsest row holding a +-1 there, ties
+    going to the lower index: the column is cleared against it by row
+    operations, and then the pivot row and column are dropped, which the
+    column operations against the pivot would do.  A column with no unit
+    entry stays for the residual unless a later row operation touches it
+    again."""
+    A = as_sparse(M)
+    m, n = A.shape
+    cs, vs = A.cols.tolist(), A.vals.tolist()
+    ends = np.searchsorted(A.rows, np.arange(m + 1)).tolist()
+    rows = [dict(zip(cs[a:b], vs[a:b])) for a, b in zip(ends, ends[1:])]
     cols = [set() for _ in range(n)]
-    r, c = np.nonzero(M != 0)
-    for i, j, v in zip(r.tolist(), c.tolist(), M[r, c].tolist()):
-        rows[i][j] = int(v)
+    for i, j in zip(A.rows.tolist(), cs):
         cols[j].add(i)
-    heap = [(len(rows_j), j) for j, rows_j in enumerate(cols)]
+    heap = [(len(col), j) for j, col in enumerate(cols) if col]
     heapq.heapify(heap)
     k = 0
     while heap:
         count, j = heapq.heappop(heap)
-        if count != len(cols[j]):
+        col = cols[j]
+        if count != len(col):
             continue
-        units = [i for i in cols[j] if rows[i][j] in (1, -1)]
-        if not units:
+        p, best = None, None
+        for i in col:
+            if rows[i][j] in (1, -1) and (best is None or (len(rows[i]), i) < best):
+                p, best = i, (len(rows[i]), i)
+        if p is None:
             continue
-        p = min(units, key=lambda i: (len(rows[i]), i))
         pivot, rows[p] = rows[p], {}
-        for i in cols[j] - {p}:
+        u = pivot.pop(j)                # +-1, its own inverse
+        col.discard(p)
+        cols[j] = set()
+        items = list(pivot.items())
+        for i in col:
             row = rows[i]
-            f = row[j] * pivot[j]       # pivot[j] is its own inverse
-            for c, v in pivot.items():
-                if c not in row:
+            f = row.pop(j) * u
+            for c, v in items:
+                x = row.get(c)
+                if x is None:
                     row[c] = -f * v
                     cols[c].add(i)
-                    continue
-                x = row[c] - f * v
-                if x:
+                elif x := x - f * v:
                     row[c] = x
                 else:
                     del row[c]
                     cols[c].discard(i)
-        for c in pivot:
+        for c, _ in items:
             cols[c].discard(p)
             heapq.heappush(heap, (len(cols[c]), c))
         k += 1
@@ -388,29 +514,25 @@ def invariant_factors(mat):
 
 
 def product(A, B):
-    """A @ B for integer matrices, as an object matrix of Python ints.
-    The nonzero entries are multiplied as triplets, one term per pair
-    A[i, l], B[l, j], and summed per cell in int64, when a bound shows
-    that no sum can overflow and there are no more terms than cells of A,
-    B and the result; otherwise A @ B on Python ints."""
-    A, B = as_int_matrix(A), as_int_matrix(B)
+    """A @ B for integer matrices (Sparse, or coerced to it), as a Sparse
+    matrix.  The nonzero entries are multiplied as triplets, one term per
+    pair A[i, l], B[l, j], and summed per cell by `sparse`: in int64 when
+    a bound shows that no term or sum can overflow, on Python ints
+    otherwise."""
+    A, B = as_sparse(A), as_sparse(B)
     (m, k), n = A.shape, B.shape[1]
-    ia, la = np.nonzero(A != 0)
-    lb, jb = np.nonzero(B != 0)
-    a, b = A[ia, la], B[lb, jb]
-    count = np.bincount(lb, minlength=k)
-    per = count[la]
-    # |(A @ B)[i, j]| <= inner dim * max|A| * max|B|, and so is every partial sum
-    if _top(a) * _top(b) * k >= _LIMIT or per.sum() > A.size + B.size + m * n:
-        return A @ B
-    # term t pairs A's nonzero s[t] with B's nonzero e[t]; nonzeros come
-    # in row-major order, so those of row l of B are a run
-    s = np.repeat(np.arange(len(a)), per)
-    e = np.repeat((np.cumsum(count) - count)[la] - (np.cumsum(per) - per), per) + \
+    count = np.bincount(B.rows, minlength=k)
+    per = count[A.cols]
+    # term t pairs A's nonzero s[t] with B's nonzero e[t]; B's nonzeros
+    # come in row-major order, so those of row l of B are a run
+    s = np.repeat(np.arange(A.nnz), per)
+    e = np.repeat((np.cumsum(count) - count)[A.cols] - (np.cumsum(per) - per), per) + \
         np.arange(len(s))
-    out = np.zeros(m * n, dtype=np.int64)
-    np.add.at(out, ia[s] * n + jb[e], a.astype(np.int64)[s] * b.astype(np.int64)[e])
-    return out.reshape(m, n).astype(object)
+    a, b = A.vals, B.vals
+    # |(A @ B)[i, j]| <= inner dim * max|A| * max|B|, and so is every partial sum
+    if _top(a) * _top(b) * k >= _LIMIT:
+        a, b = a.astype(object), b.astype(object)
+    return sparse((m, n), A.rows[s], B.cols[e], a[s] * b[e])
 
 
 def int_kernel(mat, rows=None):
@@ -607,7 +729,7 @@ def as_frac_matrix(rows):
 
 
 # an integer matrix num standing for the rational matrix num / scale, and
-# the Fraction num / scale of every entry of num
+# the Fraction num / scale of every entry of a dense num
 Scaled = namedtuple("Scaled", "num scale")
 frac_divide = np.frompyfunc(Fraction, 2, 1)
 
@@ -651,9 +773,12 @@ def _rref(M):
 
 
 def frac_rank(mat):
-    """Rank over Q: the number of nonzero invariant factors of the
-    integer matrix `cleared(mat)`."""
-    return len(invariant_factors(cleared(mat)[0]))
+    """Rank over Q.  A Sparse matrix is an integer one (the numerator of
+    a Scaled matrix has the rank of the matrix); any other is cleared to
+    integers first.  The +-1 pivots are eliminated on the nonzeros, and
+    the residual's rank is the number of its nonzero invariant factors."""
+    ones, R = _unit_pivots(mat if isinstance(mat, Sparse) else cleared(mat).num)
+    return ones + sum(1 for d in _eliminate(R, None, None, None, None) if d) if R.size else ones
 
 
 def frac_kernel(mat):

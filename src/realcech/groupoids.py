@@ -9,6 +9,7 @@ Values are immutable after construction.
 """
 
 import os
+from functools import cached_property
 
 import numpy as np
 
@@ -99,6 +100,21 @@ class FiniteRealGroupoid:
     def arrows_into(self, x):
         """Indices of all arrows with target x (the fiber G^x)."""
         return np.nonzero(self.tgt == x)[0]
+
+    @cached_property
+    def fibres(self):
+        """(arrows, first, count, rank): the arrows in order of target and
+        then of index; per object x the position of the first arrow into x
+        there and the number of arrows into x; per arrow its position
+        among the arrows into its target."""
+        count = np.bincount(self.tgt, minlength=self.n_objects)
+        first = np.cumsum(count) - count
+        arrows = np.argsort(self.tgt, kind="stable")
+        rank = np.empty(self.n_arrows, dtype=np.int64)
+        rank[arrows] = np.arange(self.n_arrows) - first[self.tgt[arrows]]
+        for a in (arrows, first, count, rank):
+            a.setflags(write=False)
+        return arrows, first, count, rank
 
     def is_space(self):
         """True when every arrow is a unit (the groupoid is just a set)."""

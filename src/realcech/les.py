@@ -83,9 +83,9 @@ def induced_cochain_map(cx_a, cx_b, f, n):
     # orbit o of ba maps to orbit o of bb by f @ (the value matrix of its kind)
     mats = [exact.Scaled(exact.as_int_matrix(f) @ _values(ba, fixed), 1)
             for fixed in (False, True)]
-    return assemble(bb, ba.total, np.arange(len(ba.reps)), ba.offsets, mats,
-                    ba.fixed.astype(int),
-                    lambda _: SequenceError("map does not respect the fixed subgroups")).num
+    return exact.to_dense(assemble(
+        bb, ba.total, np.arange(len(ba.reps)), ba.offsets, mats, ba.fixed.astype(int),
+        lambda _: SequenceError("map does not respect the fixed subgroups")).num)
 
 
 def _values(basis, fixed):

@@ -29,20 +29,23 @@ from functools import cached_property
 import numpy as np
 
 
-def segments(counts):
-    """0, 1, ..., c - 1 for each count c, concatenated."""
-    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+def distinct(x, size):
+    """(values, where): the distinct entries of the index array x, all in
+    range(size), in increasing order, and the position of each entry of x
+    among them."""
+    used = np.zeros(size, dtype=bool)
+    used[x] = True
+    return np.flatnonzero(used), (np.cumsum(used) - 1)[x]
 
 
 def arrows_into(groupoid, objects):
     """(i, g): every arrow g into objects[i], in order of i and then of g."""
-    G = groupoid
-    by_tgt = np.argsort(G.tgt, kind="stable")
-    count = np.bincount(G.tgt, minlength=G.n_objects)
-    first = (np.cumsum(count) - count)[objects]
+    arrows, first, count, _ = groupoid.fibres
     count = count[objects]
     i = np.repeat(np.arange(len(objects)), count)
-    return i, by_tgt[np.repeat(first, count) + segments(count)]
+    # entry t of the run of objects[i] is arrow first[objects[i]] + t - start[i]
+    start = np.cumsum(count) - count
+    return i, arrows[np.arange(len(i)) + (first[objects] - start)[i]]
 
 
 class NerveLevel:
@@ -109,28 +112,23 @@ class NerveLevel:
         return self.entries[:, 0] if self.n == 0 else self.groupoid.src[self.entries[:, -1]]
 
     @cached_property
+    def _padded_anchors(self):
+        return _padded(self.anchors)
+
+    @cached_property
     def _joined(self):
-        # (first, rank): the row of level n + 1 joined first from each
-        # tuple, and each arrow's position among the arrows into its target
-        G = self.groupoid
-        into = np.bincount(G.tgt, minlength=G.n_objects)
-        if self.lower is not None:
-            rank = self.lower._joined[1]
-        else:
-            rank = np.empty(G.n_arrows, dtype=np.int64)
-            rank[np.argsort(G.tgt, kind="stable")] = segments(into)
-        count = into[self.anchors]
-        return np.cumsum(count) - count, rank
+        # the row of level n + 1 joined first from each tuple
+        count = self.groupoid.fibres[2][self.anchors]
+        return np.cumsum(count) - count
 
     def extend(self, p, g):
         """The index in level n + 1 of tuple p followed by arrow g, for
         index arrays p and g (broadcast together); -1 where p or g is -1 or
         where g does not compose, its target not being the anchor of p."""
-        ok = (g >= 0) & (self.groupoid.tgt[g] == _padded(self.anchors)[p])
+        ok = (g >= 0) & (self.groupoid.tgt[g] == self._padded_anchors[p])
         if self.n == 0:
             return np.where(ok, g, -1)   # level 1 is every arrow, in order
-        first, rank = self._joined
-        return np.where(ok, first[p] + rank[g], -1)
+        return np.where(ok, self._joined[p] + self.groupoid.fibres[3][g], -1)
 
     @cached_property
     def rho_indices(self):
@@ -193,7 +191,9 @@ def nerve(groupoid, n, known=None):
             entries = np.arange(G.n_arrows, dtype=np.int64).reshape(-1, 1)
         else:
             parent, g = arrows_into(G, level.anchors)
-            entries = np.column_stack([level.entries[parent], g])
+            entries = np.empty((len(g), k), dtype=np.int64)
+            entries[:, :-1] = level.entries[parent]
+            entries[:, -1] = g
         level = NerveLevel(G, k, entries, level, parent)
     return level
 
@@ -262,37 +262,57 @@ def check_simplicial_identities(groupoid, max_degree, known=None):
     D = [_padded(lvl.degeneracies) for lvl in levels[:-1]]
     bad = []
 
-    def report(lvl, found):
-        # found: (mask, message with a {tup} slot); hits in order of tuple,
-        # then of check
-        k, seq = np.nonzero(np.stack([mask[:-1] for mask, _ in found]).T)
-        bad.extend(found[s][1].format(tup=lvl.tuple_at(t))
-                   for t, s in zip(k.tolist(), seq.tolist()))
+    def report(lvl, checks, messages):
+        # checks: one row per identity, over the tuples; hits in order of
+        # tuple, then of identity, named by messages() (built only then)
+        k, seq = np.nonzero(np.concatenate(checks)[:, :-1].T)
+        if len(k):
+            texts = messages()
+            bad.extend(texts[s].format(tup=lvl.tuple_at(t))
+                       for t, s in zip(k.tolist(), seq.tolist()))
 
     for n in range(1, max_degree + 1):
-        report(levels[n], [(F[n][i] < 0, f"face leaves nerve: n={n} i={i} {{tup}}")
-                           for i in range(n + 1)] + [
-            (F[n - 1][i][F[n][j]] != F[n - 1][j - 1][F[n][i]],
-             f"face-face fails: n={n} i={i} j={j} {{tup}}")
-            for j in range(n + 1) for i in range(j) if n >= 2] + [
-            (F[n][i][rho[n]] != rho[n - 1][F[n][i]],
-             f"face not equivariant: n={n} i={i} {{tup}}") for i in range(n + 1)])
+        Fn = F[n]
+        # face-face for the pairs i < j, in order of j and then of i
+        j, i = np.nonzero(np.tri(n + 1, k=-1, dtype=bool) if n >= 2 else np.zeros((0, 0)))
+        checks = [Fn < 0]
+        if n >= 2:
+            checks.append(F[n - 1][i[:, None], Fn[j]] != F[n - 1][j[:, None] - 1, Fn[i]])
+        checks.append(Fn[:, rho[n]] != rho[n - 1][Fn])
+
+        def messages(n=n, pairs=list(zip(i.tolist(), j.tolist()))):
+            return ([f"face leaves nerve: n={n} i={a} {{tup}}" for a in range(n + 1)] +
+                    [f"face-face fails: n={n} i={a} j={b} {{tup}}" for a, b in pairs] +
+                    [f"face not equivariant: n={n} i={a} {{tup}}" for a in range(n + 1)])
+        report(levels[n], checks, messages)
     for n in range(0, max_degree + 1):
+        Dn, up = D[n], F[n + 1]
         ident = _padded(np.arange(len(levels[n])))
-        report(levels[n], [check for i, dg in enumerate(D[n]) for check in (
-            (dg < 0, f"degeneracy leaves nerve: n={n} i={i} {{tup}}"),
-            # e_j eta_j = e_{j+1} eta_j = id
-            ((dg >= 0) & ((F[n + 1][i][dg] != ident) | (F[n + 1][i + 1][dg] != ident)),
-             f"face-degeneracy unit fails: n={n} i={i} {{tup}}"),
-            ((dg >= 0) & (dg[rho[n]] != rho[n + 1][dg]),
-             f"degeneracy not equivariant: n={n} i={i} {{tup}}"))] + [
-            # eta_i eta_j = eta_{j+1} eta_i for i <= j
-            (D[n + 1][i][D[n][j]] != D[n + 1][j + 1][D[n][i]],
-             f"deg-deg fails: n={n} i={i} j={j} {{tup}}")
-            for j in range(n + 1) for i in range(j + 1)] + [
-            # mixed identities e_i eta_j
-            (F[n + 1][i][D[n][j]] != (D[n - 1][j - 1][F[n][i]] if i < j
-                                      else D[n - 1][j][F[n][i - 1]]),
-             f"mixed fails: n={n} i={i} j={j}")
-            for j in range(n + 1) for i in range(n + 2) if n >= 1 and (i < j or i > j + 1)])
+        i = np.arange(n + 1)[:, None]
+        # per degeneracy i, in turn: it leaves the nerve; e_i eta_i =
+        # e_(i+1) eta_i = id fails; it is not equivariant
+        checks = [np.stack([
+            Dn < 0,
+            (Dn >= 0) & ((up[i, Dn] != ident) | (up[i + 1, Dn] != ident)),
+            (Dn >= 0) & (Dn[:, rho[n]] != rho[n + 1][Dn])], axis=1).reshape(3 * (n + 1), -1)]
+        # eta_i eta_j = eta_(j+1) eta_i for the pairs i <= j, in order of j, i
+        dj, di = np.nonzero(np.tri(n + 1, dtype=bool))
+        checks.append(D[n + 1][di[:, None], Dn[dj]] != D[n + 1][dj[:, None] + 1, Dn[di]])
+        # the mixed identities e_i eta_j = eta_(j-1) e_i for i < j and
+        # eta_j e_(i-1) for i > j + 1, in order of j, i
+        gap = np.subtract.outer(np.arange(n + 1), np.arange(n + 2))
+        mj, mi = np.nonzero((gap > 0) | (gap < -1))
+        if n >= 1:
+            below = mi < mj
+            checks.append(up[mi[:, None], Dn[mj]] != D[n - 1][
+                np.where(below, mj - 1, mj)[:, None], F[n][np.where(below, mi, mi - 1)]])
+
+        def messages(n=n, deg=list(zip(di.tolist(), dj.tolist())),
+                     mixed=list(zip(mi.tolist(), mj.tolist()))):
+            return ([f"{what}: n={n} i={a} {{tup}}" for a in range(n + 1) for what in (
+                        "degeneracy leaves nerve", "face-degeneracy unit fails",
+                        "degeneracy not equivariant")] +
+                    [f"deg-deg fails: n={n} i={a} j={b} {{tup}}" for a, b in deg] +
+                    [f"mixed fails: n={n} i={a} j={b}" for a, b in mixed])
+        report(levels[n], checks, messages)
     return bad

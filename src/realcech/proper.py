@@ -16,8 +16,11 @@ counting-measure cutoff c(x) = 1/|G^x| feeds the contraction
                       c(src gamma) * act(gamma) f(g_1..g_n, gamma)
 
 and h d + d h = identity in every degree >= 1, which is the vanishing
-theorem at matrix level.  d and h are `exact.Scaled` integer matrices
-with one scale each; a coboundary witness is h c, checked by d h c = c.
+theorem at matrix level.  d and h are `exact.Scaled` pairs (num, scale),
+num an `exact.Sparse` integer matrix: from assembly on, through the
+ranks, the products of the contraction identity and the coboundary
+witnesses, only their nonzero entries are stored.  A coboundary witness
+is h c, checked by d h c = c.
 """
 
 import math
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import exact
 from .cochains import OrbitBasis, coboundary_matrix, face_sum
-from .nerve import arrows_into, face, nerve  # noqa: F401 -- bench/spans.py patches face here
+from .nerve import arrows_into, distinct, face, nerve  # noqa: F401 -- bench/spans.py patches face here
 
 
 def canonical_cutoff(groupoid):
@@ -63,7 +66,8 @@ class RepFibre:
     basis, which has a unit row at each free column: the coordinates of
     a fixed vector are its entries at those rows.  Its matrices (the
     identity, nu_x, the basis E_x and act_g) are cleared to integers once
-    each, by `scaled`."""
+    per distinct matrix, by `scaled`, and objects with equal nu_x share
+    one basis."""
 
     def __init__(self, rep):
         self.rep = rep
@@ -71,6 +75,10 @@ class RepFibre:
         self.identity = exact.as_frac_matrix(exact.eye(rep.dim))
         self._fixed_basis = {}
         self._scaled = {}
+        # by the entries of a matrix: the first matrix seen with them, and
+        # the fixed basis of nu_x when nu_x has them
+        self._alike = {}
+        self._basis_alike = {}
 
     def element(self, value):
         return [Fraction(v) for v in value]
@@ -83,9 +91,13 @@ class RepFibre:
         # the basis, its integer multiple, and the row of its unit vector
         # for each column
         if x not in self._fixed_basis:
-            E = exact.frac_kernel(self.rep.nu[x] - self.identity)
-            units = [E.tolist().index(u) for u in exact.eye(E.shape[1]).tolist()]
-            self._fixed_basis[x] = E, self.scaled(E), units
+            nu = self.rep.nu[x]
+            hit = self._basis_alike.get(_entries(nu))
+            if hit is None:
+                E = exact.frac_kernel(nu - self.identity)
+                units = [E.tolist().index(u) for u in exact.eye(E.shape[1]).tolist()]
+                hit = self._basis_alike[_entries(nu)] = E, self.scaled(E), units
+            self._fixed_basis[x] = hit
         return self._fixed_basis[x]
 
     def partner(self, x):
@@ -98,12 +110,19 @@ class RepFibre:
 
     def scaled(self, M):
         """`exact.cleared(M)` for one of the fibre's own matrices, computed
-        once per matrix object (which is kept, so that its id stays its
-        own)."""
+        once per distinct matrix and looked up by the matrix object (which
+        is kept, so that its id stays its own)."""
         hit = self._scaled.get(id(M))
         if hit is None:
-            hit = self._scaled[id(M)] = M, exact.cleared(M)
+            alike = self._alike.setdefault(_entries(M), M)
+            hit = self._scaled[id(M)] = M, \
+                exact.cleared(M) if alike is M else self.scaled(alike)
         return hit[1]
+
+
+def _entries(M):
+    """A hashable key of the shape and entries of the matrix M."""
+    return M.shape, tuple(M.ravel().tolist())
 
 
 class RepLevelBasis(OrbitBasis):
@@ -142,7 +161,8 @@ class RepComplex:
         return self._bases[n]
 
     def differential_matrix(self, n):
-        """d: C^n -> C^(n+1) as Scaled(num, scale), the matrix num / scale."""
+        """d: C^n -> C^(n+1) as Scaled(num, scale), the matrix num / scale
+        with num an `exact.Sparse` integer matrix."""
         if n not in self._diffs:
             # the last face is anchored at tgt(g_(n+1)); act^-1 moves it back
             self._diffs[n] = coboundary_matrix(
@@ -150,13 +170,15 @@ class RepComplex:
         return self._diffs[n]
 
     def differential_rank(self, n):
-        """Rank of d^n over Q, computed once per degree."""
+        """Rank of d^n over Q (that of its integer numerator), computed
+        once per degree."""
         if n not in self._ranks:
-            self._ranks[n] = len(exact.invariant_factors(self.differential_matrix(n).num))
+            self._ranks[n] = exact.frac_rank(self.differential_matrix(n).num)
         return self._ranks[n]
 
     def contraction_matrix(self, n):
-        """h: C^(n+1) -> C^n as Scaled(num, scale) (requires the cutoff)."""
+        """h: C^(n+1) -> C^n as Scaled(num, scale), num an `exact.Sparse`
+        integer matrix (requires the cutoff)."""
         if n not in self._homos:
             dst, src = self.basis(n), self.basis(n + 1)
             G = self.groupoid
@@ -164,13 +186,18 @@ class RepComplex:
             # anchor, at the tuple (tup, gamma) of the level above
             rows, gammas = arrows_into(G, dst.anchors)
             longer = dst.level.extend(dst.reps[rows], gammas)
-            arrows, fkeys = np.unique(gammas, return_inverse=True)
+            arrows, which = distinct(gammas, G.n_arrows)
             sign = 1 if (n + 1) % 2 == 0 else -1
-            factors = []
+            # arrows with one cleared action matrix and one cutoff share a factor
+            first, index, factors = {}, [], []
             for g in arrows.tolist():
                 c = Fraction(self.cutoff[int(G.src[g])])
-                A, a = self.fibre.scaled(self.rep.act(g))
-                factors.append(exact.Scaled(sign * c.numerator * A, c.denominator * a))
+                A, a = act = self.fibre.scaled(self.rep.act(g))
+                if (id(act), c) not in first:
+                    first[id(act), c] = len(factors)
+                    factors.append(exact.Scaled(sign * c.numerator * A, c.denominator * a))
+                index.append(first[id(act), c])
+            fkeys = np.array(index, dtype=np.int64)[which]
             self._homos[n] = face_sum(dst, src, rows, longer, factors, fkeys)
         return self._homos[n]
 
@@ -183,7 +210,7 @@ class RepComplex:
 
     def is_cocycle(self, n, vec):
         D = self.differential_matrix(n).num
-        return not (D @ np.array([Fraction(v) for v in vec], dtype=object)).any()
+        return not (D @ [Fraction(v) for v in vec]).any()
 
     def is_coboundary(self, n, vec):
         """A rational primitive b with db = vec, or None if vec is not a
@@ -225,7 +252,9 @@ class RationalCohomology(exact.GroupKey):
 
 def homotopy_identity_matrices(complex_, n):
     """(h d + d h, expected multiple of identity) on degree n >= 1, from
-    the integer numerators of d and h."""
+    the integer numerators of d and h, as `exact.Sparse` matrices: the
+    products and their sum run on the nonzero entries, and the two are
+    equal exactly when h d + d h is the identity."""
     Dn, dn = complex_.differential_matrix(n)
     Dp, dp = complex_.differential_matrix(n - 1)
     Hn, hn = complex_.contraction_matrix(n)        # C^(n+1) -> C^n
@@ -233,14 +262,14 @@ def homotopy_identity_matrices(complex_, n):
     # Hn @ Dn is hn*dn times h d and Dp @ Hp is dp*hp times d h; both
     # are brought to one multiple of h d + d h
     scale = math.lcm(hn * dn, dp * hp)
-    lhs = scale // (hn * dn) * exact.product(Hn, Dn) + \
-        scale // (dp * hp) * exact.product(Dp, Hp)
-    return lhs, scale * exact.eye(complex_.basis(n).total)
+    lhs = exact.product(Hn, Dn) * (scale // (hn * dn)) + \
+        exact.product(Dp, Hp) * (scale // (dp * hp))
+    return lhs, exact.sparse_identity(complex_.basis(n).total, scale)
 
 
 def contraction_is_homotopy(complex_, n):
     lhs, rhs = homotopy_identity_matrices(complex_, n)
-    return bool((lhs == rhs).all())
+    return lhs == rhs
 
 
 def vanishing_check(groupoid, rep, n_max):

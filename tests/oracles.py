@@ -1419,5 +1419,6 @@ def dense_homotopy_identity(complex_, n):
     (Dn, dn), (Dp, dp) = complex_.differential_matrix(n), complex_.differential_matrix(n - 1)
     (Hn, hn), (Hp, hp) = complex_.contraction_matrix(n), complex_.contraction_matrix(n - 1)
     scale = math.lcm(hn * dn, dp * hp)
+    Hn, Dn, Dp, Hp = map(exact.to_dense, (Hn, Dn, Dp, Hp))
     lhs = scale // (hn * dn) * (Hn @ Dn) + scale // (dp * hp) * (Dp @ Hp)
     return lhs, scale * exact.eye(complex_.basis(n).total)

@@ -26,8 +26,8 @@ from test_proper import corpus_representations, rational_cases
 
 
 def fractions(scaled):
-    """The Fraction matrix num / scale of a Scaled matrix."""
-    return exact.frac_divide(*scaled)
+    """The dense Fraction matrix num / scale of a Scaled matrix."""
+    return exact.frac_divide(exact.to_dense(scaled.num), scaled.scale)
 
 
 def assert_same(A, B):
@@ -192,7 +192,14 @@ class TestNerve:
         z4 = standard.cyclic_group(4, "inversion")
         broken_rho = FiniteRealGroupoid(1, z4.src, z4.tgt, z4.unit, z4.comp, z4.inv,
                                         rho_arr=[0, 2, 1, 3])  # not multiplicative
-        for g in (broken_comp, broken_rho):
+        # moves the unit: degeneracies are not equivariant
+        unit_moved = FiniteRealGroupoid(1, z4.src, z4.tgt, z4.unit, z4.comp, z4.inv,
+                                        rho_arr=[1, 0, 2, 3])
+        z2 = standard.cyclic_group(2)
+        comp = z2.comp.copy()
+        comp[0, 1] = 0          # the unit fails on one side: e_i eta_i != id
+        broken_unit = FiniteRealGroupoid(1, z2.src, z2.tgt, z2.unit, comp, z2.inv)
+        for g in (broken_comp, broken_rho, unit_moved, broken_unit):
             bad = check_simplicial_identities(g, 3)
             assert bad and bad == loop_simplicial_identities(g, 3)
             # a known level, below, at or above the levels checked, is read
@@ -284,6 +291,7 @@ class TestIntegralAssembly:
             A, scale = assemble(dst, 1, np.zeros(2, int), np.zeros(2, int),
                                 [exact.Scaled(exact.as_int_matrix([[big]]), 1)],
                                 np.zeros(2, int))
+            A = exact.to_dense(A)
             assert A[0, 0] == 2 * big and type(A[0, 0]) is int and scale == 1
 
 
@@ -306,7 +314,7 @@ class TestRationalAssembly:
                 for got, want in ((cx.differential_matrix(n), fraction_differential(cx, n)),
                                   (cx.contraction_matrix(n), fraction_contraction(cx, n))):
                     assert got.scale == want.scale, (name, n)
-                    assert_same(got.num, want.num)
+                    assert_same(exact.to_dense(got.num), want.num)
 
     def test_d_and_h_match_the_loop(self):
         for name, rep in vanish_representations():

@@ -43,3 +43,22 @@ def test_large_cases_rejects_malformed_cases():
                   ("pair0:1",), ("pair2:7",), ("pair2:1", "Z99999999999999999999_inv:1")):
         got = run(*cases)
         assert got.returncode == 2 and not got.stdout and "usage" in got.stderr, cases
+
+
+def test_large_rational_cases_smoke():
+    from realcech.coefficients import RealRepresentation
+    from realcech.proper import vanishing_check
+    got = run("pair2_vanish:2", "Z3_inv_vanish:1")
+    assert got.returncode == 0, got.stderr
+    lines = [json.loads(line) for line in got.stdout.splitlines()]
+    assert [line["case"] for line in lines] == ["pair2_vanish:2", "Z3_inv_vanish:1"]
+    for line, g, n in zip(lines, (standard.pair_groupoid(2),
+                                  standard.cyclic_group(3, "inversion")), (2, 1)):
+        report = vanishing_check(g, RealRepresentation.trivial(g, 1, 1), n)
+        assert line["free_ranks"] == [row["free_rank"] for row in report] == [0] * n
+        assert line["identity_holds"] is True and line["coefficients"] == "Q(1,1)"
+        assert line["vanish_s"] >= 0 and line["identity_s"] >= 0 and line["peak_rss_mib"] > 0
+    for cases in (("pair2_vanish",), ("Z4_vanish:1",), ("pair2_vanish_inv:1",),
+                  ("pair2_vanish:7",)):
+        got = run(*cases)
+        assert got.returncode == 2 and not got.stdout and "usage" in got.stderr, cases

@@ -17,6 +17,11 @@ from realcech.proper import (RepComplex, canonical_cutoff,
                              verify_cutoff)
 
 
+def fractions(scaled):
+    """The dense Fraction matrix num / scale of a Scaled matrix."""
+    return exact.frac_divide(exact.to_dense(scaled.num), scaled.scale)
+
+
 def corpus_representations():
     """(name, groupoid, representation) triples used across the suite."""
     out = []
@@ -74,7 +79,8 @@ class TestRepresentationComplex:
         for name, g, rep in corpus_representations():
             cx = RepComplex(g, rep)
             for n in (0, 1):
-                P = cx.differential_matrix(n + 1).num @ cx.differential_matrix(n).num
+                P = exact.to_dense(cx.differential_matrix(n + 1).num) @ \
+                    exact.to_dense(cx.differential_matrix(n).num)
                 assert all(v == 0 for v in P.flat), (name, n)
 
     def test_reality_preserved_by_h(self):
@@ -84,7 +90,7 @@ class TestRepresentationComplex:
         rng = random.Random(17)
         for name, g, rep in corpus_representations():
             cx = RepComplex(g, rep)
-            H = exact.frac_divide(*cx.contraction_matrix(1))
+            H = fractions(cx.contraction_matrix(1))
             src = cx.basis(2)
             vec = np.array([Fraction(rng.randint(-3, 3))
                             for _ in range(src.total)], dtype=object)
@@ -103,7 +109,7 @@ class TestHomotopyIdentity:
     def test_zero_cochain_maps_to_zero(self):
         _, g, rep = corpus_representations()[0]
         cx = RepComplex(g, rep)
-        H = exact.frac_divide(*cx.contraction_matrix(1))
+        H = fractions(cx.contraction_matrix(1))
         zero = np.array([Fraction(0)] * cx.basis(2).total, dtype=object)
         assert all(v == 0 for v in (H @ zero))
 
@@ -112,7 +118,7 @@ class TestHomotopyIdentity:
         for name, g, rep in corpus_representations()[:3]:
             cx = RepComplex(g, rep)
             for n in (1, 2):
-                D_n, D_prev, H_n, H_prev = (exact.frac_divide(*M) for M in (
+                D_n, D_prev, H_n, H_prev = (fractions(M) for M in (
                     cx.differential_matrix(n), cx.differential_matrix(n - 1),
                     cx.contraction_matrix(n), cx.contraction_matrix(n - 1)))
                 total = cx.basis(n).total
@@ -168,7 +174,7 @@ class TestVanishing:
             cx = RepComplex(g, rep)
             for n in (1, 2):
                 total = cx.basis(n).total
-                D = exact.frac_divide(*cx.differential_matrix(n - 1))
+                D = fractions(cx.differential_matrix(n - 1))
                 prim = np.array([Fraction(rng.randint(-3, 3), rng.randint(1, 2))
                                  for _ in range(cx.basis(n - 1).total)],
                                 dtype=object)
@@ -179,7 +185,7 @@ class TestVanishing:
                 back = D @ b
                 assert all(back[i] == z[i] for i in range(total)), name
                 # the contraction gives the same conclusion directly
-                H = exact.frac_divide(*cx.contraction_matrix(n - 1))
+                H = fractions(cx.contraction_matrix(n - 1))
                 hb = H @ z
                 assert all((D @ hb)[i] == z[i] for i in range(total)), name
 
@@ -209,7 +215,7 @@ class _OneByOneComplex:
 
 def test_homotopy_identity_does_not_overflow_int64():
     # each product is 2**78, far past int64; the sum must be exact
-    lhs, rhs = homotopy_identity_matrices(_OneByOneComplex(), 1)
+    lhs, rhs = map(exact.to_dense, homotopy_identity_matrices(_OneByOneComplex(), 1))
     assert lhs[0, 0] == 2 ** 79
     assert rhs[0, 0] == 1
 
@@ -218,7 +224,7 @@ def test_homotopy_identity_does_not_overflow_int64():
 def test_homotopy_identity_with_unequal_denominators(h0, identity):
     # d^1 and d^0 have denominators 2 and 3: only a multiple of 6 clears both
     cx = _OneByOneComplex(Fraction(1, 2), Fraction(1, 3), 1, h0)
-    lhs, rhs = homotopy_identity_matrices(cx, 1)
+    lhs, rhs = map(exact.to_dense, homotopy_identity_matrices(cx, 1))
     assert Fraction(int(lhs[0, 0]), int(rhs[0, 0])) == identity
     assert contraction_is_homotopy(cx, 1) == (identity == 1)
 
@@ -262,10 +268,10 @@ def test_vanishing_and_contraction_match_fraction_arithmetic():
         cx = RepComplex(g, rep)
 
         def H(n):
-            return exact.frac_divide(*cx.contraction_matrix(n))
+            return fractions(cx.contraction_matrix(n))
 
         def D(n):
-            return exact.frac_divide(*cx.differential_matrix(n))
+            return fractions(cx.differential_matrix(n))
 
         for row in report:
             n = row["degree"]
@@ -279,11 +285,11 @@ def test_vanishing_and_contraction_match_fraction_arithmetic():
 
 
 def test_vanishing_check_ranks_each_differential_once(monkeypatch):
-    # the ranks are the invariant factors of the integer numerators of d
+    # the ranks are those of the sparse integer numerators of d
     calls = []
-    invariant_factors = exact.invariant_factors
-    monkeypatch.setattr(exact, "invariant_factors",
-                        lambda M: calls.append(M.shape) or invariant_factors(M))
+    frac_rank = exact.frac_rank
+    monkeypatch.setattr(exact, "frac_rank",
+                        lambda M: calls.append(M.shape) or frac_rank(M))
     z3 = standard.cyclic_group(3)
     report = vanishing_check(z3, RealRepresentation.trivial(z3, 1, 1), 3)
     assert len(calls) == 4
@@ -304,7 +310,7 @@ def test_coboundary_witness_is_checked_against_the_cutoff():
     assert verify_cutoff(z3, bad.cutoff) != []
     rng = random.Random(5)
     for n in (2, 3):   # d^0 = 0 here, so degree 1 has no nonzero cocycle
-        D = exact.frac_divide(*good.differential_matrix(n - 1))
+        D = fractions(good.differential_matrix(n - 1))
         prim = np.array([Fraction(rng.randint(-3, 3), rng.randint(1, 2))
                          for _ in range(D.shape[1])], dtype=object)
         c = D @ prim
@@ -343,7 +349,8 @@ def test_homotopy_identity_matches_dense_product():
         for n in (1, 2, 3):
             (lhs, rhs), (dense, eye) = homotopy_identity_matrices(cx, n), \
                 dense_homotopy_identity(cx, n)
-            assert lhs.tolist() == dense.tolist() and rhs.tolist() == eye.tolist(), (name, n)
+            assert exact.to_dense(lhs).tolist() == dense.tolist() and \
+                exact.to_dense(rhs).tolist() == eye.tolist(), (name, n)
 
 
 def test_rational_cohomology_is_built_once_per_degree():
