@@ -31,7 +31,8 @@ import numpy as np
 
 from . import exact
 from .cochains import OrbitBasis, coboundary_matrix, face_sum
-from .nerve import arrows_into, distinct, face, nerve  # noqa: F401 -- bench/spans.py patches face here
+from .nerve import arrows_into, distinct, nerve
+from .nerve import face  # noqa: F401 -- bench/spans.py patches face here
 
 
 def canonical_cutoff(groupoid):
