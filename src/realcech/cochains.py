@@ -295,14 +295,15 @@ def coboundary_matrix(src, dst, last_face=None):
     factors = [exact.Scaled(one, scale), exact.Scaled(-one, scale)]
     if last_face is not None:
         arrows, which = distinct(dst.level.entries[reps, -1], dst.groupoid.n_arrows)
-        # arrows whose maps the fibre clears to one matrix share a factor
+        # arrows whose maps the fibre clears to one matrix object share a
+        # factor; `first` holds each object, so that no id is reused
         first, index = {}, []
         for g in arrows.tolist():
             M, s = maps = scaled(last_face(g))
             if id(maps) not in first:
-                first[id(maps)] = len(factors)
+                first[id(maps)] = len(factors), maps
                 factors.append(exact.Scaled((-1) ** (n + 1) * M, s))
-            index.append(first[id(maps)])
+            index.append(first[id(maps)][0])
         fkeys[(n + 1) * len(reps):] = np.array(index, dtype=np.int64)[which]
     return face_sum(dst, src, rows, tuples, factors, fkeys)
 

@@ -189,7 +189,8 @@ class RepComplex:
             longer = dst.level.extend(dst.reps[rows], gammas)
             arrows, which = distinct(gammas, G.n_arrows)
             sign = 1 if (n + 1) % 2 == 0 else -1
-            # arrows with one cleared action matrix and one cutoff share a factor
+            # arrows with one cleared action matrix (one object, which the
+            # fibre keeps) and one cutoff share a factor
             first, index, factors = {}, [], []
             for g in arrows.tolist():
                 c = Fraction(self.cutoff[int(G.src[g])])
