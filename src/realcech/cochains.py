@@ -29,14 +29,30 @@ from . import exact
 from .nerve import distinct, face, nerve  # noqa: F401 -- bench/spans.py patches face here
 
 
+Corestriction = namedtuple("Corestriction", "matrix divisors width")
+
+
+def corestricted(rule, X):
+    """The stored coordinates of fibre-valued columns X by a fibre's rule
+    at a rho-fixed anchor: the first rule.width rows of rule.matrix @ X
+    over their divisors; None unless every row is divisible by its divisor
+    (zero where it is 0).  Only divisors > 1 divide, so Fractions pass."""
+    Y, d = rule.matrix @ X, np.array(rule.divisors, dtype=object)
+    big, q = d > 1, d[d > 1].reshape((-1,) + (1,) * (Y.ndim - 1))
+    if Y[d == 0].any() or (Y[big] % q).any():
+        return None
+    Y[big] //= q
+    return Y[:rule.width]
+
+
 class SBlocks:
     """The integral fibre: per-coefficient-group data shared by all levels.
 
     A free orbit stores one copy of S (the S block); a fixed orbit stores
-    fixed-subgroup coordinates, mapped into S by the embedding, and
-    fixed_coords corestricts S-values into them (to_fixed_coords one
-    value).  The fibre is the same at every object, so the anchor
-    arguments of the fibre interface used by OrbitBasis are ignored."""
+    fixed-subgroup coordinates, mapped into S by the embedding E, and
+    `rule` corestricts S-values to them (`to_fixed_coords` one value).
+    The fibre is the same at every object, so the anchor arguments of
+    the fibre interface used by OrbitBasis are ignored."""
 
     def __init__(self, S):
         self.S = S
@@ -46,12 +62,19 @@ class SBlocks:
         fixed, E = S.fixed_part()
         self.embed = E  # k x (generators of the fixed subgroup)
         self.moduli_fixed = [0] * fixed.free_rank + list(fixed.invariant_factors)
-        self._fixed_solver = exact.IntSolver(E, S.relations())
+        # U [E | R] V = D: b is fixed when d | U[:r] b and U[r:] b = 0, d the
+        # nonzero diagonal, with coordinates V[:, :r] (U[:r] b / d) = (rows) / lcm(d)
+        sv, w = exact.IntSolver(E, S.relations()), E.shape[1]
+        d = [x for x in sv.diag if x]
+        r, lcm = len(d), math.lcm(*d)
+        conditions = [i for i in range(self.k) if i >= r or d[i] > 1]
+        self.rule = Corestriction(
+            np.concatenate([(sv.V[:, :r] * [lcm // x for x in d]) @ sv.U[:r], sv.U[conditions]]),
+            [lcm] * w + [d[i] if i < r else 0 for i in conditions], w)
 
     def to_fixed_coords(self, vec):
-        """Express an S-element lying in the fixed subgroup in fixed
-        coordinates; None if it is not fixed."""
-        sol = self._fixed_solver.solve(vec)
+        """An S-element's fixed coordinates; None if it is not fixed."""
+        sol = corestricted(self.rule, np.array(vec, dtype=object))
         return None if sol is None else tuple(int(v) for v in sol)
 
     def element(self, value):
@@ -63,8 +86,8 @@ class SBlocks:
     def partner(self, x):
         return self.S.tau
 
-    def fixed_coords(self, x, X):
-        return self._fixed_solver.solve(X)
+    def corestriction(self, x):
+        return self.rule
 
     def scaled(self, M):
         return exact.Scaled(M, 1)
@@ -81,17 +104,18 @@ class OrbitBasis:
     (the width of a free orbit), `identity`, `element` (coerce a value),
     `embedding(x)` (the fixed vectors at a rho-fixed object x, as
     columns), `partner(x)` (the map from the value at a representative with
-    anchor x to the value at its partner), `fixed_coords(x, X)` (the
-    coordinates in `embedding(x)` of the integer columns X, or None if one
-    is not fixed; a common scale of X carries over to them) and
+    anchor x to the value at its partner), `corestriction(x)` (the
+    `Corestriction` to coordinates in `embedding(x)`, one object where
+    objects share it; a common scale of the values carries over) and
     `scaled(M)` (one of those fibre matrices as an `exact.Scaled` integer
     matrix).
 
     Orbits are numbered in the order of their representatives, the smaller
     index of a free orbit's two tuples.  Per orbit there are arrays reps,
-    partners, anchors (of the representative), fixed, offsets and widths;
-    per tuple, orbit_of and value_key, which names the matrix
-    value_matrix(key) taking the stored coordinates to the value there."""
+    partners, anchors (of the representative), fixed, offsets, widths and
+    rule_of (into rules, 0 the identity); per tuple, orbit_of and
+    value_key, which names the matrix value_matrix(key) taking the stored
+    coordinates to the value there."""
 
     def __init__(self, level, fibre):
         self.groupoid = level.groupoid
@@ -111,11 +135,18 @@ class OrbitBasis:
         # 0: the identity at a representative; 2x + 1: partner(x) and
         # 2x + 2: embedding(x), x the anchor of the representative
         self.value_key = np.where(i < rho, 0, 2 * level.anchors[rep] + 1 + (i == rho))
-        # a free orbit is k wide, a fixed one as wide as the embedding at its anchor
-        width_at = np.zeros(self.groupoid.n_objects, dtype=np.int64)
-        for a in set(self.anchors[self.fixed].tolist()):
-            width_at[a] = fibre.embedding(a).shape[1]
-        self.widths = np.where(self.fixed, width_at[self.anchors], fibre.k)
+        # a fixed orbit takes the rule at its anchor, as wide as the rule;
+        # divisors[i, a] is that of row a of rule i, 1 past its rows
+        at = {a: fibre.corestriction(a) for a in sorted(set(self.anchors[self.fixed].tolist()))}
+        unique = {id(rule): rule for rule in at.values()}
+        self.rules = [Corestriction(fibre.identity, [1] * fibre.k, fibre.k), *unique.values()]
+        rule_at = np.zeros(self.groupoid.n_objects, dtype=np.int64)
+        rule_at[list(at)] = [list(unique).index(id(rule)) + 1 for rule in at.values()]
+        self.rule_of = np.where(self.fixed, rule_at[self.anchors], 0)
+        self.widths = np.array([rule.width for rule in self.rules], dtype=np.int64)[self.rule_of]
+        K = max(len(rule.divisors) for rule in self.rules)
+        self.divisors = exact._packed(np.array(
+            [[*r.divisors] + [1] * (K - len(r.divisors)) for r in self.rules], dtype=object))
         self.offsets = np.cumsum(self.widths) - self.widths
         self.total = int(self.widths.sum())
 
@@ -145,9 +176,8 @@ class OrbitBasis:
                 self.value_matrix(int(self.value_key[tuple_index])))
 
     def corestrict(self, oid, X):
-        """Stored coordinates of the fixed orbit oid for the fibre-valued
-        columns X; None if some column is not fixed."""
-        return self.fibre.fixed_coords(int(self.anchors[oid]), X)
+        """`corestricted` by the rule of the orbit oid."""
+        return corestricted(self.rules[self.rule_of[oid]], X)
 
     def from_values(self, value_fn):
         """Stored coordinates of the cochain whose value at each orbit
@@ -167,97 +197,66 @@ def assemble(dst, ncols, rows, cols, mats, keys, error=AssertionError):
     in the block of orbit rows[t] from column cols[t] on.  Each of mats
     is an `exact.Scaled` pair (P, s), the matrix P / s.
 
-    A free orbit stores its summed block as it is.  A fixed orbit stores
-    the corestriction of its columns, one batched call per anchor; a zero
-    column stays zero, and a nonzero column that is not fixed raises
-    error.  The sums run on integers, in int64 when a bound shows that no
-    sum can overflow: each P / s is brought to one common scale, the lcm
-    of the denominators of all entries in lowest terms (the lcm of
-    s / gcd(s, content of P) over the mats).  The result is
-    `exact.Scaled(num, scale)`, num an `exact.Sparse` matrix, and num /
-    scale is `exact.cleared` of the matrices put side by side (the scale
-    is 1 on an integral fibre).  No dense matrix of its shape is formed."""
-    fibre, k, shape = dst.fibre, dst.fibre.k, (dst.total, ncols)
+    A free orbit stores its summed block as it is, a fixed orbit its
+    corestriction: each term is premultiplied by the rule of its orbit,
+    one product per distinct (rule, matrix) pair, and all cells are
+    summed in one sort; a failing condition row raises error.  The sums
+    run on integers, in int64 when a bound shows that no sum can
+    overflow: each P / s is brought to one common scale, the lcm of the
+    denominators of all entries in lowest terms (the lcm of s / gcd(s,
+    content of P) over the mats).  The result is `exact.Scaled(num,
+    scale)`, num an `exact.Sparse` matrix, and num / scale is
+    `exact.cleared` of the matrices put side by side (the scale is 1 on
+    an integral fibre).  No dense matrix of its shape is formed."""
+    K, shape = dst.divisors.shape[1], (dst.total, ncols)
     # the common scale: the lcm of the denominators in lowest terms
     scale = math.lcm(*[s // math.gcd(s, *P.ravel().tolist()) for P, s in mats if s != 1])
-    # the nonzero entries of each matrix over the scale, padded with zeros
+    # the distinct (rule, matrix) pairs in order, and the pair of each term
+    pairs, keys = distinct(dst.rule_of[rows] * len(mats) + keys, len(dst.rules) * len(mats))
+    # the nonzero entries of each product over the scale, padded with zeros
     # to one length: the value at row a and column b, coded a * ncols + b
     entries = []
-    for P, s in mats:
+    for p in pairs.tolist():
+        rule, (P, s) = dst.rules[p // len(mats)], mats[p % len(mats)]
+        P = rule.matrix @ P if p >= len(mats) else P
         f, w = scale // math.gcd(scale, s), s // math.gcd(scale, s)
         entries.append([(a * ncols + b, x * f // w) for a, row in enumerate(P.tolist())
                         for b, x in enumerate(row) if x])
     width = max(map(len, entries), default=0)
-    if not (width and len(keys)):
-        none = np.zeros(0, dtype=np.int64)
-        return exact.Scaled(exact.Sparse(shape, none, none, none), scale)
-    top = max(abs(x) for es in entries for _, x in es)
+    top = max((abs(x) for es in entries for _, x in es), default=0)
     pad = [0] * width
     ab = np.array([([c for c, _ in es] + pad)[:width] for es in entries], dtype=np.int64)
     # no sum of len(keys) entries can overflow int64 under this bound
     v = np.array([([x for _, x in es] + pad)[:width] for es in entries],
                  dtype=np.int64 if top * len(keys) < 1 << 62 else object)[keys]
-    # the cell (orbit r, fibre row a, column c) of each entry, coded
-    # (r * k + a) * ncols + c, summed over equal codes
-    code = (rows * (k * ncols) + cols)[:, None] + ab[keys]
-    if any(len(es) < width for es in entries):
-        # the padding is no entry (and may code a cell past the last)
-        live = v != 0
-        code, v = code[live], v[live]
-    code, v = code.ravel(), v.ravel()
+    # the cell (orbit r, rule row a, column c) of each entry, coded
+    # (r * K + a) * ncols + c, summed over equal codes
+    code = (rows * (K * ncols) + cols)[:, None] + ab[keys]
+    # the padding is no entry (and may code a cell past the last)
+    live = v != 0
+    code, v = code[live], v[live]
     order = np.argsort(code)
     code, v = code[order], v[order]
     starts = np.flatnonzero(exact.run_starts(code))
     if len(starts) < len(code):
         code, v = code[starts], np.add.reduceat(v, starts)
     ra, c = np.divmod(code, ncols)
-    r, a = np.divmod(ra, k)
-    fixed = dst.fixed[r]
-    free = ~fixed
-    live = free & (v != 0)
-    out = [((dst.offsets[r] + a)[live], c[live], v[live])]
-    if fixed.any():
-        # the k-vector of each (fixed orbit, column) pair, corestricted
-        pair, a, vf = ra[fixed] // k * ncols + c[fixed], a[fixed], v[fixed]
-        if k > 1:
-            # entries come by (orbit, fibre row, column): group them by pair
-            by_pair = np.argsort(pair, kind="stable")
-            pair, a, vf = pair[by_pair], a[by_pair], vf[by_pair]
-        new = exact.run_starts(pair)
-        X = exact.zeros(k, int(new.sum()))
-        X[a, np.cumsum(new) - 1] = vf.astype(object)
-        orbit, col = np.divmod(pair[new], ncols)
-        out += _corestricted(dst, orbit, col, X, error)
-    rows, cols, vals = (np.concatenate(x) for x in zip(*out)) if len(out) > 1 else out[0]
+    r, a = np.divmod(ra, K)
+    # each row divisible by its divisor, or zero where that is 0; cells
+    # come by orbit, so the first that fails names the lowest one
+    d = dst.divisors[dst.rule_of[r], a]
+    q = np.maximum(d, 1)
+    bad = np.flatnonzero(np.where(d == 0, v != 0, v % q != 0))
+    if len(bad):
+        tup = dst.level.tuple_at(dst.reps[r[bad[0]]])
+        raise error(f"value at fixed tuple {tup} is not fixed by the involution")
+    # the conditions are dropped and the coordinates divided; the rows
+    # offsets[r] + a come in the order of the codes
+    live = (v != 0) & (a < dst.widths[r])
+    vals = (v // q)[live]
     if vals.dtype == object:
         vals = exact._packed(vals)
-    if len(out) > 1:
-        # rows of fixed orbits go between those of free ones
-        order = np.argsort(rows * ncols + cols, kind="stable")
-        rows, cols, vals = rows[order], cols[order], vals[order]
-    return exact.Scaled(exact.Sparse(shape, rows, cols, vals), scale)
-
-
-def _corestricted(dst, orbit, col, X, error):
-    """The entries (rows, columns, values) of the stored coordinates of
-    the fixed orbits at the columns col, from their k-vectors X, with
-    one batched corestriction per anchor; error if one is not fixed."""
-    fibre, out, bad = dst.fibre, [], []
-    at = dst.anchors[orbit]
-    anchors = sorted(set(at.tolist()))
-    for x in anchors:
-        sel = np.flatnonzero(at == x) if len(anchors) > 1 else slice(None)
-        W = fibre.fixed_coords(x, X[:, sel])
-        if W is None:
-            bad.append(next(o for o, s in zip(orbit[sel], np.arange(len(at))[sel])
-                            if fibre.fixed_coords(x, X[:, [s]]) is None))
-            continue
-        i, s = np.nonzero(W)
-        out.append((dst.offsets[orbit[sel][s]] + i, col[sel][s], exact._packed(W[i, s])))
-    if bad:
-        tup = dst.level.tuple_at(dst.reps[min(bad)])
-        raise error(f"value at fixed tuple {tup} is not fixed by the involution")
-    return out
+    return exact.Scaled(exact.Sparse(shape, (dst.offsets[r] + a)[live], c[live], vals), scale)
 
 
 def face_sum(dst, src, rows, tuples, factors, fkeys, error=AssertionError):

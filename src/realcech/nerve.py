@@ -249,6 +249,8 @@ def check_simplicial_identities(groupoid, max_degree, known=None):
 
     Returns a list of violation descriptions (empty = all good), per
     degree in order of tuple and then of identity."""
+    if max_degree < 0:
+        return []
     G = groupoid
     levels = [nerve(G, max_degree + 2, known)]
     while levels[-1].lower is not None:

@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exact
-from .cochains import OrbitBasis, coboundary_matrix, face_sum
+from .cochains import Corestriction, OrbitBasis, coboundary_matrix, face_sum
 from .nerve import arrows_into, distinct, nerve
 from .nerve import face  # noqa: F401 -- bench/spans.py patches face here
 
@@ -63,12 +63,12 @@ class RepFibre:
 
     A free orbit stores the value at its representative; the partner
     value is nu of it.  A fixed orbit stores coordinates in the +1
-    eigenbasis of nu at its (rho-fixed) anchor object, the `frac_kernel`
-    basis, which has a unit row at each free column: the coordinates of
-    a fixed vector are its entries at those rows.  Its matrices (the
-    identity, nu_x, the basis E_x and act_g) are cleared to integers once
-    per distinct matrix, by `scaled`, and objects with equal nu_x share
-    one basis."""
+    eigenbasis E_x of nu at its (rho-fixed) anchor object, the
+    `frac_kernel` basis, which has a unit row at each free column: the
+    coordinates of a fixed vector v are its entries at those rows, S v,
+    and v is fixed when E_x S v = v.  Its matrices (the identity, nu_x,
+    E_x and act_g) are cleared to integers once per distinct matrix, by
+    `scaled`, and objects with equal nu_x share one basis and one rule."""
 
     def __init__(self, rep):
         self.rep = rep
@@ -88,26 +88,25 @@ class RepFibre:
         """Columns spanning {v : nu_x v = v} for a rho-fixed object x."""
         return self._fixed(x)[0]
 
+    def corestriction(self, x):
+        """The rule at a rho-fixed object x: S, then E' S - s I = 0."""
+        return self._fixed(x)[1]
+
     def _fixed(self, x):
-        # the basis, its integer multiple, and the row of its unit vector
-        # for each column
         if x not in self._fixed_basis:
             nu = self.rep.nu[x]
             hit = self._basis_alike.get(_entries(nu))
             if hit is None:
-                E = exact.frac_kernel(nu - self.identity)
-                units = [E.tolist().index(u) for u in exact.eye(E.shape[1]).tolist()]
-                hit = self._basis_alike[_entries(nu)] = E, self.scaled(E), units
+                E, eye = exact.frac_kernel(nu - self.identity), exact.eye(self.k)
+                S = eye[[E.tolist().index(u) for u in eye[:E.shape[1], :E.shape[1]].tolist()]]
+                (C, s), w = self.scaled(E), E.shape[1]
+                hit = self._basis_alike[_entries(nu)] = E, Corestriction(
+                    np.concatenate([S, C @ S - s * eye]), [1] * w + [0] * self.k, w)
             self._fixed_basis[x] = hit
         return self._fixed_basis[x]
 
     def partner(self, x):
         return self.rep.nu[x]
-
-    def fixed_coords(self, x, X):
-        _, (E, scale), units = self._fixed(x)
-        W = X[units]
-        return W if (E @ W == scale * X).all() else None
 
     def scaled(self, M):
         """`exact.cleared(M)` for one of the fibre's own matrices, computed

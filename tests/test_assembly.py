@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from realcech import exact, standard
-from realcech.cochains import RealComplex, SBlocks, assemble, complex_for, differential
+from realcech.cochains import (RealComplex, SBlocks, assemble, complex_for, corestricted,
+                               differential)
 from realcech.coefficients import (RealCoefficientGroup, RealRepresentation,
                                    make_standard)
 from realcech.groupoids import FiniteRealGroupoid
@@ -22,6 +23,7 @@ from oracles import (DictLevel, LoopBasis, degeneracy, face, fraction_contractio
                      loop_contraction_matrix, loop_induced_cochain_map,
                      loop_simplicial_identities, loop_solve, search_contraction_tuples,
                      search_degeneracies, search_faces, search_rho)
+from test_cohomology_key import MIXED
 from test_proper import corpus_representations, rational_cases
 
 
@@ -227,6 +229,28 @@ class TestIntegralAssembly:
                 for n in range(5):
                     assert_same(cx.differential_matrix(n), loop_differential(cx, n))
 
+    def test_differentials_match_the_loop_on_mixed_coefficients(self, corpus):
+        # the fibres whose corestriction has a transform V != I and
+        # conditions with divisors > 1; the loop corestricts through
+        # to_fixed_coords, one column at a time
+        for name, g in corpus:
+            for sname, S in MIXED:
+                cx = RealComplex(g, S)
+                for n in range(4):
+                    assert_same(cx.differential_matrix(n), loop_differential(cx, n))
+
+    def test_assembly_makes_no_solve(self, count_calls):
+        # fixed orbits are corestricted by their rule inside the one sort
+        complexes = [RealComplex(g, make_standard(S)) for g, S in (
+            (standard.cyclic_group(4, "inversion"), "mu(4)_conj"),
+            (standard.pair_groupoid(3, [1, 0, 2]), "Z_sign"))]
+        solves = count_calls(exact.IntSolver, "solve")
+        for cx in complexes:
+            for n in range(5):
+                cx.differential_matrix(n)
+            assert all(cx.basis(n).counts()[1] for n in range(6))
+        assert solves == []
+
     def test_from_values_matches_the_loop(self, corpus, presets):
         rng = random.Random(3)
         for name, g in corpus:
@@ -388,7 +412,7 @@ class TestRationalAssembly:
                     v = np.array([Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                                   for _ in range(rep.dim)], dtype=object)
                     for vec in (v, v + rep.nu[x] @ v):
-                        got = fibre.fixed_coords(x, vec.reshape(-1, 1))
+                        got = corestricted(fibre.corestriction(x), vec.reshape(-1, 1))
                         want = exact.frac_solve(E, vec)
                         assert (got is None) == (want is None)
                         if got is not None:

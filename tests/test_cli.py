@@ -308,7 +308,7 @@ def test_nerve_levels_are_enumerated_once(tmp_path, capsys, count_calls):
         "identities_verified": True}
 
 
-@pytest.mark.parametrize("k", range(-2, 6))
+@pytest.mark.parametrize("k", range(-4, 6))
 def test_nerve_output_for_every_max_degree(tmp_path, capsys, k):
     from realcech.nerve import check_simplicial_identities, nerve
     g = standard.cyclic_group(4, "inversion")
