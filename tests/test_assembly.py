@@ -223,21 +223,25 @@ class TestIntegralAssembly:
                     assert basis.total == ref.total
 
     def test_differentials_match_the_loop(self, corpus, presets):
+        # the mixed groups are the fibres whose corestriction has a
+        # transform V != I and conditions with divisors > 1
         for name, g in corpus:
-            for sname, S in presets:
+            for (sname, S), top in [(p, 5) for p in presets] + [(m, 4) for m in MIXED]:
                 cx = RealComplex(g, S)
-                for n in range(5):
+                for n in range(top):
                     assert_same(cx.differential_matrix(n), loop_differential(cx, n))
 
-    def test_differentials_match_the_loop_on_mixed_coefficients(self, corpus):
-        # the fibres whose corestriction has a transform V != I and
-        # conditions with divisors > 1; the loop corestricts through
-        # to_fixed_coords, one column at a time
-        for name, g in corpus:
-            for sname, S in MIXED:
-                cx = RealComplex(g, S)
-                for n in range(4):
-                    assert_same(cx.differential_matrix(n), loop_differential(cx, n))
+    def test_to_fixed_coords_match_the_solver(self, presets):
+        # the rule against IntSolver.solve on [E | R], fixed or not
+        rng = random.Random(6)
+        for sname, S in presets + MIXED:
+            sb, solver = SBlocks(S), exact.IntSolver(S.fixed_part()[1], S.relations())
+            for _ in range(40):
+                v = [rng.randint(-9, 9) for _ in range(S.ngens)]
+                for vec in (v, S.add_tuples(v, S.tau_tuple(v))):
+                    want = solver.solve(vec)
+                    assert sb.to_fixed_coords(vec) == (
+                        None if want is None else tuple(want.tolist())), (sname, vec)
 
     def test_assembly_makes_no_solve(self, count_calls):
         # fixed orbits are corestricted by their rule inside the one sort
