@@ -62,8 +62,8 @@ class SBlocks:
         fixed, E = S.fixed_part()
         self.embed = E  # k x (generators of the fixed subgroup)
         self.moduli_fixed = [0] * fixed.free_rank + list(fixed.invariant_factors)
-        # U [E | R] V = D: b is fixed when d | U[:r] b and U[r:] b = 0, d the
-        # nonzero diagonal, with coordinates V[:, :r] (U[:r] b / d) = (rows) / lcm(d)
+        # U [E | R] V = D, d its nonzero diagonal: b is fixed iff d | U[:r] b and
+        # U[r:] b = 0; its coordinates V[:, :r] (U[:r] b / d) are kept times lcm(d)
         sv, w = exact.IntSolver(E, S.relations()), E.shape[1]
         d = [x for x in sv.diag if x]
         r, lcm = len(d), math.lcm(*d)
