@@ -45,14 +45,25 @@ def corestricted(rule, X):
     return Y[:rule.width]
 
 
+def rule_table(identity, rules):
+    """(rules, widths, divisors) of a fibre: the identity's rule first,
+    then the rules given; their widths; and divisors[i, a], that of row a
+    of rule i, 1 past its rows."""
+    k = identity.shape[0]
+    rules = [Corestriction(identity, [1] * k, k), *rules]
+    K = max(len(rule.divisors) for rule in rules)
+    return rules, np.array([rule.width for rule in rules], dtype=np.int64), exact._packed(
+        np.array([[*r.divisors] + [1] * (K - len(r.divisors)) for r in rules], dtype=object))
+
+
 class SBlocks:
     """The integral fibre: per-coefficient-group data shared by all levels.
 
     A free orbit stores one copy of S (the S block); a fixed orbit stores
-    fixed-subgroup coordinates, mapped into S by the embedding E, and
-    `rule` corestricts S-values to them (`to_fixed_coords` one value).
-    The fibre is the same at every object, so the anchor arguments of
-    the fibre interface used by OrbitBasis are ignored."""
+    fixed-subgroup coordinates, mapped into S by the embedding E, and its
+    rule corestricts S-values to them (`to_fixed_coords` one value).  The
+    fibre is the same at every object: its matrices are I, tau and E
+    (keys 0, 1 and 2), with one rule, at every anchor."""
 
     def __init__(self, S):
         self.S = S
@@ -62,23 +73,28 @@ class SBlocks:
         fixed, E = S.fixed_part()
         self.embed = E  # k x (generators of the fixed subgroup)
         self.moduli_fixed = [0] * fixed.free_rank + list(fixed.invariant_factors)
+        self.mats = [exact.Scaled(M, 1) for M in (self.identity, S.tau, E)]
         # U [E | R] V = D, d its nonzero diagonal: b is fixed iff d | U[:r] b and
         # U[r:] b = 0; its coordinates V[:, :r] (U[:r] b / d) are kept times lcm(d)
         sv, w = exact.IntSolver(E, S.relations()), E.shape[1]
         d = [x for x in sv.diag if x]
         r, lcm = len(d), math.lcm(*d)
         conditions = [i for i in range(self.k) if i >= r or d[i] > 1]
-        self.rule = Corestriction(
+        self.rules, self.widths, self.divisors = rule_table(self.identity, [Corestriction(
             np.concatenate([(sv.V[:, :r] * [lcm // x for x in d]) @ sv.U[:r], sv.U[conditions]]),
-            [lcm] * w + [d[i] if i < r else 0 for i in conditions], w)
+            [lcm] * w + [d[i] if i < r else 0 for i in conditions], w)])
 
     def to_fixed_coords(self, vec):
         """An S-element's fixed coordinates; None if it is not fixed."""
-        sol = corestricted(self.rule, np.array(vec, dtype=object))
+        sol = corestricted(self.rules[1], np.array(vec, dtype=object))
         return None if sol is None else tuple(int(v) for v in sol)
 
     def element(self, value):
         return self.S.reduce_tuple(value)
+
+    def keys(self, x):
+        one = np.ones_like(x)
+        return one, 2 * one, one
 
     def embedding(self, x):
         return self.embed
@@ -87,10 +103,7 @@ class SBlocks:
         return self.S.tau
 
     def corestriction(self, x):
-        return self.rule
-
-    def scaled(self, M):
-        return exact.Scaled(M, 1)
+        return self.rules[1]
 
 
 Orbit = namedtuple("Orbit", "kind rep partner anchor")
@@ -101,20 +114,21 @@ class OrbitBasis:
 
     The value at a tuple lies in the fibre over its anchor: the source of
     the last arrow (the object itself in degree 0).  A fibre supplies `k`
-    (the width of a free orbit), `identity`, `element` (coerce a value),
-    `embedding(x)` (the fixed vectors at a rho-fixed object x, as
-    columns), `partner(x)` (the map from the value at a representative with
-    anchor x to the value at its partner), `corestriction(x)` (the
-    `Corestriction` to coordinates in `embedding(x)`, one object where
-    objects share it; a common scale of the values carries over) and
-    `scaled(M)` (one of those fibre matrices as an `exact.Scaled` integer
-    matrix).
+    (the width of a free orbit), `identity`, `element` (coerce a value)
+    and a table built once: `mats`, its distinct matrices as
+    `exact.Scaled` integer pairs (key 0 the identity); `rules`, the
+    `Corestriction`s to fixed coordinates (rule 0 the identity's; a
+    common scale of the values carries over) with their `widths` and
+    `divisors` (as `rule_table` makes them); and `keys(x)`, at objects x,
+    the keys of partner(x) (from the value at a representative with
+    anchor x to the value at its partner) and of embedding(x) (the fixed
+    vectors at a rho-fixed x, as columns), and the index of its rule.
 
     Orbits are numbered in the order of their representatives, the smaller
     index of a free orbit's two tuples.  Per orbit there are arrays reps,
     partners, anchors (of the representative), fixed, offsets, widths and
-    rule_of (into rules, 0 the identity); per tuple, orbit_of and
-    value_key, which names the matrix value_matrix(key) taking the stored
+    rule_of (into the fibre's rules); per tuple, orbit_of and value_key,
+    which names the matrix value_matrix(key) taking the stored
     coordinates to the value there."""
 
     def __init__(self, level, fibre):
@@ -132,21 +146,13 @@ class OrbitBasis:
         self.anchors = level.anchors[self.reps]
         rep = np.minimum(i, rho)
         self.orbit_of = np.searchsorted(self.reps, rep)
-        # 0: the identity at a representative; 2x + 1: partner(x) and
-        # 2x + 2: embedding(x), x the anchor of the representative
-        self.value_key = np.where(i < rho, 0, 2 * level.anchors[rep] + 1 + (i == rho))
-        # a fixed orbit takes the rule at its anchor, as wide as the rule;
-        # divisors[i, a] is that of row a of rule i, 1 past its rows
-        at = {a: fibre.corestriction(a) for a in sorted(set(self.anchors[self.fixed].tolist()))}
-        unique = {id(rule): rule for rule in at.values()}
-        self.rules = [Corestriction(fibre.identity, [1] * fibre.k, fibre.k), *unique.values()]
-        rule_at = np.zeros(self.groupoid.n_objects, dtype=np.int64)
-        rule_at[list(at)] = [list(unique).index(id(rule)) + 1 for rule in at.values()]
-        self.rule_of = np.where(self.fixed, rule_at[self.anchors], 0)
-        self.widths = np.array([rule.width for rule in self.rules], dtype=np.int64)[self.rule_of]
-        K = max(len(rule.divisors) for rule in self.rules)
-        self.divisors = exact._packed(np.array(
-            [[*r.divisors] + [1] * (K - len(r.divisors)) for r in self.rules], dtype=object))
+        # the identity at a representative, partner(x) at its partner and
+        # embedding(x) at a fixed tuple, x the anchor of the representative;
+        # a fixed orbit takes the rule at its anchor, as wide as the rule
+        partner, embedding, rule = fibre.keys(level.anchors[rep])
+        self.value_key = np.where(i < rho, 0, np.where(i == rho, embedding, partner))
+        self.rule_of = np.where(self.fixed, rule[self.reps], 0)
+        self.widths = fibre.widths[self.rule_of]
         self.offsets = np.cumsum(self.widths) - self.widths
         self.total = int(self.widths.sum())
 
@@ -164,10 +170,10 @@ class OrbitBasis:
         return len(self.reps) - fixed, fixed
 
     def value_matrix(self, key):
-        if key == 0:
-            return self.fibre.identity
-        x, fixed = divmod(key - 1, 2)
-        return self.fibre.embedding(x) if fixed else self.fibre.partner(x)
+        """The fibre's matrix of the key: integers where they are, else
+        Fractions."""
+        M, s = self.fibre.mats[key]
+        return M if s == 1 else exact.frac_divide(M, s)
 
     def value_expression(self, tuple_index):
         """(offset, M): the fibre value at this nerve tuple equals
@@ -177,7 +183,7 @@ class OrbitBasis:
 
     def corestrict(self, oid, X):
         """`corestricted` by the rule of the orbit oid."""
-        return corestricted(self.rules[self.rule_of[oid]], X)
+        return corestricted(self.fibre.rules[self.rule_of[oid]], X)
 
     def from_values(self, value_fn):
         """Stored coordinates of the cochain whose value at each orbit
@@ -208,16 +214,17 @@ def assemble(dst, ncols, rows, cols, mats, keys, error=AssertionError):
     scale)`, num an `exact.Sparse` matrix, and num / scale is
     `exact.cleared` of the matrices put side by side (the scale is 1 on
     an integral fibre).  No dense matrix of its shape is formed."""
-    K, shape = dst.divisors.shape[1], (dst.total, ncols)
+    rules, divisors = dst.fibre.rules, dst.fibre.divisors
+    K, shape = divisors.shape[1], (dst.total, ncols)
     # the common scale: the lcm of the denominators in lowest terms
     scale = math.lcm(*[s // math.gcd(s, *P.ravel().tolist()) for P, s in mats if s != 1])
     # the distinct (rule, matrix) pairs in order, and the pair of each term
-    pairs, keys = distinct(dst.rule_of[rows] * len(mats) + keys, len(dst.rules) * len(mats))
+    pairs, keys = distinct(dst.rule_of[rows] * len(mats) + keys, len(rules) * len(mats))
     # the nonzero entries of each product over the scale, padded with zeros
     # to one length: the value at row a and column b, coded a * ncols + b
     entries = []
     for p in pairs.tolist():
-        rule, (P, s) = dst.rules[p // len(mats)], mats[p % len(mats)]
+        rule, (P, s) = rules[p // len(mats)], mats[p % len(mats)]
         P = rule.matrix @ P if p >= len(mats) else P
         f, w = scale // math.gcd(scale, s), s // math.gcd(scale, s)
         entries.append([(a * ncols + b, x * f // w) for a, row in enumerate(P.tolist())
@@ -244,7 +251,7 @@ def assemble(dst, ncols, rows, cols, mats, keys, error=AssertionError):
     r, a = np.divmod(ra, K)
     # each row divisible by its divisor, or zero where that is 0; cells
     # come by orbit, so the first that fails names the lowest one
-    d = dst.divisors[dst.rule_of[r], a]
+    d = divisors[dst.rule_of[r], a]
     q = np.maximum(d, 1)
     bad = np.flatnonzero(np.where(d == 0, v != 0, v % q != 0))
     if len(bad):
@@ -259,7 +266,7 @@ def assemble(dst, ncols, rows, cols, mats, keys, error=AssertionError):
     return exact.Scaled(exact.Sparse(shape, (dst.offsets[r] + a)[live], c[live], vals), scale)
 
 
-def face_sum(dst, src, rows, tuples, factors, fkeys, error=AssertionError):
+def face_sum(dst, src, rows, tuples, factors, fkeys):
     """The Scaled matrix from the orbit basis src to dst whose block at
     orbit rows[t] of dst sums, over the terms t, factors[fkeys[t]] @ (the
     value of src at its tuple tuples[t]).  The factors are `exact.Scaled`
@@ -267,43 +274,35 @@ def face_sum(dst, src, rows, tuples, factors, fkeys, error=AssertionError):
     matrix is formed once, on integers."""
     if (tuples < 0).any():
         raise ValueError("a face is not a tuple of the nerve: the groupoid is not valid")
-    nv = 2 * src.groupoid.n_objects + 1
+    nv = len(src.fibre.mats)
     # the distinct (factor, value matrix) pairs in order, and the pair of each term
     pairs, keys = distinct(fkeys * nv + src.value_key[tuples], len(factors) * nv)
     mats = []
     for p in pairs.tolist():
-        (F, f), (V, v) = factors[p // nv], src.fibre.scaled(src.value_matrix(p % nv))
+        (F, f), (V, v) = factors[p // nv], src.fibre.mats[p % nv]
         mats.append(exact.Scaled(F @ V, f * v))
-    return assemble(dst, src.total, rows, src.offsets[src.orbit_of[tuples]],
-                    mats, keys, error)
+    return assemble(dst, src.total, rows, src.offsets[src.orbit_of[tuples]], mats, keys)
 
 
-def coboundary_matrix(src, dst, last_face=None):
+def coboundary_matrix(src, dst, last_keys=None):
     """Scaled matrix of d: C^n -> C^(n+1), the alternating sum of the face
     maps, in the orbit bases src (degree n) and dst (degree n+1).
-    last_face(g), if given, is the fibre map applied to the value at the
-    last face of a tuple with last arrow g, which is anchored at another
-    object."""
-    n, reps = src.n, dst.reps
+    last_keys[g], if given, is the key of the fibre map applied to the
+    value at the last face of a tuple with last arrow g, which is anchored
+    at another object."""
+    n, reps, mats = src.n, dst.reps, src.fibre.mats
     tuples = dst.level.faces[:, reps].ravel()
     # term t is face t // len(reps) of representative t % len(reps)
     t = np.arange(len(tuples))
     rows, fkeys = t % len(reps), t // len(reps) % 2
-    scaled = src.fibre.scaled
-    one, scale = scaled(src.fibre.identity)
+    one, scale = mats[0]
     factors = [exact.Scaled(one, scale), exact.Scaled(-one, scale)]
-    if last_face is not None:
-        arrows, which = distinct(dst.level.entries[reps, -1], dst.groupoid.n_arrows)
-        # arrows whose maps the fibre clears to one matrix object share a
-        # factor; `first` holds each object, so that no id is reused
-        first, index = {}, []
-        for g in arrows.tolist():
-            M, s = maps = scaled(last_face(g))
-            if id(maps) not in first:
-                first[id(maps)] = len(factors), maps
-                factors.append(exact.Scaled((-1) ** (n + 1) * M, s))
-            index.append(first[id(maps)][0])
-        fkeys[(n + 1) * len(reps):] = np.array(index, dtype=np.int64)[which]
+    if last_keys is not None:
+        # arrows whose maps have one key share a factor
+        keys, which = distinct(last_keys[dst.level.entries[reps, -1]], len(mats))
+        sign = (-1) ** (n + 1)
+        factors += [exact.Scaled(sign * mats[k].num, mats[k].scale) for k in keys.tolist()]
+        fkeys[(n + 1) * len(reps):] = 2 + which
     return face_sum(dst, src, rows, tuples, factors, fkeys)
 
 
@@ -311,8 +310,8 @@ class LevelBasis(OrbitBasis):
     """Orbit basis of the degree-n real cochain group (integral fibre);
     `known` is a nerve level to reuse, as in `nerve`."""
 
-    def __init__(self, groupoid, sblocks, n, known=None):
-        OrbitBasis.__init__(self, nerve(groupoid, n, known), sblocks)
+    def __init__(self, groupoid, fibre, n, known=None):
+        OrbitBasis.__init__(self, nerve(groupoid, n, known), fibre)
 
     @cached_property
     def moduli(self):
@@ -403,92 +402,41 @@ class RealCochain:
         return {"degree": self.degree, "values": values}
 
 
-class RealComplex:
-    """Cochain complex of one (groupoid, coefficient group) pair; levels
-    and differentials are built once and cached.  Integral mode only;
-    rational coefficients go through the representation complex."""
+class Complex:
+    """What the cochain complexes over a fibre share: the orbit basis of
+    each level, the levels below the top one built so far reused; the
+    differentials and their ranks, built once; and the cohomology groups.
+    A subclass names its `Basis` and `Group` classes and supplies
+    `differential_matrix` and `_rank`."""
 
-    def __init__(self, groupoid, S):
-        if S.mode != "integral":
-            raise ValueError("RealComplex requires integral coefficients")
+    def __init__(self, groupoid, fibre):
         self.groupoid = groupoid
-        self.S = S
-        self.sb = SBlocks(S)
+        self.fibre = fibre
         self._bases = {}
         self._diffs = {}
-        self._solvers = {}
-        self._free_ranks = {}
+        self._ranks = {}
         # held weakly: a group holds its complex, and a cycle would keep
         # every matrix of the complex alive until the cyclic collector ran
         self._groups = weakref.WeakValueDictionary()
 
     def basis(self, n):
         if n not in self._bases:
-            # every level below the top one built so far is reused
             top = self._bases[max(self._bases)].level if self._bases else None
-            self._bases[n] = LevelBasis(self.groupoid, self.sb, n, top)
+            self._bases[n] = self.Basis(self.groupoid, self.fibre, n, top)
         return self._bases[n]
 
-    def cochain(self, n, vector):
-        return RealCochain(self, n, vector)
-
-    def zero_cochain(self, n):
-        return RealCochain(self, n, exact.zeros(self.basis(n).total, 1)[:, 0])
-
-    def from_values(self, n, value_fn):
-        """Build a cochain from an S-valued function on nerve tuples; the
-        function is sampled at orbit representatives (fixed tuples must
-        land in the fixed subgroup)."""
-        return RealCochain(self, n, self.basis(n).from_values(value_fn).num)
-
-    def differential_matrix(self, n):
-        """Integer matrix of d: CR^n -> CR^(n+1) in the orbit bases, as a
-        dense object matrix."""
-        if n not in self._diffs:
-            self._diffs[n] = exact.to_dense(
-                coboundary_matrix(self.basis(n), self.basis(n + 1)).num)
-        return self._diffs[n]
-
-    def _image(self, cochain):
-        n = cochain.degree
-        D = self.differential_matrix(n)
-        return D @ cochain.vector if self.basis(n).total else \
-            exact.zeros(self.basis(n + 1).total, 1)[:, 0]
-
-    def d(self, cochain):
-        return RealCochain(self, cochain.degree + 1, self._image(cochain))
-
-    def is_cocycle(self, cochain):
-        return self.basis(cochain.degree + 1).in_relation_lattice(self._image(cochain))
-
-    def is_coboundary(self, cochain):
-        """None, or a degree-(n-1) primitive b with db = c.  The complex
-        starts at degree 0, so a 0-cochain is a coboundary only if it is
-        zero; the witness returned in that case is the zero 0-cochain."""
-        n = cochain.degree
-        if n == 0:
-            zero = self.basis(0).in_relation_lattice(cochain.vector)
-            return self.zero_cochain(0) if zero else None
-        if n not in self._solvers:
-            self._solvers[n] = exact.IntSolver(self.differential_matrix(n - 1),
-                                               self.basis(n).relation_matrix())
-        sol = self._solvers[n].solve(cochain.vector)
-        return None if sol is None else RealCochain(self, n - 1, sol)
-
-    def free_part_rank(self, n):
-        """Rank over Q of d^n on the free (modulus 0) coordinates: the
-        differential of the rational complex of this one."""
-        if n not in self._free_ranks:
-            rows, cols = self.basis(n + 1).free_coords, self.basis(n).free_coords
-            self._free_ranks[n] = len(exact.invariant_factors(
-                self.differential_matrix(n)[np.ix_(rows, cols)]))
-        return self._free_ranks[n]
+    def rank(self, n):
+        """The rank over Q of d^n (of its free part on an integral fibre),
+        computed once per degree."""
+        if n not in self._ranks:
+            self._ranks[n] = self._rank(n)
+        return self._ranks[n]
 
     def cohomology(self, n):
         """HR^n, built once per degree while anything holds it."""
         group = self._groups.get(n)
         if group is None:
-            group = self._groups[n] = CohomologyGroup(self, n)
+            group = self._groups[n] = self.Group(self, n)
         return group
 
 
@@ -539,6 +487,73 @@ class CohomologyGroup(exact.GroupKey):
                            self.presentation.lift(coords))
 
 
+class RealComplex(Complex):
+    """Cochain complex of one (groupoid, coefficient group) pair.  Integral
+    mode only; rational coefficients go through the representation
+    complex."""
+
+    Basis, Group = LevelBasis, CohomologyGroup
+
+    def __init__(self, groupoid, S):
+        if S.mode != "integral":
+            raise ValueError("RealComplex requires integral coefficients")
+        Complex.__init__(self, groupoid, SBlocks(S))
+        self.S = S
+        self._solvers = {}
+
+    def cochain(self, n, vector):
+        return RealCochain(self, n, vector)
+
+    def zero_cochain(self, n):
+        return RealCochain(self, n, exact.zeros(self.basis(n).total, 1)[:, 0])
+
+    def from_values(self, n, value_fn):
+        """Build a cochain from an S-valued function on nerve tuples; the
+        function is sampled at orbit representatives (fixed tuples must
+        land in the fixed subgroup)."""
+        return RealCochain(self, n, self.basis(n).from_values(value_fn).num)
+
+    def differential_matrix(self, n):
+        """Integer matrix of d: CR^n -> CR^(n+1) in the orbit bases, as a
+        dense object matrix."""
+        if n not in self._diffs:
+            self._diffs[n] = exact.to_dense(
+                coboundary_matrix(self.basis(n), self.basis(n + 1)).num)
+        return self._diffs[n]
+
+    def _image(self, cochain):
+        n = cochain.degree
+        D = self.differential_matrix(n)
+        return D @ cochain.vector if self.basis(n).total else \
+            exact.zeros(self.basis(n + 1).total, 1)[:, 0]
+
+    def d(self, cochain):
+        return RealCochain(self, cochain.degree + 1, self._image(cochain))
+
+    def is_cocycle(self, cochain):
+        return self.basis(cochain.degree + 1).in_relation_lattice(self._image(cochain))
+
+    def is_coboundary(self, cochain):
+        """None, or a degree-(n-1) primitive b with db = c.  The complex
+        starts at degree 0, so a 0-cochain is a coboundary only if it is
+        zero; the witness returned in that case is the zero 0-cochain."""
+        n = cochain.degree
+        if n == 0:
+            zero = self.basis(0).in_relation_lattice(cochain.vector)
+            return self.zero_cochain(0) if zero else None
+        if n not in self._solvers:
+            self._solvers[n] = exact.IntSolver(self.differential_matrix(n - 1),
+                                               self.basis(n).relation_matrix())
+        sol = self._solvers[n].solve(cochain.vector)
+        return None if sol is None else RealCochain(self, n - 1, sol)
+
+    def _rank(self, n):
+        # d^n on the free (modulus 0) coordinates: the differential of the
+        # rational complex of this one
+        rows, cols = self.basis(n + 1).free_coords, self.basis(n).free_coords
+        return len(exact.invariant_factors(self.differential_matrix(n)[np.ix_(rows, cols)]))
+
+
 def cohomology_key(cx, n):
     """(free rank, invariant factors > 1) of HR^n of the complex cx.
 
@@ -565,8 +580,7 @@ def cohomology_key(cx, n):
                       f"relations of degree {n + 1}")
     M = np.block([[D_prev, here.relation_matrix()], [G, -E]])
     torsion = [d for d in exact.invariant_factors(M) if d > 1]
-    free = len(here.free_coords) - cx.free_part_rank(n) - \
-        (cx.free_part_rank(n - 1) if n else 0)
+    free = len(here.free_coords) - cx.rank(n) - (cx.rank(n - 1) if n else 0)
     return free, torsion
 
 

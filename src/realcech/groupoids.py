@@ -346,8 +346,8 @@ def product_with_group(groupoid, S):
         (sig[:, None] * m + G.rho_arr).ravel())
 
 
-def find_isomorphism(g1, g2, respect_involution=True):
-    """Search for a strict isomorphism g1 -> g2 (object map, arrow map).
+def find_isomorphism(g1, g2):
+    """Search for a strict isomorphism g1 -> g2 that commutes with rho.
 
     Backtracks over arrow bijections grouped by endpoints; intended for
     desk-scale groupoids.  Returns (obj_map, arr_map) or None."""
@@ -362,9 +362,7 @@ def find_isomorphism(g1, g2, respect_involution=True):
                 if G.src[g] == x and G.tgt[g] == y]
 
     for obj_perm in itertools.permutations(range(n)):
-        if respect_involution and any(
-                obj_perm[g1.rho_obj[x]] != g2.rho_obj[obj_perm[x]]
-                for x in range(n)):
+        if any(obj_perm[g1.rho_obj[x]] != g2.rho_obj[obj_perm[x]] for x in range(n)):
             continue
         sig1 = sorted((len(arrows_between(g1, x, y)) for x in range(n)
                        for y in range(n)))
@@ -405,8 +403,7 @@ def find_isomorphism(g1, g2, respect_involution=True):
 
         def _check_full(amap):
             for g in range(g1.n_arrows):
-                if respect_involution and \
-                        amap[g1.rho_arr[g]] != g2.rho_arr[amap[g]]:
+                if amap[g1.rho_arr[g]] != g2.rho_arr[amap[g]]:
                     return False
                 for h in range(g1.n_arrows):
                     k = g1.comp[g, h]

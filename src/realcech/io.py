@@ -11,7 +11,6 @@ is byte-deterministic.
 """
 
 import json
-import os
 from fractions import Fraction
 
 import numpy as np
@@ -25,13 +24,20 @@ class FormatError(ValueError):
     pass
 
 
-def _resolve(ref, base_dir="."):
+def _resolve(ref):
     """A 'ref' is an inline JSON object or a file path."""
     if isinstance(ref, str):
-        path = ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
-        with open(path) as fh:
+        with open(ref) as fh:
             return json.load(fh)
     return ref
+
+
+def _fields(data, what, names):
+    """The values of the keys names of a JSON object."""
+    try:
+        return [data[name] for name in names]
+    except (KeyError, TypeError) as e:
+        raise FormatError(f"bad {what} JSON: {e}")
 
 
 def load_json(path):
@@ -44,8 +50,8 @@ def load_json(path):
 
 # -- groupoids -----------------------------------------------------------
 
-def groupoid_from_json(data, base_dir="."):
-    data = _resolve(data, base_dir)
+def groupoid_from_json(data):
+    data = _resolve(data)
     try:
         n_obj = int(data["objects"])
         arrows = data["arrows"]
@@ -123,18 +129,20 @@ def groupoid_to_json(g):
 
 # -- coefficients --------------------------------------------------------
 
-def coefficients_from_json(data, base_dir="."):
+def coefficients_from_json(data):
     if isinstance(data, str):
         # preset names win over file paths
         try:
             return make_standard(data)
         except ValueError:
             pass
-    data = _resolve(data, base_dir)
+    data = _resolve(data)
+    if isinstance(data, dict) and "preset" in data:
+        data = data["preset"]
+        if not isinstance(data, str):
+            raise FormatError(f"bad coefficient JSON: preset {data!r} is not a name")
     if isinstance(data, str):
         return make_standard(data)
-    if "preset" in data:
-        return make_standard(data["preset"])
     try:
         return RealCoefficientGroup(
             int(data["free_rank"]),
@@ -164,17 +172,18 @@ def presentation_to_json(pres_like):
 
 # -- cochains ------------------------------------------------------------
 
-def cochain_from_json(cx, data, base_dir="."):
-    data = _resolve(data, base_dir)
+def cochain_from_json(cx, data):
+    data = _resolve(data)
     try:
         n = int(data["degree"])
-        values = data["values"]
+        if n < 0:
+            raise ValueError(f"degree {n} is negative")
+        values = [(int(oid), [int(v) for v in coeffs]) for oid, coeffs in data["values"]]
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"bad cochain JSON: {e}")
     basis = cx.basis(n)
     vec = [0] * basis.total
-    for orbit_index, coeffs in values:
-        oid = int(orbit_index)
+    for oid, coeffs in values:
         if not (0 <= oid < len(basis.orbits)):
             raise FormatError(f"orbit index {oid} out of range in degree {n}")
         off = basis.offsets[oid]
@@ -182,8 +191,7 @@ def cochain_from_json(cx, data, base_dir="."):
         if len(coeffs) != w:
             raise FormatError(
                 f"orbit {oid} expects {w} coordinates, got {len(coeffs)}")
-        for i, v in enumerate(coeffs):
-            vec[off + i] = int(v)
+        vec[off:off + w] = coeffs
     return cx.cochain(n, vec)
 
 
@@ -193,18 +201,15 @@ def cochain_to_json(c):
 
 # -- twists / bundles ----------------------------------------------------
 
-def twist_from_json(data, base_dir="."):
-    from .extensions import GradedTwist
-    data = _resolve(data, base_dir)
-    base = groupoid_from_json(data["base"], base_dir)
-    S = coefficients_from_json(data["S"], base_dir)
-    cx = RealComplex(base, S)
-    omega = cochain_from_json(cx, data["omega"], base_dir)
-    delta = None
-    if data.get("delta") is not None:
-        from .extensions import Z2
-        zcx = RealComplex(base, Z2)
-        delta = cochain_from_json(zcx, data["delta"], base_dir)
+def twist_from_json(data):
+    from .extensions import GradedTwist, Z2
+    data = _resolve(data)
+    base, S, omega = _fields(data, "twist", ("base", "S", "omega"))
+    delta = data.get("delta")
+    base, S = groupoid_from_json(base), coefficients_from_json(S)
+    omega = cochain_from_json(RealComplex(base, S), omega)
+    if delta is not None:
+        delta = cochain_from_json(RealComplex(base, Z2), delta)
     return GradedTwist(base, S, omega, delta)
 
 
@@ -217,14 +222,11 @@ def twist_to_json(t):
     }
 
 
-def bundle_from_json(data, base_dir="."):
+def bundle_from_json(data):
     from .bundles import RealPrincipalBundle
-    data = _resolve(data, base_dir)
-    base = groupoid_from_json(data["base"], base_dir)
-    S = coefficients_from_json(data["S"], base_dir)
-    cx = RealComplex(base, S)
-    c = cochain_from_json(cx, data["cocycle"], base_dir)
-    return RealPrincipalBundle(base, S, c)
+    base, S, c = _fields(_resolve(data), "bundle", ("base", "S", "cocycle"))
+    base, S = groupoid_from_json(base), coefficients_from_json(S)
+    return RealPrincipalBundle(base, S, cochain_from_json(RealComplex(base, S), c))
 
 
 def bundle_to_json(b):
@@ -237,8 +239,8 @@ def bundle_to_json(b):
 
 # -- representations -----------------------------------------------------
 
-def representation_from_json(groupoid, data, base_dir="."):
-    data = _resolve(data, base_dir)
+def representation_from_json(groupoid, data):
+    data = _resolve(data)
     try:
         p, q = int(data["p"]), int(data["q"])
         action = [[[Fraction(v) for v in row] for row in mat]
@@ -261,8 +263,8 @@ def representation_to_json(rep):
 
 # -- covers / surjections / sequences -------------------------------------
 
-def cover_from_json(groupoid, data, base_dir="."):
-    data = _resolve(data, base_dir)
+def cover_from_json(groupoid, data):
+    data = _resolve(data)
     try:
         blocks = [[int(x) for x in b] for b in data["blocks"]]
         bar = data.get("bar")
@@ -273,9 +275,9 @@ def cover_from_json(groupoid, data, base_dir="."):
     return RealCover(groupoid, blocks, bar)
 
 
-def surjection_from_json(data, n_base, base_dir="."):
+def surjection_from_json(data, n_base):
     """(pi, rho_total) of a surjection onto a base with n_base objects."""
-    data = _resolve(data, base_dir)
+    data = _resolve(data)
     try:
         pi = [int(v) for v in data["pi"]]
         pi = _indices("pi", pi, (len(pi),), n_base).tolist()
@@ -285,13 +287,13 @@ def surjection_from_json(data, n_base, base_dir="."):
     return pi, rho_total
 
 
-def sequence_from_json(data, base_dir="."):
+def sequence_from_json(data):
     from .les import CoefficientSES
-    data = _resolve(data, base_dir)
+    data = _resolve(data)
     try:
-        left = coefficients_from_json(data["left"], base_dir)
-        mid = coefficients_from_json(data["middle"], base_dir)
-        right = coefficients_from_json(data["right"], base_dir)
+        left = coefficients_from_json(data["left"])
+        mid = coefficients_from_json(data["middle"])
+        right = coefficients_from_json(data["right"])
         return CoefficientSES(left, mid, right, data["i"], data["p"])
     except (KeyError, TypeError) as e:
         raise FormatError(f"bad sequence JSON: {e}")

@@ -24,13 +24,12 @@ is h c, checked by d h c = c.
 """
 
 import math
-import weakref
 from fractions import Fraction
 
 import numpy as np
 
 from . import exact
-from .cochains import Corestriction, OrbitBasis, coboundary_matrix, face_sum
+from .cochains import Complex, Corestriction, OrbitBasis, coboundary_matrix, face_sum, rule_table
 from .nerve import arrows_into, distinct, nerve
 from .nerve import face  # noqa: F401 -- bench/spans.py patches face here
 
@@ -66,148 +65,142 @@ class RepFibre:
     eigenbasis E_x of nu at its (rho-fixed) anchor object, the
     `frac_kernel` basis, which has a unit row at each free column: the
     coordinates of a fixed vector v are its entries at those rows, S v,
-    and v is fixed when E_x S v = v.  Its matrices (the identity, nu_x,
-    E_x and act_g) are cleared to integers once per distinct matrix, by
-    `scaled`, and objects with equal nu_x share one basis and one rule."""
+    and v is fixed when E_x S v = v.  Its table (see `OrbitBasis`) is
+    built on first use: the identity, act_g, nu_x and E_x once per
+    distinct entries, cleared to integers, with act_keys[g] the key of
+    act_g; objects with equal nu_x share one basis and one rule."""
 
     def __init__(self, rep):
         self.rep = rep
         self.k = rep.dim
         self.identity = exact.as_frac_matrix(exact.eye(rep.dim))
-        self._fixed_basis = {}
-        self._scaled = {}
-        # by the entries of a matrix: the first matrix seen with them, and
-        # the fixed basis of nu_x when nu_x has them
-        self._alike = {}
-        self._basis_alike = {}
+        self._keys = None
 
     def element(self, value):
         return [Fraction(v) for v in value]
 
+    def keys(self, x):
+        """The keys of nu_x and E_x and the rule index at the objects x; the
+        last two are 0 at an object that rho moves."""
+        if self._keys is None:
+            self._tabulate()
+        return self._keys[x].T
+
+    def _tabulate(self):
+        # shared[part]: the keys of E_x and of its rule, for nu_x of key part
+        index, self.mats, rules, shared, keys = {}, [], [], {}, []
+
+        def key(M):
+            # by the shape and entries of M
+            k = index.setdefault((M.shape, tuple(M.ravel().tolist())), len(index))
+            if k == len(self.mats):
+                self.mats.append(exact.cleared(M))
+            return k
+
+        key(self.identity)
+        self.act_keys = np.array([key(A) for A in self.rep.action], dtype=np.int64)
+        eye = exact.eye(self.k)
+        for x, nu in enumerate(self.rep.nu):
+            part, fixed = key(nu), self.rep.groupoid.rho_obj[x] == x
+            if fixed and part not in shared:
+                # the rule: S, then C S - s I = 0, where C / s = E_x
+                E = exact.frac_kernel(nu - self.identity)
+                S = eye[[E.tolist().index(u) for u in eye[:E.shape[1], :E.shape[1]].tolist()]]
+                e, w = key(E), E.shape[1]
+                C, s = self.mats[e]
+                rules.append(Corestriction(
+                    np.concatenate([S, C @ S - s * eye]), [1] * w + [0] * self.k, w))
+                shared[part] = e, len(rules)
+            keys.append((part, *shared[part]) if fixed else (part, 0, 0))
+        self._keys = np.array(keys, dtype=np.int64)
+        self.rules, self.widths, self.divisors = rule_table(self.identity, rules)
+
     def embedding(self, x):
         """Columns spanning {v : nu_x v = v} for a rho-fixed object x."""
-        return self._fixed(x)[0]
-
-    def corestriction(self, x):
-        """The rule at a rho-fixed object x: S, then E' S - s I = 0."""
-        return self._fixed(x)[1]
-
-    def _fixed(self, x):
-        if x not in self._fixed_basis:
-            nu = self.rep.nu[x]
-            hit = self._basis_alike.get(_entries(nu))
-            if hit is None:
-                E, eye = exact.frac_kernel(nu - self.identity), exact.eye(self.k)
-                S = eye[[E.tolist().index(u) for u in eye[:E.shape[1], :E.shape[1]].tolist()]]
-                (C, s), w = self.scaled(E), E.shape[1]
-                hit = self._basis_alike[_entries(nu)] = E, Corestriction(
-                    np.concatenate([S, C @ S - s * eye]), [1] * w + [0] * self.k, w)
-            self._fixed_basis[x] = hit
-        return self._fixed_basis[x]
+        _, e, _ = self.keys(x)
+        return exact.frac_divide(*self.mats[e])
 
     def partner(self, x):
         return self.rep.nu[x]
 
-    def scaled(self, M):
-        """`exact.cleared(M)` for one of the fibre's own matrices, computed
-        once per distinct matrix and looked up by the matrix object (which
-        is kept, so that its id stays its own)."""
-        hit = self._scaled.get(id(M))
-        if hit is None:
-            alike = self._alike.setdefault(_entries(M), M)
-            hit = self._scaled[id(M)] = M, \
-                exact.cleared(M) if alike is M else self.scaled(alike)
-        return hit[1]
-
-
-def _entries(M):
-    """A hashable key of the shape and entries of the matrix M."""
-    return M.shape, tuple(M.ravel().tolist())
+    def corestriction(self, x):
+        """The rule at a rho-fixed object x."""
+        _, _, r = self.keys(x)
+        return self.rules[r]
 
 
 class RepLevelBasis(OrbitBasis):
     """Orbit basis of degree-n representation-valued real cochains;
     `known` is a nerve level to reuse, as in `nerve`."""
 
-    def __init__(self, fibre, n, known=None):
-        OrbitBasis.__init__(self, nerve(fibre.rep.groupoid, n, known), fibre)
+    def __init__(self, groupoid, fibre, n, known=None):
+        OrbitBasis.__init__(self, nerve(groupoid, n, known), fibre)
 
     # bound on this class as well, so that bench/spans.py counts rational
     # corestriction apart from the integral kind
     corestrict = OrbitBasis.corestrict
 
 
-class RepComplex:
+class RationalCohomology(exact.GroupKey):
+    """HR^n over Q: a plain dimension count (no torsion)."""
+
+    def __init__(self, complex_, n):
+        self.complex = complex_
+        self.degree = n
+        self.rank_kernel = complex_.basis(n).total - complex_.rank(n)
+        self.rank_image = complex_.rank(n - 1) if n else 0
+        self.free_rank = self.rank_kernel - self.rank_image
+        self.invariant_factors = []
+
+    def __str__(self):
+        return " + ".join(["Q"] * self.free_rank) if self.free_rank else "0"
+
+
+class RepComplex(Complex):
     """Cochain complex with coefficients in a rational representation."""
 
+    Basis, Group = RepLevelBasis, RationalCohomology
+
     def __init__(self, groupoid, rep, cutoff=None):
-        self.groupoid = groupoid
+        Complex.__init__(self, groupoid, RepFibre(rep))
         self.rep = rep
         self.cutoff = cutoff if cutoff is not None else canonical_cutoff(groupoid)
-        self.fibre = RepFibre(rep)
-        self._bases = {}
-        self._diffs = {}
-        self._ranks = {}
         self._homos = {}
-        # held weakly: a group holds its complex, and a cycle would keep
-        # every matrix of the complex alive until the cyclic collector ran
-        self._groups = weakref.WeakValueDictionary()
-
-    def basis(self, n):
-        if n not in self._bases:
-            # every level below the top one built so far is reused
-            top = self._bases[max(self._bases)].level if self._bases else None
-            self._bases[n] = RepLevelBasis(self.fibre, n, top)
-        return self._bases[n]
 
     def differential_matrix(self, n):
         """d: C^n -> C^(n+1) as Scaled(num, scale), the matrix num / scale
         with num an `exact.Sparse` integer matrix."""
         if n not in self._diffs:
+            src, dst = self.basis(n), self.basis(n + 1)
             # the last face is anchored at tgt(g_(n+1)); act^-1 moves it back
-            self._diffs[n] = coboundary_matrix(
-                self.basis(n), self.basis(n + 1), last_face=self.rep.act_inv)
+            self._diffs[n] = coboundary_matrix(src, dst, self.fibre.act_keys[self.groupoid.inv])
         return self._diffs[n]
 
-    def differential_rank(self, n):
-        """Rank of d^n over Q (that of its integer numerator), computed
-        once per degree."""
-        if n not in self._ranks:
-            self._ranks[n] = exact.frac_rank(self.differential_matrix(n).num)
-        return self._ranks[n]
+    def _rank(self, n):
+        return exact.frac_rank(self.differential_matrix(n).num)
 
     def contraction_matrix(self, n):
         """h: C^(n+1) -> C^n as Scaled(num, scale), num an `exact.Sparse`
         integer matrix (requires the cutoff)."""
         if n not in self._homos:
             dst, src = self.basis(n), self.basis(n + 1)
-            G = self.groupoid
+            G, mats = self.groupoid, self.fibre.mats
             # one term per representative tup and arrow gamma into its
             # anchor, at the tuple (tup, gamma) of the level above
             rows, gammas = arrows_into(G, dst.anchors)
             longer = dst.level.extend(dst.reps[rows], gammas)
-            arrows, which = distinct(gammas, G.n_arrows)
             sign = 1 if (n + 1) % 2 == 0 else -1
-            # arrows with one cleared action matrix (one object, which the
-            # fibre keeps) and one cutoff share a factor
-            first, index, factors = {}, [], []
-            for g in arrows.tolist():
-                c = Fraction(self.cutoff[int(G.src[g])])
-                A, a = act = self.fibre.scaled(self.rep.act(g))
-                if (id(act), c) not in first:
-                    first[id(act), c] = len(factors)
-                    factors.append(exact.Scaled(sign * c.numerator * A, c.denominator * a))
-                index.append(first[id(act), c])
-            fkeys = np.array(index, dtype=np.int64)[which]
+            # arrows with one action key and one cutoff share a factor
+            cuts, cut_at = np.unique(np.array([Fraction(c) for c in self.cutoff], dtype=object),
+                                     return_inverse=True)
+            acts = self.fibre.act_keys[gammas]
+            pairs, fkeys = distinct(acts * len(cuts) + cut_at[G.src[gammas]], len(mats) * len(cuts))
+            factors = []
+            for p in pairs.tolist():
+                (A, a), c = mats[p // len(cuts)], cuts[p % len(cuts)]
+                factors.append(exact.Scaled(sign * c.numerator * A, c.denominator * a))
             self._homos[n] = face_sum(dst, src, rows, longer, factors, fkeys)
         return self._homos[n]
-
-    def cohomology(self, n):
-        """HR^n over Q, built once per degree while anything holds it."""
-        group = self._groups.get(n)
-        if group is None:
-            group = self._groups[n] = RationalCohomology(self, n)
-        return group
 
     def is_cocycle(self, n, vec):
         D = self.differential_matrix(n).num
@@ -232,21 +225,6 @@ class RepComplex:
     def from_values(self, n, value_fn):
         """Cochain vector from a fiber-valued function on nerve tuples."""
         return exact.frac_divide(*self.basis(n).from_values(value_fn))
-
-
-class RationalCohomology(exact.GroupKey):
-    """HR^n over Q: a plain dimension count (no torsion)."""
-
-    def __init__(self, complex_, n):
-        self.complex = complex_
-        self.degree = n
-        self.rank_kernel = complex_.basis(n).total - complex_.differential_rank(n)
-        self.rank_image = complex_.differential_rank(n - 1) if n else 0
-        self.free_rank = self.rank_kernel - self.rank_image
-        self.invariant_factors = []
-
-    def __str__(self):
-        return " + ".join(["Q"] * self.free_rank) if self.free_rank else "0"
 
 
 # -- checks used by the acceptance suite --------------------------------

@@ -82,8 +82,8 @@ def loop_differential(cx, n):
         return loop_coboundary_matrix(
             LoopBasis(cx.groupoid, cx.fibre, n), LoopBasis(cx.groupoid, cx.fibre, n + 1),
             last_face=lambda tup: cx.rep.act_inv(tup[-1]))
-    return loop_coboundary_matrix(LoopBasis(cx.groupoid, cx.sb, n),
-                                  LoopBasis(cx.groupoid, cx.sb, n + 1))
+    return loop_coboundary_matrix(LoopBasis(cx.groupoid, cx.fibre, n),
+                                  LoopBasis(cx.groupoid, cx.fibre, n + 1))
 
 
 class TestNerve:
@@ -216,7 +216,7 @@ class TestIntegralAssembly:
             for sname, S in presets:
                 cx = RealComplex(g, S)
                 for n in range(4):
-                    basis, ref = cx.basis(n), LoopBasis(g, cx.sb, n)
+                    basis, ref = cx.basis(n), LoopBasis(g, cx.fibre, n)
                     assert [tuple(o) for o in basis.orbits] == ref.orbits, (name, sname, n)
                     assert basis.offsets.tolist() == ref.offsets
                     assert basis.widths.tolist() == ref.widths
@@ -272,7 +272,7 @@ class TestIntegralAssembly:
 
                     got, scale = cx.basis(n).from_values(value)
                     assert scale == 1
-                    assert_same(got, LoopBasis(g, cx.sb, n).from_values(values.get))
+                    assert_same(got, LoopBasis(g, cx.fibre, n).from_values(values.get))
 
     def test_non_fixed_value_raises_like_the_loop(self):
         z2, mu4 = standard.cyclic_group(2), make_standard("mu(4)_conj")
@@ -280,7 +280,7 @@ class TestIntegralAssembly:
         with pytest.raises(ValueError) as got:
             cx.from_values(1, lambda t: (1,))
         with pytest.raises(ValueError) as want:
-            LoopBasis(z2, cx.sb, 1).from_values(lambda t: (1,))
+            LoopBasis(z2, cx.fibre, 1).from_values(lambda t: (1,))
         assert str(got.value) == str(want.value) == \
             "value at fixed tuple (0,) is not fixed by the involution"
 

@@ -252,6 +252,42 @@ class TestCommands:
         assert cli.main(["validate", write(tmp_path, "g.json", data)]) == 2
         assert capsys.readouterr().err.startswith("input error:")
 
+    @pytest.mark.parametrize("coeff", [{"preset": 5}, 5, None])
+    def test_malformed_coefficients_are_an_input_error(self, tmp_path, capsys, z2_file, coeff):
+        argv = ["cohomology", z2_file, "--coeff", write(tmp_path, "f.json", coeff), "--n", "1"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("input error:")
+
+    @pytest.mark.parametrize("twist, code", [
+        ({"S": "mu(2)_conj"}, 2),
+        ({"omega": {"degree": 2, "values": "x"}}, 2),
+        ({"omega": {"degree": 2, "values": [[0]]}}, 2),
+        ({"omega": {"degree": 2, "values": [["a", [1]]]}}, 2),
+        ({"omega": {"degree": -1, "values": []}}, 2),
+        ({"omega": {"degree": 2, "values": [[0, [1]]]}}, 1),
+    ])
+    def test_malformed_twist_is_an_input_error(self, tmp_path, capsys, twist, code):
+        z2 = standard.cyclic_group(2)
+        if "omega" in twist:
+            twist = dict(base=io.groupoid_to_json(z2), S="mu(2)_conj", **twist)
+        assert cli.main(["ext", "dd", write(tmp_path, "twist.json", twist)]) == code
+        err = capsys.readouterr().err
+        # a structurally sound twist whose omega is no cocycle stays exit 1
+        assert err == "error: omega is not a 2-cocycle\n" if code == 1 else \
+            err.startswith("input error:")
+
+    @pytest.mark.parametrize("cochain", [
+        {"degree": 1, "values": "x"},
+        {"degree": 1, "values": [[0]]},
+        {"degree": 1, "values": [["a", [1]]]},
+        {"degree": -1, "values": []},
+    ])
+    def test_malformed_cochain_is_an_input_error(self, tmp_path, capsys, z2_file, cochain):
+        c = write(tmp_path, "c.json", cochain)
+        argv = ["bundle", "iso", z2_file, "--coeff", "mu(4)_conj", "--c1", c, "--c2", c]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("input error:")
+
     def test_text_format(self, z2_file):
         r = run("--format", "text", "cohomology", z2_file,
                 "--coeff", "mu(4)_conj", "--n", "1")

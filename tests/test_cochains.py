@@ -282,7 +282,7 @@ def test_values_match_value_at(corpus, presets):
             cx = RealComplex(g, S)
             for n in (0, 1, 2):
                 basis = cx.basis(n)
-                loop = LoopBasis(g, cx.sb, n)
+                loop = LoopBasis(g, cx.fibre, n)
                 c = cx.cochain(n, [rng.randint(-9, 9) for _ in range(basis.total)])
                 values = [tuple(row) for row in basis.values(c.vector).tolist()]
                 assert values == [c.value_at(basis.level.tuple_at(i))

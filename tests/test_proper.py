@@ -366,3 +366,25 @@ def test_rational_cohomology_is_built_once_per_degree():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_fibres_build_their_rules_once(count_calls):
+    # the fibres name their matrices and rules by keys: building d and h
+    # asks no fibre for the rule at an anchor
+    from realcech.cochains import RealComplex, SBlocks
+    from realcech.proper import RepFibre
+    integral = count_calls(SBlocks, "corestriction")
+    rational = count_calls(RepFibre, "corestriction")
+    cx = RealComplex(standard.cyclic_group(4, "inversion"), make_standard("mu(4)_conj"))
+    for n in range(5):
+        cx.differential_matrix(n)
+    _, g, rep = corpus_representations()[3]    # pair2 conjugated
+    rc = RepComplex(g, rep)
+    for n in range(4):
+        rc.differential_matrix(n)
+        rc.contraction_matrix(n)
+    assert integral == rational == []
+    # a rule per distinct nu_x past the identity's, and the unit arrows,
+    # distinct matrix objects, share the identity's key
+    assert len(rc.fibre.rules) == 3
+    assert rc.fibre.act_keys[g.unit].tolist() == [0, 0]
