@@ -63,7 +63,10 @@ class SBlocks:
     fixed-subgroup coordinates, mapped into S by the embedding E, and its
     rule corestricts S-values to them (`to_fixed_coords` one value).  The
     fibre is the same at every object: its matrices are I, tau and E
-    (keys 0, 1 and 2), with one rule, at every anchor."""
+    (keys 0, 1 and 2), with one rule, at every anchor, and the value at
+    the last face of a tuple needs no transport (`last_keys` is None)."""
+
+    last_keys = None
 
     def __init__(self, S):
         self.S = S
@@ -284,13 +287,13 @@ def face_sum(dst, src, rows, tuples, factors, fkeys):
     return assemble(dst, src.total, rows, src.offsets[src.orbit_of[tuples]], mats, keys)
 
 
-def coboundary_matrix(src, dst, last_keys=None):
+def coboundary_matrix(src, dst):
     """Scaled matrix of d: C^n -> C^(n+1), the alternating sum of the face
-    maps, in the orbit bases src (degree n) and dst (degree n+1).
-    last_keys[g], if given, is the key of the fibre map applied to the
-    value at the last face of a tuple with last arrow g, which is anchored
-    at another object."""
-    n, reps, mats = src.n, dst.reps, src.fibre.mats
+    maps, in the orbit bases src (degree n) and dst (degree n+1).  The
+    fibre's last_keys[g], unless None, is the key of the fibre map applied
+    to the value at the last face of a tuple with last arrow g, which is
+    anchored at another object."""
+    n, reps, mats, last_keys = src.n, dst.reps, src.fibre.mats, src.fibre.last_keys
     tuples = dst.level.faces[:, reps].ravel()
     # term t is face t // len(reps) of representative t % len(reps)
     t = np.arange(len(tuples))
@@ -315,31 +318,25 @@ class LevelBasis(OrbitBasis):
 
     @cached_property
     def moduli(self):
+        """The modulus of each coordinate, 0 for a free one, as Python ints
+        in an object array."""
         sb = self.fibre
-        return [d for f in self.fixed.tolist() for d in (sb.moduli_fixed if f else sb.moduli_S)]
-
-    @cached_property
-    def torsion_coords(self):
-        """The coordinates with a positive modulus."""
-        return [i for i, d in enumerate(self.moduli) if d > 0]
-
-    @cached_property
-    def free_coords(self):
-        """The coordinates with modulus 0."""
-        return [i for i, d in enumerate(self.moduli) if d == 0]
+        return np.array([d for f in self.fixed.tolist()
+                         for d in (sb.moduli_fixed if f else sb.moduli_S)], dtype=object)
 
     def presentation(self):
         """The cochain group as an abelian group presentation."""
         return exact.quotient(exact.eye(self.total), self.relation_matrix())
 
-    def relation_matrix(self):
-        rows = self.torsion_coords
-        R = exact.zeros(self.total, len(rows))
-        R[rows, range(len(rows))] = self.torsion_moduli()
-        return R
+    def relations(self):
+        """The relation lattice as a Sparse matrix: a column d e_i for each
+        coordinate i of positive modulus d, in coordinate order."""
+        rows = np.flatnonzero(self.moduli)
+        return exact.Sparse((self.total, len(rows)), rows, np.arange(len(rows)),
+                            exact._packed(self.moduli[rows]))
 
-    def torsion_moduli(self):
-        return np.array([self.moduli[i] for i in self.torsion_coords], dtype=object)
+    def relation_matrix(self):
+        return exact.to_dense(self.relations())
 
     def in_relation_lattice(self, vec):
         return all(v % d == 0 if d else v == 0 for v, d in zip(vec, self.moduli))
@@ -413,7 +410,7 @@ class Complex:
         self.groupoid = groupoid
         self.fibre = fibre
         self._bases = {}
-        self._diffs = {}
+        self._diffs = {}  # d^n, filled by coboundary only
         self._ranks = {}
         # held weakly: a group holds its complex, and a cycle would keep
         # every matrix of the complex alive until the cyclic collector ran
@@ -424,6 +421,13 @@ class Complex:
             top = self._bases[max(self._bases)].level if self._bases else None
             self._bases[n] = self.Basis(self.groupoid, self.fibre, n, top)
         return self._bases[n]
+
+    def coboundary(self, n):
+        """d: C^n -> C^(n+1) as Scaled(num, scale), the matrix num / scale
+        with num an `exact.Sparse` integer matrix, built once per degree."""
+        if n not in self._diffs:
+            self._diffs[n] = coboundary_matrix(self.basis(n), self.basis(n + 1))
+        return self._diffs[n]
 
     def rank(self, n):
         """The rank over Q of d^n (of its free part on an integral fibre),
@@ -453,13 +457,9 @@ class CohomologyGroup(exact.GroupKey):
     @cached_property
     def presentation(self):
         cx, n = self.complex, self.degree
-        R_here = cx.basis(n).relation_matrix()
-        if n == 0:
-            img = R_here
-        else:
-            D_prev = cx.differential_matrix(n - 1)
-            img = np.concatenate([D_prev, R_here], axis=1) \
-                if R_here.shape[1] else D_prev
+        img = cx.basis(n).relation_matrix()
+        if n:
+            img = np.concatenate([cx.differential_matrix(n - 1), img], axis=1)
         return exact.lattice_mod_relations(cx.differential_matrix(n), img,
                                            cx.basis(n + 1).relation_matrix())
 
@@ -515,17 +515,11 @@ class RealComplex(Complex):
 
     def differential_matrix(self, n):
         """Integer matrix of d: CR^n -> CR^(n+1) in the orbit bases, as a
-        dense object matrix."""
-        if n not in self._diffs:
-            self._diffs[n] = exact.to_dense(
-                coboundary_matrix(self.basis(n), self.basis(n + 1)).num)
-        return self._diffs[n]
+        dense object matrix made anew from `coboundary` on each call."""
+        return exact.to_dense(self.coboundary(n).num)
 
     def _image(self, cochain):
-        n = cochain.degree
-        D = self.differential_matrix(n)
-        return D @ cochain.vector if self.basis(n).total else \
-            exact.zeros(self.basis(n + 1).total, 1)[:, 0]
+        return self.coboundary(cochain.degree).num @ cochain.vector
 
     def d(self, cochain):
         return RealCochain(self, cochain.degree + 1, self._image(cochain))
@@ -550,8 +544,9 @@ class RealComplex(Complex):
     def _rank(self, n):
         # d^n on the free (modulus 0) coordinates: the differential of the
         # rational complex of this one
-        rows, cols = self.basis(n + 1).free_coords, self.basis(n).free_coords
-        return len(exact.invariant_factors(self.differential_matrix(n)[np.ix_(rows, cols)]))
+        D = self.coboundary(n).num
+        free = (self.basis(n + 1).moduli[D.rows] == 0) & (self.basis(n).moduli[D.cols] == 0)
+        return exact.frac_rank(exact.Sparse(D.shape, D.rows[free], D.cols[free], D.vals[free]))
 
 
 def cohomology_key(cx, n):
@@ -568,31 +563,39 @@ def cohomology_key(cx, n):
     a contractible kernel, so the two have the same cohomology.  The
     cocycles of T^n are saturated in T^n, so the torsion of HR^n is that
     of coker M_n: its invariant factors > 1.  The free rank is that of
-    the rational complex on the free (modulus 0) coordinates."""
+    the rational complex on the free (modulus 0) coordinates.
+
+    M_n is built on the nonzeros, its bottom row of blocks negated and on
+    every row of degree n+1 (zero on the free ones): neither changes an
+    invariant factor."""
     here, there = cx.basis(n), cx.basis(n + 1)
-    D_n = cx.differential_matrix(n)
-    D_prev = cx.differential_matrix(n - 1) if n else exact.zeros(here.total, 0)
-    E = _over_moduli(there, D_n[:, here.torsion_coords] * here.torsion_moduli(),
+    D_n = cx.coboundary(n).num
+    D_prev = cx.coboundary(n - 1).num if n else exact.as_sparse(exact.zeros(here.total, 0))
+    R_n = here.relations()
+    E = _over_moduli(there, exact.product(D_n, R_n),
                      f"d^{n} does not map the relations of degree {n} "
                      f"into those of degree {n + 1}")
-    G = -_over_moduli(there, exact.to_dense(exact.product(D_n, D_prev)),
-                      f"d^{n} o d^{n - 1} does not vanish modulo the "
-                      f"relations of degree {n + 1}")
-    M = np.block([[D_prev, here.relation_matrix()], [G, -E]])
+    G = _over_moduli(there, exact.product(D_n, D_prev),
+                     f"d^{n} o d^{n - 1} does not vanish modulo the "
+                     f"relations of degree {n + 1}")
+    # the nonzeros of each block of M_n, offset to its rows and columns
+    k, m = D_prev.shape[1], here.total
+    parts = [(B.rows + r, B.cols + c, B.vals) for B, r, c in
+             ((D_prev, 0, 0), (R_n, 0, k), (G, m, 0), (E, m, k))]
+    M = exact.sparse((m + there.total, k + R_n.shape[1]), *map(np.concatenate, zip(*parts)))
     torsion = [d for d in exact.invariant_factors(M) if d > 1]
-    free = len(here.free_coords) - cx.rank(n) - (cx.rank(n - 1) if n else 0)
+    free = int((here.moduli == 0).sum()) - cx.rank(n) - (cx.rank(n - 1) if n else 0)
     return free, torsion
 
 
 def _over_moduli(basis, X, message):
-    """X divided by the moduli on the torsion coordinates of basis, for a
-    matrix X whose columns lie in the span of its relations; ValueError
-    with message if they do not."""
-    T = X[basis.torsion_coords]
-    scale = basis.torsion_moduli().reshape(-1, 1)
-    if X[basis.free_coords].any() or (T % scale).any():
+    """The Sparse X with each nonzero divided by the modulus of its row in
+    basis, for X whose columns lie in the span of its relations; ValueError
+    with message if they do not (a nonzero on a free row or a remainder)."""
+    d = basis.moduli[X.rows]
+    if (d == 0).any() or (X.vals % d).any():
         raise ValueError(message)
-    return T // scale
+    return exact.Sparse(X.shape, X.rows, X.cols, exact._packed(X.vals // d))
 
 
 # -- module-level convenience API --------------------------------------
@@ -637,27 +640,13 @@ def invariant_sections(groupoid, S):
     orbit-reduced complex, so it is an independent route to HR^0."""
     if S.mode == "rational":
         raise ValueError("invariant_sections expects integral coefficients")
-    G = groupoid
-    k = S.ngens
-    nvars = G.n_objects * k
-    rows = []
-    for x in range(G.n_objects):
-        rx = int(G.rho_obj[x])
-        block = exact.zeros(k, nvars)
-        block[:, rx * k:(rx + 1) * k] += exact.eye(k)
-        block[:, x * k:(x + 1) * k] -= S.tau
-        rows.append(block)
-    for g in range(G.n_arrows):
-        s, t = int(G.src[g]), int(G.tgt[g])
-        if s == t:
-            continue
-        block = exact.zeros(k, nvars)
-        block[:, s * k:(s + 1) * k] += exact.eye(k)
-        block[:, t * k:(t + 1) * k] -= exact.eye(k)
-        rows.append(block)
-    C = np.concatenate(rows, axis=0) if rows else exact.zeros(0, nvars)
+    G, I_k = groupoid, exact.eye(S.ngens)
+    X, moved = exact.eye(G.n_objects), G.src != G.tgt
+    # a k-row block per object x, c(rho x) - tau c(x), then one per arrow
+    # s -> t with s != t, c(s) - c(t)
+    C = np.concatenate([np.kron(X[G.rho_obj], I_k) - np.kron(X, S.tau),
+                        np.kron(X[G.src[moved]] - X[G.tgt[moved]], I_k)])
     # one copy of S's relations per object, and per k-row block of C
     R_S = S.relations()
-    per_obj = np.kron(exact.eye(G.n_objects), R_S)
-    modulus = np.kron(exact.eye(len(rows)), R_S)
-    return exact.lattice_mod_relations(C, per_obj, modulus)
+    blocks = exact.eye(G.n_objects + int(moved.sum()))
+    return exact.lattice_mod_relations(C, np.kron(X, R_S), np.kron(blocks, R_S))

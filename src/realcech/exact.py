@@ -8,15 +8,16 @@ sparse rows of Python ints: D and the transforms are kept as dicts of
 their nonzero entries, and each operation touches only the entries it
 changes.  Its operations and their order are those of the scalar
 elimination, so the returned matrices are that elimination's, entry for
-entry.  With no transform asked for, the +-1 pivots are first eliminated
-by a sparsest-first pass, and only the residual goes through the loop.
+entry.  `invariant_factors` (and `frac_rank`, which counts them) asks for
+no transform: a sparsest-first pass eliminates the +-1 pivots on the
+nonzeros, and only the residual goes through the loop.
 
 `Sparse` keeps an integer matrix as its nonzero entries (int64 indices,
 int64 values below 2^62 in size, Python ints past that); `product`
 multiplies them as triplets, and the unit-pivot pass reads them directly.
-Rational matrices are `Scaled` integer ones, num standing for num /
-scale: the rational complexes keep num `Sparse` from assembly on, and
-`frac_rank` takes their rank from the unit pivots and a small residual;
+The cochain complexes keep their differentials `Sparse` from assembly
+on.  Rational matrices are `Scaled` integer ones, num standing for num /
+scale, and have the rank of num;
 `cleared` scales a Fraction matrix to that pair, and rational kernels
 row-reduce the Fractions.  No floating point anywhere.
 
@@ -470,22 +471,16 @@ def smith_normal_form(mat, need_u=True, need_v=True, need_inverses=False,
     rows (column operations act on each row of V on its own).  The
     results equal, entry for entry, those of the scalar elimination kept
     as an oracle in tests/oracles.py: `_eliminate` performs the same
-    operations in the same order, on sparse rows of Python ints.
-
-    With no transform asked for, the +-1 pivots are eliminated first
-    (`_unit_pivots`), and the loop runs on the residual only.  The Smith
-    diagonal is unique, so D is the same.
+    operations in the same order, on sparse rows of Python ints.  For
+    the diagonal alone, `invariant_factors` is faster.
     """
     M = as_int_matrix(mat)
     m, n = M.shape
-    ones = 0
-    if not (need_u or need_v or need_inverses):
-        ones, M = _unit_pivots(M)
     U = _lines(m, m, need_u or need_inverses)
     v_rows = n if v_rows is None else v_rows
     V = _lines(n, v_rows, need_v)
     Uinv, Vinv = _lines(m, m, need_inverses), _lines(n, n, need_inverses and need_v)
-    d = [1] * ones + _eliminate(M, U, V, Uinv, Vinv)
+    d = _eliminate(M, U, V, Uinv, Vinv)
     D = zeros(m, n)
     D[range(len(d)), range(len(d))] = d
     if U is not None:
@@ -504,13 +499,12 @@ def diagonal_of(D):
 
 
 def invariant_factors(mat):
-    """The nonzero invariant factors d_1 | d_2 | ... of an integer matrix:
-    the nonzero diagonal of its Smith form, computed without transforms."""
-    M = as_int_matrix(mat)
-    if not M.size:
-        return []
-    _, D, _ = smith_normal_form(M, need_u=False, need_v=False)
-    return [d for d in diagonal_of(D) if d != 0]
+    """The nonzero invariant factors d_1 | d_2 | ... of an integer matrix
+    (Sparse, or coerced to it), with no transform: the +-1 pivots are
+    eliminated on the nonzeros (`_unit_pivots`), then the Smith loop runs
+    on the residual, whose diagonal after them is the matrix's."""
+    ones, R = _unit_pivots(mat)
+    return [1] * ones + [d for d in _eliminate(R, None, None, None, None) if d]
 
 
 def product(A, B):
@@ -773,12 +767,10 @@ def _rref(M):
 
 
 def frac_rank(mat):
-    """Rank over Q.  A Sparse matrix is an integer one (the numerator of
-    a Scaled matrix has the rank of the matrix); any other is cleared to
-    integers first.  The +-1 pivots are eliminated on the nonzeros, and
-    the residual's rank is the number of its nonzero invariant factors."""
-    ones, R = _unit_pivots(mat if isinstance(mat, Sparse) else cleared(mat).num)
-    return ones + sum(1 for d in _eliminate(R, None, None, None, None) if d) if R.size else ones
+    """Rank over Q: the number of nonzero invariant factors.  A Sparse
+    matrix is an integer one (the numerator of a Scaled matrix has the
+    rank of the matrix); any other is cleared to integers first."""
+    return len(invariant_factors(mat if isinstance(mat, Sparse) else cleared(mat).num))
 
 
 def frac_kernel(mat):

@@ -11,6 +11,7 @@ is byte-deterministic.
 """
 
 import json
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,19 @@ def _resolve(ref):
         with open(ref) as fh:
             return json.load(fh)
     return ref
+
+
+def _int(value):
+    """int(value); FormatError for a number that is not an integer, which
+    int() would truncate."""
+    if isinstance(value, float) and not value.is_integer():
+        raise FormatError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _ints(values):
+    """_int of each entry of nested lists, in the same nesting."""
+    return [_ints(v) for v in values] if isinstance(values, list) else _int(values)
 
 
 def _fields(data, what, names):
@@ -53,13 +67,13 @@ def load_json(path):
 def groupoid_from_json(data):
     data = _resolve(data)
     try:
-        n_obj = int(data["objects"])
+        n_obj = _int(data["objects"])
         arrows = data["arrows"]
-        src = np.array([int(a["src"]) for a in arrows], dtype=np.int64)
-        tgt = np.array([int(a["tgt"]) for a in arrows], dtype=np.int64)
-        inv = [int(v) for v in data["inv"]]
-        rho_obj = [int(v) for v in data["rho_obj"]]
-        rho_arr = [int(v) for v in data["rho_arr"]]
+        src = np.array([_int(a["src"]) for a in arrows], dtype=np.int64)
+        tgt = np.array([_int(a["tgt"]) for a in arrows], dtype=np.int64)
+        inv = [_int(v) for v in data["inv"]]
+        rho_obj = [_int(v) for v in data["rho_obj"]]
+        rho_arr = [_int(v) for v in data["rho_arr"]]
         m = len(src)
         if m > max_arrows():
             raise FormatError(f"too many arrows ({m} > RGC_MAX_ARROWS)")
@@ -82,11 +96,11 @@ def _comp_table(comp, m, comp_format):
     if is_table and (m != 3 or comp_format == "table"):
         cells = np.array(comp, dtype=object)
         cells[np.equal(cells, None)] = -1
-        table = cells.astype(np.int64)
+        table = np.array(_ints(cells.tolist()), dtype=np.int64)
         if table.shape != (m, m):
             raise ValueError("comp table is not m x m")
         return table
-    triples = np.array(comp, dtype=np.int64)
+    triples = np.array(_ints(comp), dtype=np.int64)
     if triples.size and triples.shape[1:] != (3,):
         raise ValueError("comp entries must be [g, h, g*h] triples")
     triples = triples.reshape(-1, 3)
@@ -130,24 +144,27 @@ def groupoid_to_json(g):
 # -- coefficients --------------------------------------------------------
 
 def coefficients_from_json(data):
-    if isinstance(data, str):
-        # preset names win over file paths
+    if isinstance(data, str) and os.path.exists(data):
+        # preset names win over file paths; a name that is no file names
+        # a preset
         try:
             return make_standard(data)
         except ValueError:
-            pass
-    data = _resolve(data)
+            data = _resolve(data)
     if isinstance(data, dict) and "preset" in data:
         data = data["preset"]
         if not isinstance(data, str):
             raise FormatError(f"bad coefficient JSON: preset {data!r} is not a name")
     if isinstance(data, str):
-        return make_standard(data)
+        try:
+            return make_standard(data)
+        except ValueError as e:
+            raise FormatError(e)
     try:
         return RealCoefficientGroup(
-            int(data["free_rank"]),
-            [int(d) for d in data.get("torsion", [])],
-            data.get("tau"),
+            _int(data["free_rank"]),
+            [_int(d) for d in data.get("torsion", [])],
+            None if data.get("tau") is None else _ints(data["tau"]),
             data.get("mode", "integral"))
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"bad coefficient JSON: {e}")
@@ -175,10 +192,10 @@ def presentation_to_json(pres_like):
 def cochain_from_json(cx, data):
     data = _resolve(data)
     try:
-        n = int(data["degree"])
+        n = _int(data["degree"])
         if n < 0:
             raise ValueError(f"degree {n} is negative")
-        values = [(int(oid), [int(v) for v in coeffs]) for oid, coeffs in data["values"]]
+        values = [(_int(oid), [_int(v) for v in coeffs]) for oid, coeffs in data["values"]]
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"bad cochain JSON: {e}")
     basis = cx.basis(n)

@@ -138,7 +138,7 @@ class ConnectingMap:
         """The connecting value on a degree-n cocycle vector over S'' (or
         on each column of a matrix of them)."""
         lifted = self.lift_matrix @ np.array(vec_dp, dtype=object)
-        return self.corestrict(self.cx_mid.differential_matrix(self.n) @ lifted)
+        return self.corestrict(self.cx_mid.coboundary(self.n).num @ lifted)
 
     def corestrict(self, z):
         """Write an S-valued cochain vector (or each column of a matrix) with

@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exact
-from .cochains import Complex, Corestriction, OrbitBasis, coboundary_matrix, face_sum, rule_table
+from .cochains import Complex, Corestriction, OrbitBasis, face_sum, rule_table
 from .nerve import arrows_into, distinct, nerve
 from .nerve import face  # noqa: F401 -- bench/spans.py patches face here
 
@@ -68,7 +68,9 @@ class RepFibre:
     and v is fixed when E_x S v = v.  Its table (see `OrbitBasis`) is
     built on first use: the identity, act_g, nu_x and E_x once per
     distinct entries, cleared to integers, with act_keys[g] the key of
-    act_g; objects with equal nu_x share one basis and one rule."""
+    act_g and last_keys[g] that of act_g^-1, which moves the value at the
+    last face back to the anchor; objects with equal nu_x share one basis
+    and one rule."""
 
     def __init__(self, rep):
         self.rep = rep
@@ -99,6 +101,7 @@ class RepFibre:
 
         key(self.identity)
         self.act_keys = np.array([key(A) for A in self.rep.action], dtype=np.int64)
+        self.last_keys = self.act_keys[self.rep.groupoid.inv]
         eye = exact.eye(self.k)
         for x, nu in enumerate(self.rep.nu):
             part, fixed = key(nu), self.rep.groupoid.rho_obj[x] == x
@@ -169,12 +172,9 @@ class RepComplex(Complex):
 
     def differential_matrix(self, n):
         """d: C^n -> C^(n+1) as Scaled(num, scale), the matrix num / scale
-        with num an `exact.Sparse` integer matrix."""
-        if n not in self._diffs:
-            src, dst = self.basis(n), self.basis(n + 1)
-            # the last face is anchored at tgt(g_(n+1)); act^-1 moves it back
-            self._diffs[n] = coboundary_matrix(src, dst, self.fibre.act_keys[self.groupoid.inv])
-        return self._diffs[n]
+        with num an `exact.Sparse` integer matrix: `coboundary`, read by
+        this complex through this name, which bench/spans.py times."""
+        return self.coboundary(n)
 
     def _rank(self, n):
         return exact.frac_rank(self.differential_matrix(n).num)

@@ -288,6 +288,42 @@ class TestCommands:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("input error:")
 
+    @pytest.mark.parametrize("kind, data", [
+        ("groupoid", {"objects": 1.5}),
+        ("groupoid", {"inv": [0.5]}),
+        ("groupoid", {"comp": [[0, 0, 0.5]]}),
+        ("coeff", {"free_rank": 1.5}),
+        ("coeff", {"free_rank": 0, "torsion": [4.5]}),
+        ("coeff", {"free_rank": 1, "tau": [[1.5]]}),
+        ("cochain", {"degree": 1.7, "values": []}),
+        ("cochain", {"degree": 1, "values": [[0, [1.5]]]}),
+        ("cochain", {"degree": 1, "values": [[0.5, [1]]]}),
+    ])
+    def test_non_integral_number_is_an_input_error(self, tmp_path, capsys, z2_file, kind, data):
+        # int() would truncate it and answer for a file that was not given
+        if kind == "groupoid":
+            data = dict(io.groupoid_to_json(standard.cyclic_group(1)), **data)
+            argv = ["validate", write(tmp_path, "g.json", data)]
+        elif kind == "coeff":
+            argv = ["cohomology", z2_file, "--coeff", write(tmp_path, "f.json", data), "--n", "1"]
+        else:
+            c = write(tmp_path, "c.json", data)
+            argv = ["bundle", "iso", z2_file, "--coeff", "mu(4)_conj", "--c1", c, "--c2", c]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "is not an integer" in err
+
+    @pytest.mark.parametrize("coeff", ["nope", {"preset": "nope"}])
+    def test_unknown_preset_is_an_input_error(self, tmp_path, monkeypatch, capsys, z2_file,
+                                              coeff):
+        monkeypatch.chdir(tmp_path)
+        arg = coeff if isinstance(coeff, str) else write(tmp_path, "f.json", coeff)
+        assert cli.main(["cohomology", z2_file, "--coeff", arg, "--n", "1"]) == 2
+        assert capsys.readouterr().err == "input error: unknown coefficient preset 'nope'\n"
+        # a bare name that is a file is read as one
+        write(tmp_path, "nope", {"preset": "mu(4)_conj"})
+        assert cli.main(["cohomology", z2_file, "--coeff", "nope", "--n", "1"]) == 0
+
     def test_text_format(self, z2_file):
         r = run("--format", "text", "cohomology", z2_file,
                 "--coeff", "mu(4)_conj", "--n", "1")

@@ -2,6 +2,7 @@
 against the presentation built from kernel and image."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,12 +70,12 @@ class Tampered(RealComplex):
         RealComplex.__init__(self, groupoid, S)
         self.tampered, self.entry = degree, entry
 
-    def differential_matrix(self, n):
-        D = RealComplex.differential_matrix(self, n)
+    def coboundary(self, n):
+        D, scale = RealComplex.coboundary(self, n)
         if n == self.tampered:
-            D = D.copy()
-            D[self.entry] += 1
-        return D
+            (i, j), one = self.entry, np.ones(1, dtype=np.int64)
+            D = D + exact.Sparse(D.shape, i * one, j * one, one)
+        return exact.Scaled(D, scale)
 
 
 def test_differential_that_breaks_the_relations_is_refused():
@@ -103,8 +104,8 @@ def test_differential_that_does_not_square_to_zero_is_refused():
 
 def test_cli_cohomology_builds_no_presentation(tmp_path, capsys, count_calls):
     path = tmp_path / "z4.json"
-    path.write_text(io.dumps(io.groupoid_to_json(standard.cyclic_group(4, "inversion"))))
-    S = make_standard("mu(4)_conj")
+    g, S = standard.cyclic_group(4, "inversion"), make_standard("mu(4)_conj")
+    path.write_text(io.dumps(io.groupoid_to_json(g)))
     built = count_calls(exact.AbelianGroupPresentation, "__init__")
     snf = count_calls(exact, "smith_normal_form")
     factors = count_calls(exact, "invariant_factors")
@@ -112,12 +113,26 @@ def test_cli_cohomology_builds_no_presentation(tmp_path, capsys, count_calls):
     assert capsys.readouterr().out == io.dumps({"free_rank": 0, "torsion": [2, 2]})
     # the presentations built are those of the coefficient group's fixed part
     assert built and all(args[1].shape[0] == S.ngens for args in built)
-    # the one cochain-sized Smith form is that of invariant_factors, which
-    # asks for no transforms
-    big = [args[0] for args in snf if np.shape(args[0])[0] > S.ngens]
-    assert len(big) == 1
-    used = [args[0] for args in factors if args[0].size]
-    assert len(used) == 1 and used[0] is big[0]
+    # no Smith form is cochain-sized: the key's invariant factors are read
+    # off the nonzeros of one Sparse matrix M_2, with no transform
+    assert snf and all(np.shape(args[0])[0] <= S.ngens for args in snf)
+    cx = RealComplex(g, S)
+    rows = cx.basis(2).total + cx.basis(3).total
+    key = [args[0] for args in factors if np.shape(args[0])[0] == rows]
+    assert len(key) == 1 and isinstance(key[0], exact.Sparse) and key[0].nnz
+
+
+def test_key_of_a_large_degree_is_built_on_the_nonzeros():
+    # M_3 is 9072 x 1512 with 34,992 nonzeros; the dense object
+    # matrices of the key would take hundreds of MiB
+    tracemalloc.start()
+    try:
+        h = RealComplex(standard.pair_groupoid(6), make_standard("mu(4)_conj")).cohomology(3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(h) == "0"
+    assert peak < 32 * 2 ** 20
 
 
 def sample_cochains(cx, n, rng):

@@ -480,11 +480,14 @@ def test_unit_pivots_match_the_dense_loop_on_key_matrices(count_calls):
                 cx = RealComplex(g, S)
                 for n in range(top + 1):
                     cohomology_key(cx, n)
-    matrices = {(M.shape, tuple(M.flat)): M for (M,) in calls}
+    dense = (exact.to_dense(M) if isinstance(M, exact.Sparse) else M for (M,) in calls)
+    matrices = {(M.shape, tuple(M.flat)): M for M in dense}
     assert len(matrices) >= 200
     for M in matrices.values():
-        assert_same_snf(exact.smith_normal_form(M, need_u=False, need_v=False)[1:2],
-                        oracles.dense_smith_normal_form(M, need_u=False)[1:2])
+        want = exact.diagonal_of(oracles.dense_smith_normal_form(M, need_u=False)[1])
+        got = exact.invariant_factors(M)
+        assert all(type(d) is int for d in got)
+        assert got == [int(d) for d in want if d]
 
 
 def test_elimination_sees_only_the_residual_of_a_key(count_calls):

@@ -25,10 +25,11 @@ def run(*cases):
 
 
 def test_large_cases_smoke():
-    got = run("pair2:1", "pair2:2")
+    got = run("pair2:1", "pair2:2", "pair2_key:2", "Z4_inv_key:2")
     assert got.returncode == 0, got.stderr
     lines = [json.loads(line) for line in got.stdout.splitlines()]
-    assert [line["case"] for line in lines] == ["pair2:1", "pair2:2"]
+    assert [line["case"] for line in lines] == ["pair2:1", "pair2:2", "pair2_key:2",
+                                                "Z4_inv_key:2"]
     for line, n in zip(lines, (1, 2)):
         h = RealComplex(standard.pair_groupoid(2), make_standard("mu(4)_conj")).cohomology(n)
         gens = [[[int(x) for x in col], int(order)]
@@ -36,11 +37,18 @@ def test_large_cases_smoke():
         assert line["group"] == str(h)
         assert line["generators_md5"] == hashlib.md5(json.dumps(gens).encode()).hexdigest()
         assert line["key_s"] >= 0 and line["presentation_s"] >= 0
+    # a key-only case builds no presentation
+    groupoids = (standard.pair_groupoid(2), standard.cyclic_group(4, "inversion"))
+    for line, g in zip(lines[2:], groupoids):
+        assert line["group"] == str(RealComplex(g, make_standard("mu(4)_conj")).cohomology(2))
+        assert set(line) == {"case", "coefficients", "group", "key_s", "peak_rss_mib"}
 
 
 def test_large_cases_rejects_malformed_cases():
     for cases in ((), ("pair2",), ("Z8:3",), ("pair2_inv:1",), ("Z17_inv:1",),
-                  ("pair0:1",), ("pair2:7",), ("pair2:1", "Z99999999999999999999_inv:1")):
+                  ("pair0:1",), ("pair2:7",), ("pair2:1", "Z99999999999999999999_inv:1"),
+                  ("pair2_key",), ("Z4_key:1",), ("pair2_key:7",), ("pair2_key_vanish:1",),
+                  ("Z4_inv_vanish_key:1",)):
         got = run(*cases)
         assert got.returncode == 2 and not got.stdout and "usage" in got.stderr, cases
 
