@@ -66,14 +66,10 @@ def cmd_validate(args):
 
 def cmd_nerve(args):
     g = _groupoid(args)
-    # one enumeration, read downwards and extended for the identities; a
+    # the identities read and extend the groupoid's levels listed here; a
     # negative degree lists no level
-    top = nerve(g, args.max_degree) if args.max_degree >= 0 else None
-    levels, level = [], top
-    while level is not None:
-        levels.insert(0, {"n": level.n, "count": len(level)})
-        level = level.lower
-    violations = check_simplicial_identities(g, min(args.max_degree, 4), top)
+    levels = [{"n": n, "count": len(nerve(g, n))} for n in range(args.max_degree + 1)]
+    violations = check_simplicial_identities(g, min(args.max_degree, 4))
     if violations:
         for line in violations:
             print(line, file=sys.stderr)

@@ -82,7 +82,11 @@ class SBlocks:
         sv, w = exact.IntSolver(E, S.relations()), E.shape[1]
         d = [x for x in sv.diag if x]
         r, lcm = len(d), math.lcm(*d)
-        conditions = [i for i in range(self.k) if i >= r or d[i] > 1]
+        # where row j of V[:, :r] is e_i, coordinate j is (lcm / d_i) U[i] b over
+        # lcm, which already says that d_i divides U[i] b: no condition row
+        implied = {row.index(1) for row in sv.V[:, :r].tolist()
+                   if row.count(1) == 1 and row.count(0) == r - 1}
+        conditions = [i for i in range(self.k) if i >= r or d[i] > 1 and i not in implied]
         self.rules, self.widths, self.divisors = rule_table(self.identity, [Corestriction(
             np.concatenate([(sv.V[:, :r] * [lcm // x for x in d]) @ sv.U[:r], sv.U[conditions]]),
             [lcm] * w + [d[i] if i < r else 0 for i in conditions], w)])
@@ -128,33 +132,26 @@ class OrbitBasis:
     vectors at a rho-fixed x, as columns), and the index of its rule.
 
     Orbits are numbered in the order of their representatives, the smaller
-    index of a free orbit's two tuples.  Per orbit there are arrays reps,
-    partners, anchors (of the representative), fixed, offsets, widths and
-    rule_of (into the fibre's rules); per tuple, orbit_of and value_key,
-    which names the matrix value_matrix(key) taking the stored
-    coordinates to the value there."""
+    index of a free orbit's two tuples.  The arrays that depend on the
+    groupoid alone are the level's (`NerveLevel.orbits`), shared by every
+    basis on it: per orbit reps, partners, anchors (of the
+    representative) and fixed; per tuple orbit_of.  The basis adds what
+    depends on the fibre: per orbit offsets, widths and rule_of (into the
+    fibre's rules); per tuple value_key, which names the matrix
+    value_matrix(key) taking the stored coordinates to the value there."""
 
     def __init__(self, level, fibre):
         self.groupoid = level.groupoid
         self.fibre = fibre
         self.n = level.n
         self.level = level
-        rho = level.rho_indices
-        if (rho < 0).any():
-            raise ValueError("the involution does not map the nerve to itself")
-        i = np.arange(len(level))
-        self.reps = np.flatnonzero(i <= rho)
-        self.partners = rho[self.reps]
-        self.fixed = self.partners == self.reps
-        self.anchors = level.anchors[self.reps]
-        rep = np.minimum(i, rho)
-        self.orbit_of = np.searchsorted(self.reps, rep)
+        self.reps, self.partners, self.fixed, self.anchors, self.orbit_of, kind = level.orbits
         # the identity at a representative, partner(x) at its partner and
         # embedding(x) at a fixed tuple, x the anchor of the representative;
         # a fixed orbit takes the rule at its anchor, as wide as the rule
-        partner, embedding, rule = fibre.keys(level.anchors[rep])
-        self.value_key = np.where(i < rho, 0, np.where(i == rho, embedding, partner))
-        self.rule_of = np.where(self.fixed, rule[self.reps], 0)
+        partner, embedding, rule = fibre.keys(self.anchors)
+        self.value_key = np.where(kind < 0, 0, np.where(self.fixed, embedding, partner)[self.orbit_of])
+        self.rule_of = np.where(self.fixed, rule, 0)
         self.widths = fibre.widths[self.rule_of]
         self.offsets = np.cumsum(self.widths) - self.widths
         self.total = int(self.widths.sum())
@@ -294,10 +291,8 @@ def coboundary_matrix(src, dst):
     to the value at the last face of a tuple with last arrow g, which is
     anchored at another object."""
     n, reps, mats, last_keys = src.n, dst.reps, src.fibre.mats, src.fibre.last_keys
-    tuples = dst.level.faces[:, reps].ravel()
-    # term t is face t // len(reps) of representative t % len(reps)
-    t = np.arange(len(tuples))
-    rows, fkeys = t % len(reps), t // len(reps) % 2
+    # the level's terms, by face and orbit, with the sign of each face
+    rows, tuples, fkeys = dst.level.face_terms
     one, scale = mats[0]
     factors = [exact.Scaled(one, scale), exact.Scaled(-one, scale)]
     if last_keys is not None:
@@ -305,16 +300,16 @@ def coboundary_matrix(src, dst):
         keys, which = distinct(last_keys[dst.level.entries[reps, -1]], len(mats))
         sign = (-1) ** (n + 1)
         factors += [exact.Scaled(sign * mats[k].num, mats[k].scale) for k in keys.tolist()]
+        fkeys = fkeys.copy()
         fkeys[(n + 1) * len(reps):] = 2 + which
     return face_sum(dst, src, rows, tuples, factors, fkeys)
 
 
 class LevelBasis(OrbitBasis):
-    """Orbit basis of the degree-n real cochain group (integral fibre);
-    `known` is a nerve level to reuse, as in `nerve`."""
+    """Orbit basis of the degree-n real cochain group (integral fibre)."""
 
-    def __init__(self, groupoid, fibre, n, known=None):
-        OrbitBasis.__init__(self, nerve(groupoid, n, known), fibre)
+    def __init__(self, groupoid, fibre, n):
+        OrbitBasis.__init__(self, nerve(groupoid, n), fibre)
 
     @cached_property
     def moduli(self):
@@ -401,8 +396,8 @@ class RealCochain:
 
 class Complex:
     """What the cochain complexes over a fibre share: the orbit basis of
-    each level, the levels below the top one built so far reused; the
-    differentials and their ranks, built once; and the cohomology groups.
+    each level, on the groupoid's own nerve levels; the differentials and
+    their ranks, built once; and the cohomology groups.
     A subclass names its `Basis` and `Group` classes and supplies
     `differential_matrix` and `_rank`."""
 
@@ -418,8 +413,7 @@ class Complex:
 
     def basis(self, n):
         if n not in self._bases:
-            top = self._bases[max(self._bases)].level if self._bases else None
-            self._bases[n] = self.Basis(self.groupoid, self.fibre, n, top)
+            self._bases[n] = self.Basis(self.groupoid, self.fibre, n)
         return self._bases[n]
 
     def coboundary(self, n):

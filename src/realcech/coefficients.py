@@ -25,6 +25,13 @@ import numpy as np
 from . import exact
 
 
+# The most generators (free rank plus invariant factors) a coefficient
+# group may have.  tau and the matrices made from it are ngens x ngens
+# object matrices, and the Smith forms of its fixed part are cubic in
+# ngens, so the count is checked before any of them is allocated.
+MAX_GENERATORS = 256
+
+
 class RealCoefficientGroup:
     """Z^r + Z/d_1 + ... + Z/d_t with involution tau (integer matrix on
     the r + t generators), or Q^r in rational mode.
@@ -48,6 +55,8 @@ class RealCoefficientGroup:
         if mode == "rational" and self.invariant_factors:
             raise ValueError("rational mode admits no torsion")
         self.ngens = self.free_rank + len(self.invariant_factors)
+        if self.ngens > MAX_GENERATORS:
+            raise ValueError(f"too many generators ({self.ngens} > {MAX_GENERATORS})")
         if tau is None:
             tau = exact.eye(self.ngens)
         self.tau = exact.as_int_matrix(tau)

@@ -5,7 +5,8 @@ surjection; the product with a finite group.
 
 Objects and arrows are dense integer indices; all structure maps are
 stored as index arrays, composition as a full table (-1 = undefined).
-Values are immutable after construction.
+Values are immutable after construction; a groupoid keeps what is built
+from it alone, its `fibres` and its nerve levels, for its lifetime.
 """
 
 import os
@@ -68,6 +69,8 @@ class FiniteRealGroupoid:
     Fields: n_objects, src, tgt, unit, inv, comp (full table), rho_obj,
     rho_arr.  The constructor checks the size cap, then the shape and
     index range of every array; validate() reports violated axioms.
+    `levels` holds the levels of its nerve built so far by degree, filled
+    by `nerve.nerve` and kept for the groupoid's lifetime.
     """
 
     def __init__(self, n_objects, src, tgt, unit, comp_table, inv,
@@ -88,6 +91,7 @@ class FiniteRealGroupoid:
         for a in (self.src, self.tgt, self.unit, self.inv, self.comp,
                   self.rho_obj, self.rho_arr):
             a.setflags(write=False)
+        self.levels = {}
 
     # -- basic structure ------------------------------------------------
 

@@ -259,7 +259,7 @@ def bundle_to_json(b):
 def representation_from_json(groupoid, data):
     data = _resolve(data)
     try:
-        p, q = int(data["p"]), int(data["q"])
+        p, q = _int(data["p"]), _int(data["q"])
         action = [[[Fraction(v) for v in row] for row in mat]
                   for mat in data["action"]]
         nu = [[[Fraction(v) for v in row] for row in mat]
@@ -283,10 +283,10 @@ def representation_to_json(rep):
 def cover_from_json(groupoid, data):
     data = _resolve(data)
     try:
-        blocks = [[int(x) for x in b] for b in data["blocks"]]
+        blocks = [[_int(x) for x in b] for b in data["blocks"]]
         bar = data.get("bar")
         if bar is not None:
-            bar = _indices("bar", bar, (len(blocks),), len(blocks))
+            bar = _indices("bar", _ints(bar), (len(blocks),), len(blocks))
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"bad cover JSON: {e}")
     return RealCover(groupoid, blocks, bar)
@@ -296,9 +296,9 @@ def surjection_from_json(data, n_base):
     """(pi, rho_total) of a surjection onto a base with n_base objects."""
     data = _resolve(data)
     try:
-        pi = [int(v) for v in data["pi"]]
+        pi = [_int(v) for v in data["pi"]]
         pi = _indices("pi", pi, (len(pi),), n_base).tolist()
-        rho_total = _indices("rho_total", data["rho_total"], (len(pi),), len(pi)).tolist()
+        rho_total = _indices("rho_total", _ints(data["rho_total"]), (len(pi),), len(pi)).tolist()
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"bad surjection JSON: {e}")
     return pi, rho_total

@@ -22,11 +22,23 @@ The componentwise involution commutes with all of them.
 `face_entries` and `degeneracy_entries` act on every row of an entries
 array (`face` and `degeneracy` on one tuple), and `NerveLevel.faces`,
 `degeneracies` and `rho_indices` give the maps as index arrays.
+
+The nerve depends on the groupoid alone, so each level is built once per
+groupoid and kept on it (`nerve`): every complex, orbit basis and
+identity check on the groupoid reads the same level objects, with the
+index arrays that depend on the groupoid alone, its involution orbits
+(`NerveLevel.orbits`) and the face terms of the coboundary into it
+(`NerveLevel.face_terms`).  Every array of a level is read-only.
 """
 
+import weakref
+from collections import namedtuple
 from functools import cached_property
 
 import numpy as np
+
+
+Orbits = namedtuple("Orbits", "reps partners fixed anchors orbit_of kind")
 
 
 def distinct(x, size):
@@ -48,6 +60,12 @@ def arrows_into(groupoid, objects):
     return i, arrows[np.arange(len(i)) + (first[objects] - start)[i]]
 
 
+def _frozen(a):
+    """a, made read-only: the arrays of a level are shared."""
+    a.setflags(write=False)
+    return a
+
+
 class NerveLevel:
     """Composable n-tuples with their componentwise involution.
 
@@ -55,20 +73,29 @@ class NerveLevel:
     indices as a (count, 1) array for n == 0, in lexicographic order.
     lower: level n - 1, the target of the face maps (None on level 0).
     parent: the row of level n - 1 that each tuple was joined from, the
-    tuple without its last arrow (the target of the arrow on level 1)."""
+    tuple without its last arrow (the target of the arrow on level 1).
+
+    The groupoid keeps its levels (`nerve`) and a level refers back to it
+    weakly: `groupoid` is None once the groupoid is gone.  A strong
+    reference would make a cycle that only the cyclic collector frees;
+    no caller keeps a level past its groupoid."""
 
     def __init__(self, groupoid, n, entries, lower=None, parent=None):
-        self.groupoid = groupoid
+        self._groupoid = weakref.ref(groupoid)
         self.n = n
-        self.entries = entries
+        self.entries = _frozen(entries)
         self.lower = lower
-        self.parent = parent
+        self.parent = parent if parent is None else _frozen(parent)
         self.radix = groupoid.n_objects if n == 0 else groupoid.n_arrows
+
+    @property
+    def groupoid(self):
+        return self._groupoid()
 
     @cached_property
     def codes(self):
         """The mixed-radix code of every tuple, in increasing order."""
-        return self._codes(self.entries)
+        return _frozen(self._codes(self.entries))
 
     def _codes(self, entries):
         # int64 while the radix expansion fits, Python ints past it
@@ -109,17 +136,17 @@ class NerveLevel:
     def anchors(self):
         """The object whose fibre holds a cochain's value at each tuple:
         the source of the last arrow, or the object itself on level 0."""
-        return self.entries[:, 0] if self.n == 0 else self.groupoid.src[self.entries[:, -1]]
+        return self.entries[:, 0] if self.n == 0 else _frozen(self.groupoid.src[self.entries[:, -1]])
 
     @cached_property
     def _padded_anchors(self):
-        return _padded(self.anchors)
+        return _frozen(_padded(self.anchors))
 
     @cached_property
     def _joined(self):
         # the row of level n + 1 joined first from each tuple
         count = self.groupoid.fibres[2][self.anchors]
-        return np.cumsum(count) - count
+        return _frozen(np.cumsum(count) - count)
 
     def extend(self, p, g):
         """The index in level n + 1 of tuple p followed by arrow g, for
@@ -137,7 +164,37 @@ class NerveLevel:
         if self.n <= 1:
             return G.rho_obj if self.n == 0 else G.rho_arr
         lower = self.lower
-        return lower.extend(lower.rho_indices[self.parent], G.rho_arr[self.entries[:, -1]])
+        return _frozen(lower.extend(lower.rho_indices[self.parent], G.rho_arr[self.entries[:, -1]]))
+
+    @cached_property
+    def orbits(self):
+        """The involution orbits of the tuples, as `Orbits` arrays.  Per
+        orbit, in order of representatives: reps, the smaller index of its
+        tuples; partners, the other (the same on a fixed orbit); fixed;
+        anchors, that of the representative.  Per tuple: orbit_of, its
+        orbit; kind, -1 at the representative of a free orbit, 0 at a
+        fixed tuple and 1 at a partner.  ValueError if the involution does
+        not map the level to itself."""
+        rho = self.rho_indices
+        if (rho < 0).any():
+            raise ValueError("the involution does not map the nerve to itself")
+        i = np.arange(len(self))
+        reps = np.flatnonzero(i <= rho)
+        partners = rho[reps]
+        return Orbits(*map(_frozen, (
+            reps, partners, partners == reps, self.anchors[reps],
+            np.searchsorted(reps, np.minimum(i, rho)), np.sign(i - rho))))
+
+    @cached_property
+    def face_terms(self):
+        """(rows, tuples, parity): the terms of the coboundary into this
+        level, one per face i and orbit, in order of i and then of orbit:
+        the orbit, the index of face i of its representative in the level
+        below, and i % 2, the sign of the term."""
+        reps = self.orbits.reps
+        t = np.arange((self.n + 1) * len(reps))
+        return tuple(map(_frozen, (t % len(reps), self.faces[:, reps].ravel(),
+                                   t // len(reps) % 2)))
 
     @cached_property
     def faces(self):
@@ -148,14 +205,14 @@ class NerveLevel:
         parent; on level 1, the source and the target."""
         G, n, p = self.groupoid, self.n, self.parent
         if n == 1:
-            return np.stack([G.src, G.tgt])
+            return _frozen(np.stack([G.src, G.tgt]))
         lower, last = self.lower, self.entries[:, -1]
         out = np.empty((n + 1, len(self)), dtype=np.int64)
         out[:n - 1] = lower.lower.extend(lower.faces[:n - 1, p], last)
         merged = G.comp[self.entries[:, -2], last]
         out[n - 1] = merged if n == 2 else lower.lower.extend(lower.parent[p], merged)
         out[n] = p
-        return out
+        return _frozen(out)
 
     @cached_property
     def degeneracies(self):
@@ -169,33 +226,40 @@ class NerveLevel:
         out = np.empty((n + 1, len(self)), dtype=np.int64)
         out[:n] = self.extend(self.lower.degeneracies[:, self.parent], self.entries[:, -1])
         out[n] = self.extend(np.arange(len(self)), G.unit[self.anchors])
-        return out
+        return _frozen(out)
 
 
-def nerve(groupoid, n, known=None):
-    """Enumerate nerve level n in lexicographic arrow order, joining each
-    tuple of level k with the arrows into the source of its last arrow.
-    A level `known` of the same groupoid is reused with the levels below
-    it: level n is one of them, or is built up from it."""
+def nerve(groupoid, n):
+    """Nerve level n in lexicographic arrow order, built once per groupoid
+    and kept in `groupoid.levels` by degree, with every level below it:
+    from the highest level up to n built so far, each level is joined
+    with the arrows into the source of the last arrow of each tuple.
+    Each level is stored with setdefault and the next one is joined to
+    the stored one, so two threads that race may both build a level, the
+    two equal, and both read the one stored first."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    G = groupoid
-    level = known
-    if level is None:
-        level = NerveLevel(G, 0, np.arange(G.n_objects, dtype=np.int64).reshape(-1, 1))
-    while level.n > n:
-        level = level.lower
-    for k in range(level.n + 1, n + 1):
-        if k == 1:
-            parent = G.tgt
-            entries = np.arange(G.n_arrows, dtype=np.int64).reshape(-1, 1)
-        else:
-            parent, g = arrows_into(G, level.anchors)
-            entries = np.empty((len(g), k), dtype=np.int64)
-            entries[:, :-1] = level.entries[parent]
-            entries[:, -1] = g
-        level = NerveLevel(G, k, entries, level, parent)
+    G, levels, top = groupoid, groupoid.levels, n
+    while top >= 0 and top not in levels:
+        top -= 1
+    level = levels.get(top)
+    for k in range(top + 1, n + 1):
+        level = levels.setdefault(k, _joined_level(G, k, level))
     return level
+
+
+def _joined_level(G, k, lower):
+    """Level k of the nerve of G, joined from level k - 1 (lower)."""
+    if k == 0:
+        return NerveLevel(G, 0, np.arange(G.n_objects, dtype=np.int64).reshape(-1, 1))
+    if k == 1:
+        return NerveLevel(G, 1, np.arange(G.n_arrows, dtype=np.int64).reshape(-1, 1),
+                          lower, G.tgt)
+    parent, g = arrows_into(G, lower.anchors)
+    entries = np.empty((len(g), k), dtype=np.int64)
+    entries[:, :-1] = lower.entries[parent]
+    entries[:, -1] = g
+    return NerveLevel(G, k, entries, lower, parent)
 
 
 def face(groupoid, n, i, tup):
@@ -241,18 +305,17 @@ def _padded(maps):
     return np.concatenate([maps, np.full(maps.shape[:-1] + (1,), -1)], axis=-1)
 
 
-def check_simplicial_identities(groupoid, max_degree, known=None):
+def check_simplicial_identities(groupoid, max_degree):
     """Exhaustively verify the simplicial identities and involution
     equivariance of the face and degeneracy index maps up to the given
-    degree.  A level `known` of the groupoid's nerve is read or extended
-    as in `nerve`, so the caller's levels are not enumerated again.
+    degree, on the groupoid's own nerve levels (`nerve`).
 
     Returns a list of violation descriptions (empty = all good), per
     degree in order of tuple and then of identity."""
     if max_degree < 0:
         return []
     G = groupoid
-    levels = [nerve(G, max_degree + 2, known)]
+    levels = [nerve(G, max_degree + 2)]
     while levels[-1].lower is not None:
         levels.append(levels[-1].lower)
     levels.reverse()

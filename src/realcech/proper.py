@@ -133,11 +133,10 @@ class RepFibre:
 
 
 class RepLevelBasis(OrbitBasis):
-    """Orbit basis of degree-n representation-valued real cochains;
-    `known` is a nerve level to reuse, as in `nerve`."""
+    """Orbit basis of degree-n representation-valued real cochains."""
 
-    def __init__(self, groupoid, fibre, n, known=None):
-        OrbitBasis.__init__(self, nerve(groupoid, n, known), fibre)
+    def __init__(self, groupoid, fibre, n):
+        OrbitBasis.__init__(self, nerve(groupoid, n), fibre)
 
     # bound on this class as well, so that bench/spans.py counts rational
     # corestriction apart from the integral kind

@@ -773,7 +773,7 @@ def search_faces(level):
 def search_degeneracies(level):
     """`NerveLevel.degeneracies` by search, into the level above."""
     G, n = level.groupoid, level.n
-    upper = nerve_mod.nerve(G, n + 1, level)
+    upper = nerve_mod.nerve(G, n + 1)
     return np.array([upper.find(nerve_mod.degeneracy_entries(G, level.entries, n, i))
                      for i in range(n + 1)]).reshape(n + 1, len(level))
 

@@ -1,6 +1,7 @@
 """The array nerve and the orbit-basis assembly against the loop oracles
 of tests/oracles.py: equal shapes, entries and entry types."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -204,10 +205,13 @@ class TestNerve:
         for g in (broken_comp, broken_rho, unit_moved, broken_unit):
             bad = check_simplicial_identities(g, 3)
             assert bad and bad == loop_simplicial_identities(g, 3)
-            # a known level, below, at or above the levels checked, is read
-            # or extended and gives the same report
+            # levels built before, below, at or above the levels checked,
+            # are read or extended and give the same report
             for k in range(7):
-                assert check_simplicial_identities(g, 3, nerve(g, k)) == bad
+                fresh = FiniteRealGroupoid(g.n_objects, g.src, g.tgt, g.unit, g.comp, g.inv,
+                                           g.rho_obj, g.rho_arr)
+                nerve(fresh, k)
+                assert check_simplicial_identities(fresh, 3) == bad
 
 
 class TestIntegralAssembly:
@@ -283,6 +287,30 @@ class TestIntegralAssembly:
             LoopBasis(z2, cx.fibre, 1).from_values(lambda t: (1,))
         assert str(got.value) == str(want.value) == \
             "value at fixed tuple (0,) is not fixed by the involution"
+
+    def test_non_fixed_value_names_the_first_such_tuple(self, presets):
+        # the rules drop condition rows that a coordinate row implies; a
+        # value that is not fixed still fails at the first fixed tuple that
+        # holds one, as in the loop
+        g = standard.cyclic_group(4, "inversion")
+        for sname, S in presets + MIXED:
+            cx = RealComplex(g, S)
+            basis = cx.basis(2)
+            fixed = [basis.level.tuple_at(r) for r in basis.reps[basis.fixed].tolist()]
+            assert len(fixed) == 4
+            bad = next((v for v in itertools.product(range(-2, 3), repeat=S.ngens)
+                        if cx.fibre.to_fixed_coords(v) is None), None)
+            if bad is None:     # tau is the identity: every value is fixed
+                continue
+
+            def value(t):
+                return bad if t in fixed[1:] else S.zero_tuple()
+            with pytest.raises(ValueError) as got:
+                cx.from_values(2, value)
+            with pytest.raises(ValueError) as want:
+                LoopBasis(g, cx.fibre, 2).from_values(value)
+            assert str(got.value) == str(want.value) == \
+                f"value at fixed tuple {fixed[1]} is not fixed by the involution", sname
 
     def test_les_induced_maps_match_the_loop(self, corpus):
         mu2t, mu4t = make_standard("mu(2)_trivial"), make_standard("mu(4)_trivial")

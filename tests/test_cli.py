@@ -313,6 +313,35 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("input error:") and "is not an integer" in err
 
+    @pytest.mark.parametrize("command, data", [
+        ("cech", {"pi": [0, 1.5], "rho_total": [0, 1]}),
+        ("cech", {"pi": [0, 1], "rho_total": [0, 1.5]}),
+        ("cover", {"blocks": [[0.5]]}),
+        ("cover", {"blocks": [[0]], "bar": [0.5]}),
+        ("rep", {"p": 1.5, "q": 0, "action": [[[1]]], "nu": [[[1]]]}),
+        ("rep", {"p": 1, "q": 0.5, "action": [[[1]]], "nu": [[[1]]]}),
+    ])
+    def test_non_integral_number_in_a_map_is_an_input_error(self, tmp_path, capsys, command,
+                                                            data):
+        # the surjection, cover and representation readers truncated these
+        f = write(tmp_path, "f.json", data)
+        if command == "rep":
+            argv = ["vanish", write(tmp_path, "g.json", io.groupoid_to_json(
+                standard.cyclic_group(1))), "--rep", f]
+        else:
+            g = standard.discrete_space(2 if command == "cech" else 1)
+            argv = ["morita-check", write(tmp_path, "g.json", io.groupoid_to_json(g)),
+                    "--coeff", "mu(4)_conj", f"--{command}", f]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "is not an integer" in err
+
+    def test_too_many_generators_is_an_input_error(self, tmp_path, capsys, z2_file):
+        f = write(tmp_path, "f.json", {"free_rank": 100000})
+        assert cli.main(["cohomology", z2_file, "--coeff", f, "--n", "1"]) == 2
+        assert capsys.readouterr().err == "input error: bad coefficient JSON: too many " \
+            "generators (100000 > 256)\n"
+
     @pytest.mark.parametrize("coeff", ["nope", {"preset": "nope"}])
     def test_unknown_preset_is_an_input_error(self, tmp_path, monkeypatch, capsys, z2_file,
                                               coeff):

@@ -1,10 +1,11 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from realcech import exact, standard
-from realcech.coefficients import (RealCoefficientGroup, RealRepresentation,
+from realcech.coefficients import (MAX_GENERATORS, RealCoefficientGroup, RealRepresentation,
                                    canonical_key, half_localized_decomposition,
                                    make_standard)
 
@@ -204,3 +205,17 @@ def test_rational_fixed_plus_imaginary_spans():
         fixed, _ = S.fixed_part()
         imag, _ = S.imaginary_part()
         assert fixed.free_rank == p and imag.free_rank == q
+
+
+@pytest.mark.parametrize("free_rank, torsion", [(100000, []), (MAX_GENERATORS, [2])])
+def test_too_many_generators_refused_before_allocating(free_rank, torsion):
+    # the default tau of 100000 generators would be a 74.5 GiB object matrix
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"too many generators \((\d+) > 256\)"):
+            RealCoefficientGroup(free_rank, torsion)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert RealCoefficientGroup(MAX_GENERATORS, []).ngens == MAX_GENERATORS

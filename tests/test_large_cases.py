@@ -70,3 +70,22 @@ def test_large_rational_cases_smoke():
                   ("pair2_vanish:7",)):
         got = run(*cases)
         assert got.returncode == 2 and not got.stdout and "usage" in got.stderr, cases
+
+
+def test_large_presets_cases_smoke():
+    got = run("pair2_presets:2", "Z4_inv_presets:1")
+    assert got.returncode == 0, got.stderr
+    lines = [json.loads(line) for line in got.stdout.splitlines()]
+    assert [line["case"] for line in lines] == ["pair2_presets:2", "Z4_inv_presets:1"]
+    presets = ["Z2_trivial", "Z_sign", "mu(2)_conj", "mu(4)_conj", "mu(4)_trivial"]
+    for line, g, n in zip(lines, (standard.pair_groupoid(2),
+                                  standard.cyclic_group(4, "inversion")), (2, 1)):
+        assert set(line) == {"case", "coefficients", "groups", "key_s", "peak_rss_mib"}
+        assert line["coefficients"] == presets
+        assert line["groups"] == [str(RealComplex(g, make_standard(c)).cohomology(n))
+                                  for c in presets]
+        assert line["key_s"] >= 0 and line["peak_rss_mib"] > 0
+    for cases in (("pair2_presets",), ("Z4_presets:1",), ("pair2_presets:7",),
+                  ("pair2_presets_key:1",)):
+        got = run(*cases)
+        assert got.returncode == 2 and not got.stdout and "usage" in got.stderr, cases

@@ -3,8 +3,8 @@ own process.
 
     PYTHONPATH=src python3 tools/large_cases.py CASE [CASE ...]
 
-A case is `<groupoid>:<n>`, `<groupoid>_key:<n>` or `<groupoid>_vanish:<n>`,
-the groupoid `pairK` (the pair groupoid on K objects) or `ZK_inv` (Z/K with
+A case is `<groupoid>:<n>`, `<groupoid>_key:<n>`, `<groupoid>_presets:<n>`
+or `<groupoid>_vanish:<n>`, the groupoid `pairK` (the pair groupoid on K objects) or `ZK_inv` (Z/K with
 the inversion involution), with 1 <= K <= 16 and n <= 6, so that no case
 name asks for an absurd allocation.  The integral cases of the ROADMAP
 baseline table are Z8_inv:3, pair5:3, pair4:3 and Z6_inv:4; the key-only
@@ -18,7 +18,11 @@ and HR^n's group key), `presentation_s` (the first presentation, which
 class queries and generators read) and `generators_md5`, a hash of the
 generator columns and their orders, so that a change to the Smith form can
 be checked to keep the generators.  A key-only case gives the group and
-`key_s` alone, with no presentation.  A rational case, with the trivial
+`key_s` alone, with no presentation.  A presets case gives the groups
+of HR^n for the five coefficient presets of the test suite
+(`tests/conftest.py`), one complex each on the one groupoid, and `key_s`
+for all five keys: the cost, in time and memory, of several complexes
+that share the groupoid's nerve levels.  A rational case, with the trivial
 representation Q(1,1), gives `vanish_s` (the vanishing report through
 degree n, whose free ranks it lists), `identity_s` (h d + d h = 1 in
 degree n on a new complex) and whether the identity holds.  A case that
@@ -35,14 +39,15 @@ import sys
 import time
 
 COEFFICIENTS = "mu(4)_conj"
+PRESETS = ("Z2_trivial", "Z_sign", "mu(2)_conj", "mu(4)_conj", "mu(4)_trivial")
 BASELINE = ("Z8_inv:3", "pair5:3", "pair4:3", "Z6_inv:4", "pair7_key:3", "Z6_inv_key:5",
             "pair6_vanish:3", "pair7_vanish:3")
-_CASE = re.compile(r"(pair|Z)(\d+)(_inv)?(_vanish|_key)?:(\d+)$")
+_CASE = re.compile(r"(pair|Z)(\d+)(_inv)?(_vanish|_key|_presets)?:(\d+)$")
 
 
 def parse(case):
     """(groupoid kind, K, n, suffix) of a case name, the suffix "_vanish",
-    "_key" or None; None if the name is malformed."""
+    "_key", "_presets" or None; None if the name is malformed."""
     match = _CASE.match(case)
     if not match or (match.group(1) == "Z") != bool(match.group(3)):
         return None
@@ -56,7 +61,12 @@ def run_case(case):
 
     kind, k, n, suffix = parse(case)
     G = standard.pair_groupoid(k) if kind == "pair" else standard.cyclic_group(k, "inversion")
-    record = _rational(G, n) if suffix == "_vanish" else _integral(G, n, suffix != "_key")
+    if suffix == "_vanish":
+        record = _rational(G, n)
+    elif suffix == "_presets":
+        record = _presets(G, n)
+    else:
+        record = _integral(G, n, suffix != "_key")
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return {"case": case, **record, "peak_rss_mib": round(peak, 1)}
 
@@ -76,6 +86,16 @@ def _integral(G, n, presentation):
     gens = [[[int(x) for x in col], int(order)] for col, order in pres.generators()]
     digest = hashlib.md5(json.dumps(gens).encode()).hexdigest()
     return {**key, "presentation_s": round(t2 - t1, 3), "generators_md5": digest}
+
+
+def _presets(G, n):
+    from realcech.cochains import RealComplex
+    from realcech.coefficients import make_standard
+
+    t0 = time.perf_counter()
+    groups = [str(RealComplex(G, make_standard(name)).cohomology(n)) for name in PRESETS]
+    t1 = time.perf_counter()
+    return {"coefficients": list(PRESETS), "groups": groups, "key_s": round(t1 - t0, 3)}
 
 
 def _rational(G, n):
@@ -100,7 +120,8 @@ def main(argv):
     bad = [case for case in argv if parse(case) is None]
     if not argv or bad:
         print(f"usage: large_cases.py CASE [CASE ...], a case being pairK:n, ZK_inv:n, "
-              f"pairK_key:n, ZK_inv_key:n, pairK_vanish:n or ZK_inv_vanish:n with "
+              f"pairK_key:n, ZK_inv_key:n, pairK_presets:n, ZK_inv_presets:n, "
+              f"pairK_vanish:n or ZK_inv_vanish:n with "
               f"1 <= K <= 16 and n <= 6; the "
               f"baseline cases are {' '.join(BASELINE)}"
               + (f" (malformed: {' '.join(bad)})" if bad else ""), file=sys.stderr)
