@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .cochains import RealComplex
-from .extensions import as_cochain, cocycle_witness, element_index, group_tables
+from .extensions import as_cochain, cocycle_witness
 
 
 class BundleError(ValueError):
@@ -63,9 +63,9 @@ class RealPrincipalBundle:
         A point (x, s) is numbered x * |S| + i for s element i of
         S.elements(); act[g, i] is g applied to (src g, s)."""
         G = self.groupoid
-        ts, add, tau = group_tables(self.S)
+        ts, add, tau = self.S.tables()
         ns, s = len(ts), np.arange(len(ts))
-        c = element_index(self.S, self._values)
+        c = self.S.element_index(self._values)
         points = np.arange(G.n_objects * ns)
         invol = G.rho_obj[points // ns] * ns + tau[points % ns]
         s_act = points - points % ns + add[:, points % ns]

@@ -359,9 +359,6 @@ def main(argv=None):
     except io.FormatError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return 2
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

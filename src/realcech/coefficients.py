@@ -18,11 +18,11 @@ action matrix per arrow, and fiberwise involution maps nu_x: E_x -> E_rho(x).
 import itertools
 import math
 import re
-from fractions import Fraction
 
 import numpy as np
 
 from . import exact
+from .groupoids import _failures
 
 
 # The most generators (free rank plus invariant factors) a coefficient
@@ -122,6 +122,24 @@ class RealCoefficientGroup:
             raise ValueError("group is infinite")
         return itertools.product(*map(range, self.invariant_factors))
 
+    def element_index(self, values):
+        """The position in elements() of every element given along the last
+        axis of an integer array (finite groups)."""
+        d = self.invariant_factors
+        strides = np.array([math.prod(d[j + 1:]) for j in range(len(d))], dtype=np.int64)
+        return (np.asarray(values, dtype=np.int64) % d) @ strides
+
+    def tables(self):
+        """The elements of a finite group as tuples, and as positions among
+        them the sum table add[i, j] and the involution tau[i]."""
+        if not self.is_finite():
+            raise ValueError("group is infinite")
+        d = np.array(self.invariant_factors, dtype=object)
+        # tau reduced mod d first, so that its products stay in int64
+        T, tau = _grid(d), (self.tau % d[:, None]).astype(np.int64)
+        return (list(map(tuple, T.tolist())), self.element_index(T[:, None] + T),
+                self.element_index(T @ tau.T))
+
     def presentation(self):
         return exact.quotient(exact.eye(self.ngens), self.relations())
 
@@ -165,21 +183,15 @@ class RealCoefficientGroup:
 
     def default_kappa(self):
         """A canonical sigma-fixed element of order 2 (the image of -1),
-        or None if the group has none."""
-        if not self.is_finite():
-            # Z summands have no 2-torsion
-            if not self.invariant_factors:
-                return None
-        best = None
+        or None if the group has none.  In a finite group it is the first
+        fixed one in elements() order, found by one mask over the elements
+        of order <= 2, whose coordinates are all 0 or d/2, in Python ints."""
         if self.is_finite():
-            for e in self.elements():
-                if e == self.zero_tuple():
-                    continue
-                if self.add_tuples(e, e) == self.zero_tuple() and \
-                        self.tau_tuple(e) == e:
-                    if best is None or e < best:
-                        best = e
-            return best
+            d = np.array(self.invariant_factors, dtype=object)
+            T = _grid(2 - d % 2) * (d // 2)   # Python ints, as tau's entries
+            fixed = ((T @ self.tau.T - T) % d == 0).all(axis=1)
+            hits = np.flatnonzero((T != 0).any(axis=1) & fixed)
+            return tuple(T[hits[0]].tolist()) if hits.size else None
         for j, d in enumerate(self.invariant_factors):
             if d % 2 == 0:
                 cand = [0] * self.ngens
@@ -201,6 +213,12 @@ class RealCoefficientGroup:
     def __repr__(self):
         tag = self.name or f"rank {self.free_rank}, torsion {self.invariant_factors}"
         return f"RealCoefficientGroup({tag}, mode={self.mode})"
+
+
+def _grid(dims):
+    """Every index tuple of an array of shape dims, as the rows of an
+    int64 array in lexicographic order."""
+    return np.indices(dims, dtype=np.int64).reshape(len(dims), math.prod(dims)).T
 
 
 _MU_RE = re.compile(r"^mu\((\d+)\)_(conj|trivial)$")
@@ -290,6 +308,10 @@ class RealRepresentation:
     E_x -> E_rho(x) with nu_rho(x) nu_x = 1; per arrow g an invertible
     matrix act_g: E_src(g) -> E_tgt(g); the compatibility
     nu_tgt(g) act_g = act_rho(g) nu_src(g) makes the action Real.
+
+    `action` and `nu` are stacked Fraction arrays of shape
+    (n_arrows, dim, dim) and (n_objects, dim, dim); the constructor
+    refuses a matrix that is not dim x dim, naming its arrow or object.
     """
 
     def __init__(self, groupoid, p, q, action, nu):
@@ -297,23 +319,15 @@ class RealRepresentation:
         self.p = int(p)
         self.q = int(q)
         self.dim = self.p + self.q
-        self.action = [exact.as_frac_matrix(a) for a in action]
-        self.nu = [exact.as_frac_matrix(v) for v in nu]
-        if len(self.action) != groupoid.n_arrows:
-            raise ValueError("one action matrix per arrow required")
-        if len(self.nu) != groupoid.n_objects:
-            raise ValueError("one involution matrix per object required")
+        self.action = _stacked(action, groupoid.n_arrows, self.dim, "action", "arrow")
+        self.nu = _stacked(nu, groupoid.n_objects, self.dim, "involution", "object")
 
     @classmethod
     def trivial(cls, groupoid, p, q):
         """Constant fibers Q^(p+q), trivial action, nu = diag(1_p, -1_q)."""
-        dim = p + q
-        ident = exact.as_frac_matrix(exact.eye(dim))
-        nu0 = exact.frac_zeros(dim, dim)
-        for i in range(dim):
-            nu0[i, i] = Fraction(1 if i < p else -1)
-        return cls(groupoid, p, q,
-                   [ident] * groupoid.n_arrows, [nu0] * groupoid.n_objects)
+        dim, nu = p + q, np.diag(np.array([1] * p + [-1] * q, dtype=object))
+        return cls(groupoid, p, q, np.broadcast_to(exact.eye(dim), (groupoid.n_arrows, dim, dim)),
+                   np.broadcast_to(nu, (groupoid.n_objects, dim, dim)))
 
     def act(self, g):
         return self.action[g]
@@ -322,51 +336,41 @@ class RealRepresentation:
         return self.action[self.groupoid.inv[g]]
 
     def validate(self):
-        """Report violated representation axioms with witnesses."""
-        G = self.groupoid
-        bad = []
-        for x in range(G.n_objects):
-            u = G.unit[x]
-            if not _is_identity(self.action[u]):
-                bad.append(f"action of unit({x}) is not the identity")
-        for g in range(G.n_arrows):
-            gi = G.inv[g]
-            if not _is_identity(self.action[g] @ self.action[gi]):
-                bad.append(f"action of {g} is not invertible via inv({g})")
-        for g in range(G.n_arrows):
-            for h in range(G.n_arrows):
-                k = G.comp[g, h]
-                if k < 0:
-                    continue
-                lhs = self.action[g] @ self.action[h]
-                if not _mat_eq(lhs, self.action[k]):
-                    bad.append(f"functoriality fails at ({g},{h})")
-        for x in range(G.n_objects):
-            rx = int(G.rho_obj[x])
-            if not _is_identity(self.nu[rx] @ self.nu[x]):
-                bad.append(f"nu is not 2-periodic at object {x}")
-            if rx == x:
-                # signature of the fiberwise involution must be (p, q)
-                tr = sum(self.nu[x][i, i] for i in range(self.dim))
-                if tr != self.p - self.q:
-                    bad.append(f"fiber type at fixed object {x} is not "
-                               f"({self.p},{self.q})")
-        for g in range(G.n_arrows):
-            rg = int(G.rho_arr[g])
-            lhs = self.nu[int(G.tgt[g])] @ self.action[g]
-            rhs = self.action[rg] @ self.nu[int(G.src[g])]
-            if not _mat_eq(lhs, rhs):
-                bad.append(f"action is not Real at arrow {g}")
-        return bad
+        """Report violated representation axioms with witnesses: one mask
+        per axiom, functoriality filled one arrow's composable pairs at a
+        time so that no more than one row of products is held."""
+        G, A, nu = self.groupoid, self.action, self.nu
+        one = exact.eye(self.dim)
+
+        def differs(X, Y):
+            return (X != Y).any(axis=(-2, -1))
+
+        functor = np.zeros(G.comp.shape, dtype=bool)
+        for g, row in enumerate(G.comp):
+            h = np.flatnonzero(row >= 0)
+            functor[g, h] = differs(A[g] @ A[h], A[row[h]])
+        fixed = G.rho_obj == np.arange(G.n_objects)
+        return (_failures(("action of unit({0}) is not the identity", differs(A[G.unit], one)))
+                + _failures(("action of {0} is not invertible via inv({0})",
+                             differs(A @ A[G.inv], one)))
+                + _failures(("functoriality fails at ({0},{1})", functor))
+                + _failures(("nu is not 2-periodic at object {0}", differs(nu[G.rho_obj] @ nu, one)),
+                            (f"fiber type at fixed object {{0}} is not ({self.p},{self.q})",
+                             fixed & (np.trace(nu, axis1=1, axis2=2) != self.p - self.q)))
+                + _failures(("action is not Real at arrow {0}",
+                             differs(nu[G.tgt] @ A, A[G.rho_arr] @ nu[G.src]))))
 
 
-def _mat_eq(A, B):
-    A, B = np.asarray(A), np.asarray(B)
-    return A.shape == B.shape and (A == B).all()
-
-
-def _is_identity(M):
-    M = np.asarray(M)
-    n = M.shape[0]
-    return all(M[i, j] == (1 if i == j else 0)
-               for i in range(n) for j in range(n))
+def _stacked(mats, count, dim, what, owner):
+    """count dim x dim matrices as one (count, dim, dim) Fraction array;
+    ValueError for another count, or for a matrix of another shape or with
+    ragged rows, naming its owner."""
+    mats = [np.array(M, dtype=object) for M in mats]
+    if len(mats) != count:
+        raise ValueError(f"one {what} matrix per {owner} required")
+    for i, M in enumerate(mats):
+        # a 0 x 0 matrix may be written [] in JSON
+        if M.shape != (dim, dim) and (dim or M.size):
+            raise ValueError(f"{what} matrix of {owner} {i} is not {dim}x{dim}")
+    # each shape is checked before the stack is allocated
+    return exact.as_frac_matrix(np.array(mats, dtype=object).reshape(count, dim, dim))

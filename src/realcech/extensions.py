@@ -29,7 +29,6 @@ as the oracle for the cup formula and the Dixmier-Douady sum law.
 """
 
 from functools import cached_property
-from math import prod
 
 import numpy as np
 
@@ -63,22 +62,6 @@ def as_cochain(base, S, n, value, error, cx=None):
             return value
         value = value.vector
     return (cx or RealComplex(base, S)).cochain(n, value)
-
-
-def element_index(S, values):
-    """The position in S.elements() of every S-value along the last axis
-    of an integer array (S finite)."""
-    d = S.invariant_factors
-    strides = np.array([prod(d[j + 1:]) for j in range(len(d))], dtype=np.int64)
-    return (np.asarray(values, dtype=np.int64) % d) @ strides
-
-
-def group_tables(S):
-    """The elements of a finite S, and as positions among them the sum
-    table add[i, j] and the involution tau[i]."""
-    ts = list(S.elements())
-    T = np.array(ts, dtype=np.int64).reshape(len(ts), S.ngens)
-    return ts, element_index(S, T[:, None] + T), element_index(S, T @ S.tau.T.astype(np.int64))
 
 
 def _bits(delta):
@@ -183,7 +166,7 @@ class AbstractExtension:
         S, (index, pi) = self.S, self._numbering
         defined = G.comp >= 0
         product = np.where(defined, G.comp, 0)
-        ts, _, tau = group_tables(S)
+        ts, _, tau = S.tables()
         # act[i, z]: element i of S acting on element z
         act = np.array([[index[self.s_act[(t, z)]] for z in self.elements]
                         for t in ts], dtype=np.int64).reshape(len(ts), -1)
@@ -212,12 +195,12 @@ class ExtensionGroupoid(AbstractExtension):
         check_arrow_cap(S.order() * m)
         self.omega = omega = as_cochain(base, S, 2, omega, TwistError)
         # (t, g) is elems[i * m + g] for t element i of S
-        ts, add, tau = group_tables(S)
+        ts, add, tau = S.tables()
         elems = [(t, g) for t in ts for g in range(m)]
         # omega read once per composable pair (g, h), in level order, and
         # (t_i, g)(t_j, h) = (t_i + t_j + omega(g, h), g h) for all i, j
         g, h = omega.complex.basis(2).level.entries.T
-        w = element_index(S, omega.values())
+        w = S.element_index(omega.values())
         i, j = np.arange(len(ts))[:, None, None], np.arange(len(ts))[:, None]
         left, right, out = (a.ravel().tolist() for a in np.broadcast_arrays(
             i * m + g, j * m + h, add[add[i, j], w] * m + base.comp[g, h]))

@@ -34,8 +34,13 @@ def check_arrow_cap(count):
 
 def _indices(name, values, shape, bound, low=0):
     """values as an int64 array, checked to have the given shape and every
-    entry in [low, bound)."""
-    a = np.asarray(values, dtype=np.int64)
+    entry to be an integer in [low, bound); 2.0 is one, 2.5 is not."""
+    a = np.asarray(values)
+    if a.dtype.kind == "f":
+        bad = ~np.isfinite(a) | (a != np.floor(a))
+        if bad.any():
+            raise ValueError(f"{name} entry {a[bad][0]} is not an integer")
+    a = a.astype(np.int64)
     if a.shape != shape:
         raise ValueError(f"{name} has shape {a.shape}, not {shape}")
     out = (a < low) | (a >= bound)
@@ -101,10 +106,6 @@ class FiniteRealGroupoid:
             raise ValueError(f"arrows {g}, {h} are not composable")
         return int(k)
 
-    def arrows_into(self, x):
-        """Indices of all arrows with target x (the fiber G^x)."""
-        return np.nonzero(self.tgt == x)[0]
-
     @cached_property
     def fibres(self):
         """(arrows, first, count, rank): the arrows in order of target and
@@ -123,7 +124,7 @@ class FiniteRealGroupoid:
     def is_space(self):
         """True when every arrow is a unit (the groupoid is just a set)."""
         return self.n_arrows == self.n_objects and \
-            all(self.unit[self.src[g]] == g for g in range(self.n_arrows))
+            (self.unit[self.src] == np.arange(self.n_arrows)).all()
 
     def has_trivial_involution(self):
         return (self.rho_obj == np.arange(self.n_objects)).all() and \
@@ -271,10 +272,14 @@ def cech_groupoid(pi, rho_y, rho_x, n_x):
     """Pair groupoid of the fibered product of a surjection pi: Y -> X.
 
     Arrows are pairs (y1, y2) with pi(y1) == pi(y2); the involution acts
-    componentwise.  pi must commute with the involutions and be onto.
-    This is the pullback of the discrete space X along pi."""
+    componentwise.  pi must commute with the involutions and be onto, and
+    rho_y be 2-periodic.  This is the pullback of the discrete space X
+    along pi."""
     if set(int(v) for v in pi) != set(range(n_x)):
         raise ValueError("map is not surjective")
+    rho_y = _indices("rho_y", rho_y, (len(pi),), len(pi))
+    if (rho_y[rho_y] != np.arange(len(pi))).any():
+        raise ValueError("rho_y is not 2-periodic")
     return pullback_groupoid(discrete_space(n_x, rho_x), pi, rho_y)
 
 
@@ -334,19 +339,16 @@ def product_with_group(groupoid, S):
     if S.free_rank:
         raise ValueError("only finite coefficient groups can be materialized")
     G, m = groupoid, groupoid.n_arrows
-    elems = list(S.elements())
-    count = len(elems) * m
+    count = S.order() * m
     check_arrow_cap(count)
-    index = {e: i for i, e in enumerate(elems)}
-    neg = np.array([index[S.neg_tuple(e)] for e in elems])
-    sig = np.array([index[S.tau_tuple(e)] for e in elems])
-    add = np.array([[index[S.add_tuples(e, f)] for f in elems] for e in elems])
+    _, add, sig = S.tables()
+    # element 0 is zero, so the negative of element i is where row i of add is 0
+    neg, k = add.argmin(axis=1), len(add)
     comp = G.comp[None, :, None, :]
     table = np.where(comp >= 0, add[:, None, :, None] * m + comp, -1)
     return FiniteRealGroupoid(
-        G.n_objects, np.tile(G.src, len(elems)), np.tile(G.tgt, len(elems)),
-        index[S.zero_tuple()] * m + G.unit, table.reshape(count, count),
-        (neg[:, None] * m + G.inv).ravel(), G.rho_obj,
+        G.n_objects, np.tile(G.src, k), np.tile(G.tgt, k), G.unit,
+        table.reshape(count, count), (neg[:, None] * m + G.inv).ravel(), G.rho_obj,
         (sig[:, None] * m + G.rho_arr).ravel())
 
 

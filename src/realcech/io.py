@@ -12,7 +12,6 @@ is byte-deterministic.
 
 import json
 import os
-from fractions import Fraction
 
 import numpy as np
 
@@ -27,10 +26,7 @@ class FormatError(ValueError):
 
 def _resolve(ref):
     """A 'ref' is an inline JSON object or a file path."""
-    if isinstance(ref, str):
-        with open(ref) as fh:
-            return json.load(fh)
-    return ref
+    return load_json(ref) if isinstance(ref, str) else ref
 
 
 def _int(value):
@@ -114,7 +110,10 @@ def _comp_table(comp, m, comp_format):
 
 def _derive_units(n_obj, src, tgt, table):
     """At each object, the first endo-arrow that acts as an identity
-    wherever it composes."""
+    wherever it composes; refused before any array of n_obj entries is
+    made when there are fewer arrows than objects."""
+    if n_obj > len(src):
+        raise FormatError("could not locate a unit arrow for every object")
     arrows = np.arange(len(src))
     defined = table >= 0
     identity = ~((defined & (table != arrows)).any(axis=1)
@@ -257,16 +256,14 @@ def bundle_to_json(b):
 # -- representations -----------------------------------------------------
 
 def representation_from_json(groupoid, data):
+    """The representation of a JSON object; its matrix entries are read by
+    Fraction, so integers, floats and strings such as "1/2" are taken."""
     data = _resolve(data)
     try:
-        p, q = _int(data["p"]), _int(data["q"])
-        action = [[[Fraction(v) for v in row] for row in mat]
-                  for mat in data["action"]]
-        nu = [[[Fraction(v) for v in row] for row in mat]
-              for mat in data["nu"]]
+        return RealRepresentation(groupoid, _int(data["p"]), _int(data["q"]),
+                                  data["action"], data["nu"])
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"bad representation JSON: {e}")
-    return RealRepresentation(groupoid, p, q, action, nu)
 
 
 def representation_to_json(rep):
@@ -311,8 +308,14 @@ def sequence_from_json(data):
         left = coefficients_from_json(data["left"])
         mid = coefficients_from_json(data["middle"])
         right = coefficients_from_json(data["right"])
-        return CoefficientSES(left, mid, right, data["i"], data["p"])
-    except (KeyError, TypeError) as e:
+        i, p = _ints(data["i"]), _ints(data["p"])
+    except FormatError:
+        raise
+    except (KeyError, TypeError, ValueError) as e:
+        raise FormatError(f"bad sequence JSON: {e}")
+    try:
+        return CoefficientSES(left, mid, right, i, p)
+    except TypeError as e:
         raise FormatError(f"bad sequence JSON: {e}")
 
 

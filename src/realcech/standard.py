@@ -10,37 +10,27 @@ from .groupoids import (FiniteRealGroupoid, check_arrow_cap, discrete_space,
 def cyclic_group(n, involution="trivial"):
     """Z/n as a one-object groupoid; involution 'trivial' or 'inversion'."""
     check_arrow_cap(n)   # before the n x n table is built
-    table = np.array([[(a + b) % n for b in range(n)] for a in range(n)],
-                     dtype=np.int64)
-    inv = [(-a) % n for a in range(n)]
-    if involution == "trivial":
-        rho = list(range(n))
-    elif involution == "inversion":
-        rho = inv[:]
-    else:
+    a = np.arange(n)
+    inv = -a % n
+    if involution not in ("trivial", "inversion"):
         raise ValueError(f"unknown involution {involution!r}")
-    return FiniteRealGroupoid(1, [0] * n, [0] * n, [0], table, inv,
-                              [0], rho)
+    return FiniteRealGroupoid(1, a * 0, a * 0, [0], (a[:, None] + a) % n, inv, [0],
+                              a if involution == "trivial" else inv)
 
 
 def group_from_table(table, rho_arr=None):
-    """One-object groupoid from a Cayley table; row 0 must be the identity."""
+    """One-object groupoid from a Cayley table: the unit is the first arrow
+    that is a two-sided identity, the inverse of g the last h with gh = 1."""
     table = np.asarray(table, dtype=np.int64)
     n = table.shape[0]
-    e = None
-    for g in range(n):
-        if all(table[g, h] == h and table[h, g] == h for h in range(n)):
-            e = g
-            break
-    if e is None:
+    a = np.arange(n)
+    e = np.flatnonzero((table == a).all(axis=1) & (table == a[:, None]).all(axis=0))
+    if not e.size:
         raise ValueError("table has no identity")
-    inv = [0] * n
-    for g in range(n):
-        for h in range(n):
-            if table[g, h] == e:
-                inv[g] = h
-    return FiniteRealGroupoid(1, [0] * n, [0] * n, [e], table, inv,
-                              [0], rho_arr if rho_arr is not None else range(n))
+    ones = table == e[0]
+    inv = np.where(ones.any(axis=1), n - 1 - ones[:, ::-1].argmax(axis=1), 0)
+    return FiniteRealGroupoid(1, a * 0, a * 0, e[:1], table, inv,
+                              [0], a if rho_arr is None else rho_arr)
 
 
 def pair_groupoid(n_objects, rho_obj=None):
@@ -54,27 +44,22 @@ def disjoint_union(g1, g2, swap=False):
     """Disjoint union; with swap=True the involution exchanges the two
     (necessarily isomorphic-with-matching-indices) summands."""
     n1, m1 = g1.n_objects, g1.n_arrows
-    n2, m2 = g2.n_objects, g2.n_arrows
-    check_arrow_cap(m1 + m2)
-    src = list(g1.src) + [s + n1 for s in g2.src]
-    tgt = list(g1.tgt) + [t + n1 for t in g2.tgt]
-    unit = list(g1.unit) + [u + m1 for u in g2.unit]
-    inv = list(g1.inv) + [v + m1 for v in g2.inv]
-    table = np.full((m1 + m2, m1 + m2), -1, dtype=np.int64)
+    n, m = n1 + g2.n_objects, m1 + g2.n_arrows
+    check_arrow_cap(m)
+    table = np.full((m, m), -1, dtype=np.int64)
     table[:m1, :m1] = g1.comp
-    block2 = np.asarray(g2.comp).copy()
-    block2[block2 >= 0] += m1
-    table[m1:, m1:] = block2
+    table[m1:, m1:] = np.where(g2.comp >= 0, g2.comp + m1, -1)
     if swap:
-        if (n1, m1) != (n2, m2):
+        if (n1, m1) != (g2.n_objects, g2.n_arrows):
             raise ValueError("swap requires summands of matching shape")
-        rho_obj = [x + n1 for x in range(n1)] + list(range(n1))
-        rho_arr = [g + m1 for g in range(m1)] + list(range(m1))
+        rho_obj, rho_arr = np.roll(np.arange(n), n1), np.roll(np.arange(m), m1)
     else:
-        rho_obj = list(g1.rho_obj) + [x + n1 for x in g2.rho_obj]
-        rho_arr = list(g1.rho_arr) + [g + m1 for g in g2.rho_arr]
-    return FiniteRealGroupoid(n1 + n2, src, tgt, unit, table, inv,
-                              rho_obj, rho_arr)
+        rho_obj = np.concatenate([g1.rho_obj, g2.rho_obj + n1])
+        rho_arr = np.concatenate([g1.rho_arr, g2.rho_arr + m1])
+    return FiniteRealGroupoid(
+        n, np.concatenate([g1.src, g2.src + n1]), np.concatenate([g1.tgt, g2.tgt + n1]),
+        np.concatenate([g1.unit, g2.unit + m1]), table,
+        np.concatenate([g1.inv, g2.inv + m1]), rho_obj, rho_arr)
 
 
 def flip_action_groupoid():

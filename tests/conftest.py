@@ -1,7 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from realcech import standard
 from realcech.coefficients import make_standard
+
+
+# one profile for every property test: the same examples on every run,
+# no time limit per example, nothing kept between runs
+settings.register_profile("realcech", derandomize=True, deadline=None, database=None)
+settings.load_profile("realcech")
 
 
 def corpus_groupoids():

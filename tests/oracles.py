@@ -12,10 +12,13 @@ that the array ones in `extensions` and `bundles` must match, the
 nerve's face, degeneracy and involution maps by search and the Fraction
 route to the scaled d and h that `nerve` and `proper` replaced, and the
 presentation, canonical key and dense contraction identity that `exact`,
-`coefficients` and `proper` replaced."""
+`coefficients` and `proper` replaced, and the loop representation
+checks, element tables, ready-made groupoids and cutoffs that the array
+ones in `coefficients`, `standard` and `proper` replaced."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -677,7 +680,7 @@ def loop_contraction_matrix(cx, n):
 
     def blocks(tup, x):
         terms = []
-        for gamma in G.arrows_into(x):
+        for gamma in np.flatnonzero(G.tgt == x):
             gamma = int(gamma)
             longer = tuple(tup) + (gamma,) if n >= 1 else (gamma,)
             weight = cx.cutoff[int(G.src[gamma])]
@@ -1422,3 +1425,144 @@ def dense_homotopy_identity(complex_, n):
     Hn, Dn, Dp, Hp = map(exact.to_dense, (Hn, Dn, Dp, Hp))
     lhs = scale // (hn * dn) * (Hn @ Dn) + scale // (dp * hp) * (Dp @ Hp)
     return lhs, scale * exact.eye(complex_.basis(n).total)
+
+
+# -- loop representations, element tables, ready-made groupoids, cutoffs --
+#
+# The loop code that the stacked representation maps, the element tables
+# of `RealCoefficientGroup`, the array constructors of `standard` and the
+# cutoff read off `FiniteRealGroupoid.fibres` replaced: each array result
+# must equal the loop one, messages in the same order.
+
+def _mat_eq(A, B):
+    A, B = np.asarray(A), np.asarray(B)
+    return A.shape == B.shape and (A == B).all()
+
+
+def _is_identity(M):
+    M = np.asarray(M)
+    n = M.shape[0]
+    return all(M[i, j] == (1 if i == j else 0)
+               for i in range(n) for j in range(n))
+
+
+def loop_rep_validate(rep):
+    """`RealRepresentation.validate`, one object, arrow and pair at a time."""
+    G, action, nu = rep.groupoid, list(rep.action), list(rep.nu)
+    bad = []
+    for x in range(G.n_objects):
+        if not _is_identity(action[G.unit[x]]):
+            bad.append(f"action of unit({x}) is not the identity")
+    for g in range(G.n_arrows):
+        if not _is_identity(action[g] @ action[G.inv[g]]):
+            bad.append(f"action of {g} is not invertible via inv({g})")
+    for g in range(G.n_arrows):
+        for h in range(G.n_arrows):
+            k = G.comp[g, h]
+            if k >= 0 and not _mat_eq(action[g] @ action[h], action[k]):
+                bad.append(f"functoriality fails at ({g},{h})")
+    for x in range(G.n_objects):
+        rx = int(G.rho_obj[x])
+        if not _is_identity(nu[rx] @ nu[x]):
+            bad.append(f"nu is not 2-periodic at object {x}")
+        if rx == x and sum(nu[x][i, i] for i in range(rep.dim)) != rep.p - rep.q:
+            bad.append(f"fiber type at fixed object {x} is not ({rep.p},{rep.q})")
+    for g in range(G.n_arrows):
+        lhs = nu[int(G.tgt[g])] @ action[g]
+        rhs = action[int(G.rho_arr[g])] @ nu[int(G.src[g])]
+        if not _mat_eq(lhs, rhs):
+            bad.append(f"action is not Real at arrow {g}")
+    return bad
+
+
+def enum_tables(S):
+    """`RealCoefficientGroup.tables` through the tuple arithmetic of S."""
+    ts = list(S.elements())
+    index = {e: i for i, e in enumerate(ts)}
+    add = np.array([[index[S.add_tuples(e, f)] for f in ts] for e in ts],
+                   dtype=np.int64).reshape(len(ts), len(ts))
+    return ts, add, np.array([index[S.tau_tuple(e)] for e in ts], dtype=np.int64)
+
+
+def enum_default_kappa(S):
+    """The finite branch of `RealCoefficientGroup.default_kappa`: the least
+    nonzero tau-fixed element of order 2, searched element by element."""
+    best = None
+    for e in S.elements():
+        if e != S.zero_tuple() and S.add_tuples(e, e) == S.zero_tuple() \
+                and S.tau_tuple(e) == e and (best is None or e < best):
+            best = e
+    return best
+
+
+def loop_cyclic_group(n, involution="trivial"):
+    """`standard.cyclic_group` from nested lists."""
+    table = np.array([[(a + b) % n for b in range(n)] for a in range(n)],
+                     dtype=np.int64).reshape(n, n)
+    inv = [(-a) % n for a in range(n)]
+    rho = list(range(n)) if involution == "trivial" else inv[:]
+    return FiniteRealGroupoid(1, [0] * n, [0] * n, [0], table, inv, [0], rho)
+
+
+def loop_group_from_table(table, rho_arr=None):
+    """`standard.group_from_table` by searching the table entry by entry."""
+    table = np.asarray(table, dtype=np.int64)
+    n = table.shape[0]
+    e = None
+    for g in range(n):
+        if all(table[g, h] == h and table[h, g] == h for h in range(n)):
+            e = g
+            break
+    if e is None:
+        raise ValueError("table has no identity")
+    inv = [0] * n
+    for g in range(n):
+        for h in range(n):
+            if table[g, h] == e:
+                inv[g] = h
+    return FiniteRealGroupoid(1, [0] * n, [0] * n, [e], table, inv,
+                              [0], rho_arr if rho_arr is not None else range(n))
+
+
+def loop_disjoint_union(g1, g2, swap=False):
+    """`standard.disjoint_union` from concatenated lists."""
+    n1, m1 = g1.n_objects, g1.n_arrows
+    n2, m2 = g2.n_objects, g2.n_arrows
+    src = list(g1.src) + [s + n1 for s in g2.src]
+    tgt = list(g1.tgt) + [t + n1 for t in g2.tgt]
+    unit = list(g1.unit) + [u + m1 for u in g2.unit]
+    inv = list(g1.inv) + [v + m1 for v in g2.inv]
+    table = np.full((m1 + m2, m1 + m2), -1, dtype=np.int64)
+    table[:m1, :m1] = g1.comp
+    block2 = np.asarray(g2.comp).copy()
+    block2[block2 >= 0] += m1
+    table[m1:, m1:] = block2
+    if swap:
+        if (n1, m1) != (n2, m2):
+            raise ValueError("swap requires summands of matching shape")
+        rho_obj = [x + n1 for x in range(n1)] + list(range(n1))
+        rho_arr = [g + m1 for g in range(m1)] + list(range(m1))
+    else:
+        rho_obj = list(g1.rho_obj) + [x + n1 for x in g2.rho_obj]
+        rho_arr = list(g1.rho_arr) + [g + m1 for g in g2.rho_arr]
+    return FiniteRealGroupoid(n1 + n2, src, tgt, unit, table, inv,
+                              rho_obj, rho_arr)
+
+
+def loop_canonical_cutoff(G):
+    """`proper.canonical_cutoff`, scanning the arrows into each object."""
+    return [Fraction(1, int((G.tgt == x).sum())) for x in range(G.n_objects)]
+
+
+def loop_verify_cutoff(G, cutoff):
+    """`proper.verify_cutoff`, one object at a time."""
+    bad = []
+    for x in range(G.n_objects):
+        if cutoff[x] <= 0:
+            bad.append(f"c({x}) is not positive")
+        if cutoff[int(G.rho_obj[x])] != cutoff[x]:
+            bad.append(f"c not involution-symmetric at {x}")
+        total = sum(cutoff[int(G.src[g])] for g in np.flatnonzero(G.tgt == x))
+        if total != 1:
+            bad.append(f"unit mass fails at {x}: {total}")
+    return bad

@@ -336,6 +336,51 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("input error:") and "is not an integer" in err
 
+    @pytest.mark.parametrize("case", ["directory", "no suffix", "twist base"])
+    def test_unreadable_file_is_an_input_error(self, tmp_path, monkeypatch, capsys, z2_file,
+                                               case):
+        # every path is opened by io.load_json
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "badcoef").write_text("{x")
+        if case == "twist base":
+            (tmp_path / "bad.json").write_text("{x")
+            twist = write(tmp_path, "twist.json", {"base": "bad.json", "S": "mu(2)_conj",
+                                                   "omega": {"degree": 2, "values": []}})
+            argv, name = ["ext", "dd", twist], "bad.json"
+        else:
+            name = str(tmp_path) if case == "directory" else "badcoef"
+            argv = ["cohomology", z2_file, "--coeff", name, "--n", "1"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"input error: cannot parse {name}: ")
+
+    @pytest.mark.parametrize("i, message", [
+        ([[2.5]], "2.5 is not an integer"),
+        ("x", "bad sequence JSON: invalid literal for int() with base 10: 'x'"),
+    ])
+    def test_sequence_map_that_is_no_integer_matrix_is_an_input_error(self, tmp_path, capsys,
+                                                                      z2_file, i, message):
+        seq = write(tmp_path, "seq.json", {"left": "mu(2)_trivial", "middle": "mu(4)_trivial",
+                                           "right": "mu(2)_trivial", "i": i, "p": [[1]]})
+        assert cli.main(["les", z2_file, "--sequence", seq]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize("action, nu, message", [
+        # 1 x 1 matrices for p = q = 1 ended in an IndexError traceback
+        ([[[1]], [[1]]], [[[1]]], "action matrix of arrow 0 is not 2x2"),
+        ([[[1, 0], [0]], [[1, 0], [0, 1]]], [[[1, 0], [0, -1]]],
+         "action matrix of arrow 0 is not 2x2"),
+        ([[[1, 0], [0, 1]]] * 2, [[[1, 0, 0], [0, -1, 0]]],
+         "involution matrix of object 0 is not 2x2"),
+        ([[[1, 0], [0, 1]]], [[[1, 0], [0, -1]]], "one action matrix per arrow required"),
+    ])
+    def test_representation_of_another_shape_is_an_input_error(self, tmp_path, capsys,
+                                                               action, nu, message):
+        gp = write(tmp_path, "z2i.json",
+                   io.groupoid_to_json(standard.cyclic_group(2, "inversion")))
+        rep = write(tmp_path, "rep.json", {"p": 1, "q": 1, "action": action, "nu": nu})
+        assert cli.main(["vanish", gp, "--rep", rep]) == 2
+        assert capsys.readouterr().err == f"input error: bad representation JSON: {message}\n"
+
     def test_too_many_generators_is_an_input_error(self, tmp_path, capsys, z2_file):
         f = write(tmp_path, "f.json", {"free_rank": 100000})
         assert cli.main(["cohomology", z2_file, "--coeff", f, "--n", "1"]) == 2

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from realcech.coefficients import (MAX_GENERATORS, RealCoefficientGroup, RealRep
                                    canonical_key, half_localized_decomposition,
                                    make_standard)
 
-from oracles import trial_division_canon
+from oracles import enum_default_kappa, enum_tables, loop_rep_validate, trial_division_canon
 
 
 class TestStandardInstances:
@@ -191,10 +192,93 @@ class TestRepresentations:
         assert any("fiber type" in r for r in rep.validate())
 
 
+    @pytest.mark.parametrize("action, nu, message", [
+        ([[[1]], [[1]]], [[[1, 0], [0, -1]]], "action matrix of arrow 0 is not 2x2"),
+        ([[[1, 0], [0, 1]], [[1, 0], [0]]], [[[1, 0], [0, -1]]],
+         "action matrix of arrow 1 is not 2x2"),
+        ([[[1, 0], [0, 1]]] * 2, [[[1, 0, 0], [0, -1, 0]]],
+         "involution matrix of object 0 is not 2x2"),
+        ([[[1, 0], [0, 1]]], [[[1, 0], [0, -1]]], "one action matrix per arrow required"),
+        ([[[1, 0], [0, 1]]] * 2, [], "one involution matrix per object required"),
+    ])
+    def test_matrices_of_another_shape_refused(self, action, nu, message):
+        # the checks would read past a 1 x 1 matrix, or multiply a ragged one
+        z2i = standard.cyclic_group(2, "inversion")
+        with pytest.raises(ValueError) as e:
+            RealRepresentation(z2i, 1, 1, action, nu)
+        assert str(e.value) == message
+
+    def test_validate_matches_the_loop_on_mutants(self, corpus):
+        rng = random.Random(25)
+        kinds, nonempty, used = set(), 0, set()
+        for _ in range(400):
+            name, G = rng.choice(corpus)
+            used.add(name)
+            p, q = rng.choice(((1, 0), (1, 1), (0, 2), (2, 1)))
+            rep = RealRepresentation.trivial(G, p, q)
+            action, nu = rep.action.copy(), rep.nu.copy()
+            for _ in range(rng.choice((0, 1, 1, 2))):
+                M = rng.choice((action, nu))
+                M[tuple(rng.randrange(k) for k in M.shape)] = rng.choice((-1, 0, 1, 2))
+            rep = RealRepresentation(G, p, q, action, nu)
+            report = loop_rep_validate(rep)
+            assert rep.validate() == report
+            nonempty += bool(report)
+            kinds.update(re.sub(r"\d+(?!-)", "#", line) for line in report)
+        assert len(used) >= 6 and nonempty >= 200
+        assert kinds == {
+            "action of unit(#) is not the identity",
+            "action of # is not invertible via inv(#)",
+            "functoriality fails at (#,#)",
+            "nu is not 2-periodic at object #",
+            "fiber type at fixed object # is not (#,#)",
+            "action is not Real at arrow #",
+        }
+
+
+def custom_finite_groups():
+    """Finite groups whose involution is not a sign: swaps of equal
+    summands, and e1 -> e1 + 3 e2 on Z/2 + Z/6; and s -> -s on Z/4 written
+    as 2^50 - 1, whose products leave int64 unless tau is reduced first."""
+    return [RealCoefficientGroup(0, [4], [[2 ** 50 - 1]]),
+            RealCoefficientGroup(0, [2, 2], [[0, 1], [1, 0]]),
+            RealCoefficientGroup(0, [3, 3], [[0, 1], [1, 0]]),
+            RealCoefficientGroup(0, [2, 6], [[1, 0], [3, 1]]),
+            RealCoefficientGroup(0, [2, 2, 4], [[0, 1, 0], [1, 0, 0], [0, 0, -1]])]
+
+
+def test_tables_and_kappa_match_enumeration():
+    presets = [make_standard(name) for name in
+               ["Z2_trivial"] + [f"mu({m})_{kind}" for m in range(1, 9)
+                                 for kind in ("conj", "trivial")]]
+    for S in presets + custom_finite_groups():
+        ts, add, tau = S.tables()
+        want_ts, want_add, want_tau = enum_tables(S)
+        assert ts == want_ts and (add == want_add).all() and (tau == want_tau).all(), S
+        assert (S.element_index(np.array(ts).reshape(len(ts), S.ngens)) ==
+                np.arange(len(ts))).all()
+        assert S.default_kappa() == enum_default_kappa(S), S
+    # only a sum of generators is fixed under the swap
+    assert custom_finite_groups()[1].default_kappa() == (1, 1)
+
+
 def test_default_kappa(presets):
     assert make_standard("mu(4)_conj").default_kappa() == (2,)
     assert make_standard("mu(2)_conj").default_kappa() == (1,)
     assert make_standard("Z_sign").default_kappa() is None
+    assert make_standard("Z2_trivial").default_kappa() == (1,)
+
+
+def test_default_kappa_builds_no_sum_table():
+    # the sum table of mu(4096) alone would take 128 MiB
+    S = make_standard("mu(4096)_conj")
+    tracemalloc.start()
+    try:
+        kappa = S.default_kappa()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kappa == (2048,) and peak < 2 * 2 ** 20
 
 
 def test_rational_fixed_plus_imaginary_spans():

@@ -6,13 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import (loop_cover_groupoid, loop_pair_groupoid,
+from oracles import (loop_cover_groupoid, loop_cyclic_group, loop_disjoint_union,
+                     loop_group_from_table, loop_pair_groupoid,
                      loop_product_with_group, loop_pullback_groupoid,
                      loop_validate)
 from realcech import standard
 from realcech.coefficients import make_standard
 from realcech.groupoids import (FiniteRealGroupoid, RealCover, cech_groupoid,
-                                cover_groupoid, find_isomorphism,
+                                cover_groupoid, discrete_space, find_isomorphism,
                                 product_with_group, pullback_groupoid)
 
 
@@ -327,6 +328,29 @@ class TestAgainstLoopOracles:
                     _assert_same(product_with_group(G, S),
                                  loop_product_with_group(G, S))
 
+    def test_cyclic_groups(self):
+        for n in range(1, 9):
+            for involution in ("trivial", "inversion"):
+                _assert_same(standard.cyclic_group(n, involution),
+                             loop_cyclic_group(n, involution))
+
+    def test_disjoint_unions(self, corpus):
+        for (_, g1), (_, g2) in itertools.product(corpus, repeat=2):
+            for swap in (False, True):
+                _assert_same(_outcome(standard.disjoint_union, g1, g2, swap),
+                             _outcome(loop_disjoint_union, g1, g2, swap))
+
+    def test_groups_from_tables(self):
+        s3 = list(itertools.permutations(range(3)))
+        cayley = [[s3.index(tuple(a[b[i]] for i in range(3))) for b in s3] for a in s3]
+        z4 = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+        # an identity at 2, and a table with none
+        moved = [[(a + b + 2) % 4 for b in range(4)] for a in range(4)]
+        for table, rho in ((cayley, None), (cayley, [0, 1, 2, 4, 3, 5]), (z4, None),
+                           (z4, [0, 3, 2, 1]), (moved, None), ([[1, 0], [0, 0]], None)):
+            _assert_same(_outcome(standard.group_from_table, table, rho),
+                         _outcome(loop_group_from_table, table, rho))
+
     def test_validate_on_mutants(self, corpus):
         rng = random.Random(8)
         bases = [G for _, G in corpus]
@@ -362,3 +386,15 @@ class TestAgainstLoopOracles:
             "rho does not commute with unit at object #",
             "rho not multiplicative at (#,#)",
         }
+
+
+def test_non_integral_floats_are_refused():
+    # an index array read as int64 would truncate these
+    with pytest.raises(ValueError, match="bar entry 0.5 is not an integer"):
+        RealCover(discrete_space(1), [[0]], bar=[0.5])
+    with pytest.raises(ValueError, match="phi entry 0.7 is not an integer"):
+        pullback_groupoid(discrete_space(1), [0.7, 0], [1, 0.2])
+    with pytest.raises(ValueError, match="rho_obj entry nan is not an integer"):
+        discrete_space(2, [1.0, float("nan")])
+    assert RealCover(discrete_space(1), [[0]], bar=[0.0]).bar == [0]
+    assert pullback_groupoid(discrete_space(1), [0.0, 0], [1, 0.0]).n_objects == 2

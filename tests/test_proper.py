@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import dense_homotopy_identity
+from oracles import dense_homotopy_identity, loop_canonical_cutoff, loop_verify_cutoff
 from realcech import exact, standard
 from realcech.coefficients import RealRepresentation, make_standard
 from realcech.cochains import cohomology
@@ -72,6 +72,17 @@ class TestCutoff:
     def test_bad_cutoff_reported(self):
         g = standard.cyclic_group(2)
         assert verify_cutoff(g, [Fraction(1, 3)]) != []
+
+    def test_matches_the_loop(self, corpus):
+        rng = random.Random(25)
+        for name, g in corpus:
+            c = canonical_cutoff(g)
+            assert c == loop_canonical_cutoff(g), name
+            for _ in range(20):
+                bad = list(c)
+                for x in rng.sample(range(g.n_objects), rng.randint(1, g.n_objects)):
+                    bad[x] = rng.choice((Fraction(-1, 2), Fraction(0), Fraction(1, 3), 1))
+                assert verify_cutoff(g, bad) == loop_verify_cutoff(g, bad), name
 
 
 class TestRepresentationComplex:
