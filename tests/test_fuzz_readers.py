@@ -99,7 +99,10 @@ def mutate(value, path, change, leaf):
     return out
 
 
-def run(argv):
+def run(argv, path, gp):
+    """cli.main on argv with FILE and GROUPOID replaced by those paths,
+    its output dropped."""
+    argv = [{"FILE": str(path), "GROUPOID": str(gp)}.get(a, a) for a in argv]
     with contextlib.redirect_stdout(text_io.StringIO()), \
             contextlib.redirect_stderr(text_io.StringIO()):
         return cli.main(argv)
@@ -127,8 +130,7 @@ def test_mutants_exit_with_a_code(workdir, kind, data):
         path = workdir / "folder"
     gp = workdir / "groupoid.json"
     gp.write_text(io.dumps(io.groupoid_to_json(groupoid)))
-    code = run([{"FILE": str(path), "GROUPOID": str(gp)}.get(a, a) for a in argv])
-    assert code in (0, 1, 2)
+    assert run(argv, path, gp) in (0, 1, 2)
 
 
 @pytest.mark.parametrize("kind", sorted(INPUTS))
@@ -137,4 +139,4 @@ def test_valid_inputs_pass(workdir, kind):
     path, gp = workdir / f"{kind}.json", workdir / f"{kind}-groupoid.json"
     path.write_text(io.dumps(valid))
     gp.write_text(io.dumps(io.groupoid_to_json(groupoid)))
-    assert run([{"FILE": str(path), "GROUPOID": str(gp)}.get(a, a) for a in argv]) == 0
+    assert run(argv, path, gp) == 0
