@@ -54,7 +54,7 @@ def _coeff(args):
 
 
 def cmd_validate(args):
-    g = _groupoid(args)
+    g = io._groupoid_from_json(io.load_json(args.groupoid))
     report = g.validate()
     if report:
         for line in report:

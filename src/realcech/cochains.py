@@ -69,9 +69,9 @@ class SBlocks:
     last_keys = None
 
     def __init__(self, S):
-        self.S = S
         self.k = S.ngens
         self.identity = exact.eye(self.k)
+        self.tau = S.tau
         self.moduli_S = [0] * S.free_rank + list(S.invariant_factors)
         fixed, E = S.fixed_part()
         self.embed = E  # k x (generators of the fixed subgroup)
@@ -97,7 +97,7 @@ class SBlocks:
         return None if sol is None else tuple(int(v) for v in sol)
 
     def element(self, value):
-        return self.S.reduce_tuple(value)
+        return tuple(int(v) % d if d else int(v) for v, d in zip(value, self.moduli_S, strict=True))
 
     def keys(self, x):
         one = np.ones_like(x)
@@ -107,7 +107,7 @@ class SBlocks:
         return self.embed
 
     def partner(self, x):
-        return self.S.tau
+        return self.tau
 
     def corestriction(self, x):
         return self.rules[1]
@@ -141,7 +141,6 @@ class OrbitBasis:
     value_matrix(key) taking the stored coordinates to the value there."""
 
     def __init__(self, level, fibre):
-        self.groupoid = level.groupoid
         self.fibre = fibre
         self.n = level.n
         self.level = level
@@ -348,14 +347,14 @@ class LevelBasis(OrbitBasis):
     def values(self, vector):
         """Evaluate a stored coordinate vector at every tuple of the level:
         a (count, k) object array of reduced S-values in level order."""
-        S, vector = self.fibre.S, np.asarray(vector, dtype=object)
+        vector, torsion = np.asarray(vector, dtype=object), self.fibre.moduli_S.count(0)
         out = exact.zeros(len(self.level), self.fibre.k)
         for key in np.unique(self.value_key).tolist():
             at = np.flatnonzero(self.value_key == key)
             M = self.value_matrix(key)
             cols = self.offsets[self.orbit_of[at]][:, None] + np.arange(M.shape[1])
             out[at] = vector[cols] @ M.T
-        out[:, S.free_rank:] %= np.array(S.invariant_factors, dtype=object)
+        out[:, torsion:] %= np.array(self.fibre.moduli_S[torsion:], dtype=object)
         return out
 
 
@@ -365,8 +364,10 @@ class RealCochain:
     def __init__(self, complex_, degree, vector):
         self.complex = complex_
         self.degree = degree
-        basis = complex_.basis(degree)
-        self.vector = basis.reduce(np.array(list(vector), dtype=object))
+        basis, vector = complex_.basis(degree), np.array(list(vector), dtype=object)
+        if len(vector) != basis.total:
+            raise ValueError(f"a degree-{degree} cochain has {basis.total} coordinates, not {len(vector)}")
+        self.vector = basis.reduce(vector)
 
     def value_at(self, tup):
         return self.complex.basis(self.degree).value_at(self.vector, tup)
@@ -394,48 +395,59 @@ class RealCochain:
         return {"degree": self.degree, "values": values}
 
 
-class Complex:
-    """What the cochain complexes over a fibre share: the orbit basis of
-    each level, on the groupoid's own nerve levels; the differentials and
-    their ranks, built once; and the cohomology groups.
-    A subclass names its `Basis` and `Group` classes and supplies
-    `differential_matrix` and `_rank`."""
+def stored(store, key, build):
+    """store[key], build() stored there on first use; threads that race may
+    each build it, and all read the one stored first."""
+    value = store.get(key)
+    if value is None:
+        value = store.setdefault(key, build())
+    return value
 
-    def __init__(self, groupoid, fibre):
-        self.groupoid = groupoid
+
+class Shared(dict):
+    """What every complex on one groupoid and one coefficient object reads:
+    the fibre; by key, the orbit basis ("basis", n), d^n ("d", n), h^n under
+    a cutoff ("h", n, its values) and the solver of is_coboundary
+    ("solver", n); and the cohomology groups, held weakly (a group holds
+    its complex).  It refers to neither object, so reference counting
+    frees it.  A representation keeps it by groupoid while it lives; a
+    groupoid finds it by coefficient group while a complex on the two lives."""
+
+    def __init__(self, fibre):
         self.fibre = fibre
-        self._bases = {}
-        self._diffs = {}  # d^n, filled by coboundary only
+        self.groups = weakref.WeakValueDictionary()
+
+
+class Complex:
+    """A cochain complex over a fibre: a view on the `Shared` state under
+    key in registry, made with the fibre fibre() if there is none, and the
+    ranks of its differentials, its own.  A subclass names its `Basis` and
+    `Group` classes and supplies `differential_matrix` and `_rank`."""
+
+    def __init__(self, groupoid, registry, key, fibre):
+        self.groupoid = groupoid
+        self.shared = stored(registry, key, lambda: Shared(fibre()))
+        self.fibre = self.shared.fibre
         self._ranks = {}
-        # held weakly: a group holds its complex, and a cycle would keep
-        # every matrix of the complex alive until the cyclic collector ran
-        self._groups = weakref.WeakValueDictionary()
 
     def basis(self, n):
-        if n not in self._bases:
-            self._bases[n] = self.Basis(self.groupoid, self.fibre, n)
-        return self._bases[n]
+        return stored(self.shared, ("basis", n), lambda: self.Basis(self.groupoid, self.fibre, n))
 
     def coboundary(self, n):
         """d: C^n -> C^(n+1) as Scaled(num, scale), the matrix num / scale
         with num an `exact.Sparse` integer matrix, built once per degree."""
-        if n not in self._diffs:
-            self._diffs[n] = coboundary_matrix(self.basis(n), self.basis(n + 1))
-        return self._diffs[n]
+        return stored(self.shared, ("d", n), lambda: coboundary_matrix(self.basis(n), self.basis(n + 1)))
 
     def rank(self, n):
         """The rank over Q of d^n (of its free part on an integral fibre),
-        computed once per degree."""
+        computed once per degree by this complex."""
         if n not in self._ranks:
             self._ranks[n] = self._rank(n)
         return self._ranks[n]
 
     def cohomology(self, n):
         """HR^n, built once per degree while anything holds it."""
-        group = self._groups.get(n)
-        if group is None:
-            group = self._groups[n] = self.Group(self, n)
-        return group
+        return stored(self.shared.groups, n, lambda: self.Group(self, n))
 
 
 class CohomologyGroup(exact.GroupKey):
@@ -491,9 +503,8 @@ class RealComplex(Complex):
     def __init__(self, groupoid, S):
         if S.mode != "integral":
             raise ValueError("RealComplex requires integral coefficients")
-        Complex.__init__(self, groupoid, SBlocks(S))
+        Complex.__init__(self, groupoid, groupoid.complexes, S, lambda: SBlocks(S))
         self.S = S
-        self._solvers = {}
 
     def cochain(self, n, vector):
         return RealCochain(self, n, vector)
@@ -529,10 +540,8 @@ class RealComplex(Complex):
         if n == 0:
             zero = self.basis(0).in_relation_lattice(cochain.vector)
             return self.zero_cochain(0) if zero else None
-        if n not in self._solvers:
-            self._solvers[n] = exact.IntSolver(self.differential_matrix(n - 1),
-                                               self.basis(n).relation_matrix())
-        sol = self._solvers[n].solve(cochain.vector)
+        sol = stored(self.shared, ("solver", n), lambda: exact.IntSolver(
+            self.differential_matrix(n - 1), self.basis(n).relation_matrix())).solve(cochain.vector)
         return None if sol is None else RealCochain(self, n - 1, sol)
 
     def _rank(self, n):

@@ -10,6 +10,7 @@ from it alone, its `fibres` and its nerve levels, for its lifetime.
 """
 
 import os
+import weakref
 from functools import cached_property
 
 import numpy as np
@@ -75,7 +76,8 @@ class FiniteRealGroupoid:
     rho_arr.  The constructor checks the size cap, then the shape and
     index range of every array; validate() reports violated axioms.
     `levels` holds the levels of its nerve built so far by degree, filled
-    by `nerve.nerve` and kept for the groupoid's lifetime.
+    by `nerve.nerve` and kept for the groupoid's lifetime; `complexes`
+    finds a `cochains.Shared` state by coefficient group.
     """
 
     def __init__(self, n_objects, src, tgt, unit, comp_table, inv,
@@ -97,6 +99,7 @@ class FiniteRealGroupoid:
                   self.rho_obj, self.rho_arr):
             a.setflags(write=False)
         self.levels = {}
+        self.complexes = weakref.WeakValueDictionary()
 
     # -- basic structure ------------------------------------------------
 
@@ -152,7 +155,6 @@ class FiniteRealGroupoid:
         witnesses (empty list = valid)."""
         src, tgt, unit, inv, comp = (self.src, self.tgt, self.unit, self.inv,
                                      self.comp)
-        rho_obj, rho = self.rho_obj, self.rho_arr
         objects, arrows = np.arange(self.n_objects), np.arange(self.n_arrows)
         defined = comp >= 0
         prod = np.where(defined, comp, 0)
@@ -180,10 +182,17 @@ class FiniteRealGroupoid:
             fails = (row[:, None] >= 0) & defined & (comp[row] != row[comp])
             bad += [f"associativity fails at ({g},{h},{k})"
                     for h, k in np.argwhere(fails).tolist()]
-        bad += _failures(("rho not 2-periodic on objects, witness {0}",
-                          rho_obj[rho_obj] != objects))[:1]
+        return bad + self.involution_failures()
+
+    def involution_failures(self):
+        """validate()'s failures of rho to be a 2-periodic functor."""
+        src, tgt, unit, inv, comp, rho_obj, rho = (
+            self.src, self.tgt, self.unit, self.inv, self.comp, self.rho_obj, self.rho_arr)
+        defined = comp >= 0
+        bad = _failures(("rho not 2-periodic on objects, witness {0}",
+                         rho_obj[rho_obj] != np.arange(self.n_objects)))[:1]
         bad += _failures(("rho not 2-periodic, witness arrow {0}",
-                          rho[rho] != arrows))[:1]
+                          rho[rho] != np.arange(self.n_arrows)))[:1]
         bad += _failures(
             ("rho does not commute with src/tgt at arrow {0}",
              (src[rho] != rho_obj[src]) | (tgt[rho] != rho_obj[tgt])),
@@ -192,7 +201,7 @@ class FiniteRealGroupoid:
         bad += _failures(("rho does not commute with unit at object {0}",
                           rho[unit] != unit[rho_obj]))
         bad += _failures(("rho not multiplicative at ({0},{1})",
-                          defined & (comp[np.ix_(rho, rho)] != rho[prod])))
+                          defined & (comp[np.ix_(rho, rho)] != rho[np.where(defined, comp, 0)])))
         return bad
 
 

@@ -61,6 +61,17 @@ def load_json(path):
 # -- groupoids -----------------------------------------------------------
 
 def groupoid_from_json(data):
+    """The groupoid of the JSON; FormatError if it is malformed or if its
+    involution is not a 2-periodic functor (validate() then names how)."""
+    g = _groupoid_from_json(data)
+    bad = g.involution_failures()
+    if bad:
+        raise FormatError(f"bad groupoid JSON: {bad[0]}")
+    return g
+
+
+def _groupoid_from_json(data):
+    """The groupoid of the JSON, whatever its involution (for validate)."""
     data = _resolve(data)
     try:
         n_obj = _int(data["objects"])

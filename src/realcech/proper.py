@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exact
-from .cochains import Complex, Corestriction, OrbitBasis, face_sum, rule_table
+from .cochains import Complex, Corestriction, OrbitBasis, face_sum, rule_table, stored
 from .nerve import arrows_into, distinct, nerve
 from .nerve import face  # noqa: F401 -- bench/spans.py patches face here
 
@@ -63,29 +63,15 @@ class RepFibre:
     `frac_kernel` basis, which has a unit row at each free column: the
     coordinates of a fixed vector v are its entries at those rows, S v,
     and v is fixed when E_x S v = v.  Its table (see `OrbitBasis`) is
-    built on first use: the identity, act_g, nu_x and E_x once per
-    distinct entries, cleared to integers, with act_keys[g] the key of
-    act_g and last_keys[g] that of act_g^-1, which moves the value at the
-    last face back to the anchor; objects with equal nu_x share one basis
-    and one rule."""
+    built here: the identity, act_g, nu_x and E_x once per distinct
+    entries, cleared to integers, with act_keys[g] the key of act_g and
+    last_keys[g] that of act_g^-1, which moves the value at the last face
+    back to the anchor; objects with equal nu_x share one basis and one
+    rule.  It keeps the arrays it reads and not the representation."""
 
     def __init__(self, rep):
-        self.rep = rep
-        self.k = rep.dim
+        self.k, self.nu = rep.dim, rep.nu
         self.identity = exact.as_frac_matrix(exact.eye(rep.dim))
-        self._keys = None
-
-    def element(self, value):
-        return [Fraction(v) for v in value]
-
-    def keys(self, x):
-        """The keys of nu_x and E_x and the rule index at the objects x; the
-        last two are 0 at an object that rho moves."""
-        if self._keys is None:
-            self._tabulate()
-        return self._keys[x].T
-
-    def _tabulate(self):
         # shared[part]: the keys of E_x and of its rule, for nu_x of key part
         index, self.mats, rules, shared, keys = {}, [], [], {}, []
 
@@ -97,11 +83,11 @@ class RepFibre:
             return k
 
         key(self.identity)
-        self.act_keys = np.array([key(A) for A in self.rep.action], dtype=np.int64)
-        self.last_keys = self.act_keys[self.rep.groupoid.inv]
+        self.act_keys = np.array([key(A) for A in rep.action], dtype=np.int64)
+        self.last_keys = self.act_keys[rep.groupoid.inv]
         eye = exact.eye(self.k)
-        for x, nu in enumerate(self.rep.nu):
-            part, fixed = key(nu), self.rep.groupoid.rho_obj[x] == x
+        for x, nu in enumerate(rep.nu):
+            part, fixed = key(nu), rep.groupoid.rho_obj[x] == x
             if fixed and part not in shared:
                 # the rule: S, then C S - s I = 0, where C / s = E_x
                 E = exact.frac_kernel(nu - self.identity)
@@ -115,13 +101,21 @@ class RepFibre:
         self._keys = np.array(keys, dtype=np.int64)
         self.rules, self.widths, self.divisors = rule_table(self.identity, rules)
 
+    def element(self, value):
+        return [Fraction(v) for v in value]
+
+    def keys(self, x):
+        """The keys of nu_x and E_x and the rule index at the objects x; the
+        last two are 0 at an object that rho moves."""
+        return self._keys[x].T
+
     def embedding(self, x):
         """Columns spanning {v : nu_x v = v} for a rho-fixed object x."""
         _, e, _ = self.keys(x)
         return exact.frac_divide(*self.mats[e])
 
     def partner(self, x):
-        return self.rep.nu[x]
+        return self.nu[x]
 
     def corestriction(self, x):
         """The rule at a rho-fixed object x."""
@@ -161,10 +155,9 @@ class RepComplex(Complex):
     Basis, Group = RepLevelBasis, RationalCohomology
 
     def __init__(self, groupoid, rep, cutoff=None):
-        Complex.__init__(self, groupoid, RepFibre(rep))
+        Complex.__init__(self, groupoid, rep.complexes, groupoid, lambda: RepFibre(rep))
         self.rep = rep
         self.cutoff = cutoff if cutoff is not None else canonical_cutoff(groupoid)
-        self._homos = {}
 
     def differential_matrix(self, n):
         """d: C^n -> C^(n+1) as Scaled(num, scale), the matrix num / scale
@@ -177,26 +170,27 @@ class RepComplex(Complex):
 
     def contraction_matrix(self, n):
         """h: C^(n+1) -> C^n as Scaled(num, scale), num an `exact.Sparse`
-        integer matrix (requires the cutoff)."""
-        if n not in self._homos:
-            dst, src = self.basis(n), self.basis(n + 1)
-            G, mats = self.groupoid, self.fibre.mats
-            # one term per representative tup and arrow gamma into its
-            # anchor, at the tuple (tup, gamma) of the level above
-            rows, gammas = arrows_into(G, dst.anchors)
-            longer = dst.level.extend(dst.reps[rows], gammas)
-            sign = 1 if (n + 1) % 2 == 0 else -1
-            # arrows with one action key and one cutoff share a factor
-            cuts, cut_at = np.unique(np.array([Fraction(c) for c in self.cutoff], dtype=object),
-                                     return_inverse=True)
-            acts = self.fibre.act_keys[gammas]
-            pairs, fkeys = distinct(acts * len(cuts) + cut_at[G.src[gammas]], len(mats) * len(cuts))
-            factors = []
-            for p in pairs.tolist():
-                (A, a), c = mats[p // len(cuts)], cuts[p % len(cuts)]
-                factors.append(exact.Scaled(sign * c.numerator * A, c.denominator * a))
-            self._homos[n] = face_sum(dst, src, rows, longer, factors, fkeys)
-        return self._homos[n]
+        integer matrix, one per degree and values of the cutoff."""
+        cut = tuple(Fraction(c) for c in self.cutoff)
+        return stored(self.shared, ("h", n, cut), lambda: self._contraction(n, cut))
+
+    def _contraction(self, n, cut):
+        dst, src = self.basis(n), self.basis(n + 1)
+        G, mats = self.groupoid, self.fibre.mats
+        # one term per representative tup and arrow gamma into its anchor,
+        # at the tuple (tup, gamma) of the level above
+        rows, gammas = arrows_into(G, dst.anchors)
+        longer = dst.level.extend(dst.reps[rows], gammas)
+        sign = 1 if (n + 1) % 2 == 0 else -1
+        # arrows with one action key and one cutoff share a factor
+        cuts, cut_at = np.unique(np.array(cut, dtype=object), return_inverse=True)
+        acts = self.fibre.act_keys[gammas]
+        pairs, fkeys = distinct(acts * len(cuts) + cut_at[G.src[gammas]], len(mats) * len(cuts))
+        factors = []
+        for p in pairs.tolist():
+            (A, a), c = mats[p // len(cuts)], cuts[p % len(cuts)]
+            factors.append(exact.Scaled(sign * c.numerator * A, c.denominator * a))
+        return face_sum(dst, src, rows, longer, factors, fkeys)
 
     def is_cocycle(self, n, vec):
         D = self.differential_matrix(n).num

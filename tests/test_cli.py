@@ -252,6 +252,24 @@ class TestCommands:
         assert cli.main(["validate", write(tmp_path, "g.json", data)]) == 2
         assert capsys.readouterr().err.startswith("input error:")
 
+    @pytest.mark.parametrize("order, rho_arr, first", [
+        (3, [0, 2, 2], "rho not 2-periodic, witness arrow 1"),
+        (2, [1, 0], "rho does not commute with unit at object 0"),
+    ])
+    def test_involution_that_is_no_functor_is_an_input_error(self, tmp_path, capsys,
+                                                            order, rho_arr, first):
+        data = dict(io.groupoid_to_json(standard.cyclic_group(order)), rho_arr=rho_arr)
+        path = write(tmp_path, "g.json", data)
+        for argv in (["cohomology", path, "--coeff", "mu(4)_conj", "--n", "2"],
+                     ["nerve", path], ["ext", "classify", path]):
+            assert cli.main(argv) == 2
+            assert capsys.readouterr().err == f"input error: bad groupoid JSON: {first}\n"
+        with pytest.raises(io.FormatError, match=first):
+            io.groupoid_from_json(data)
+        # validate reads it as written and reports every failure
+        assert cli.main(["validate", path]) == 1
+        assert capsys.readouterr().err.startswith(first)
+
     @pytest.mark.parametrize("coeff", [{"preset": 5}, 5, None])
     def test_malformed_coefficients_are_an_input_error(self, tmp_path, capsys, z2_file, coeff):
         argv = ["cohomology", z2_file, "--coeff", write(tmp_path, "f.json", coeff), "--n", "1"]

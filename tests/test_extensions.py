@@ -335,6 +335,17 @@ class TestDixmierDouady:
                 want = ext.dd_sum_predicted(a, b)
                 assert got == want
 
+    def test_predicted_sum_reads_the_held_groups(self, count_calls):
+        from realcech import exact
+        twists = TestTwistGroupLaw().make_twists()
+        t1, t2 = twists[3], twists[1]
+        # t1's HR^1 and HR^2, with their presentations, held
+        _, _, h1, h2 = ext.dd_class(t1)
+        built = count_calls(exact, "lattice_mod_relations")
+        assert ext.dd_sum_predicted(t1, t2) == ext.dd_class(ext.baer_sum(t1, t2))[:2]
+        # cup's HR^2 is t1's: no presentation is built again
+        assert built == []
+
     def test_ungraded_sum_componentwise(self):
         cx, cocycles = all_normalized_cocycles(z2, mu2)
         h2 = cx.cohomology(2)

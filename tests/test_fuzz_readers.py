@@ -3,9 +3,12 @@ a reader is given, the command ends with exit 0, 1 or 2 and raises
 nothing.  The valid files are written by the `io.*_to_json` writers (the
 cover, surjection and sequence formats have none and are written out);
 a mutant replaces, drops or repeats one node of the file, replaces the whole file by
-text that is no JSON, or passes a directory for it.  Replacement numbers
-are small, so that no mutant asks for a nerve level or a fibre that is
-large only because a number is."""
+text that is no JSON, or passes a directory for it.  A groupoid file is
+computed on as well as read, so its structure maps are also replaced
+whole by maps in range, which a reader must refuse unless the involution
+is a 2-periodic functor.  Replacement numbers are small, so that no
+mutant asks for a nerve level or a fibre that is large only because a
+number is."""
 
 import contextlib
 import io as text_io
@@ -34,7 +37,10 @@ def valid_inputs():
     twist = GradedTwist(z2, mu2, omega, delta)
     coeff = RealCoefficientGroup(0, [2, 6], [[1, 0], [3, 1]])
     trivial = io.coefficients_to_json(make_standard("mu(2)_trivial"))
+    z3i = standard.cyclic_group(3, "inversion")
     return {
+        "groupoid": (io.groupoid_to_json(z3i),
+                     ["cohomology", "FILE", "--coeff", "mu(4)_conj", "--n", "2"], z3i),
         "representation": (io.representation_to_json(rep),
                            ["vanish", "GROUPOID", "--rep", "FILE", "--n-max", "1"], z4i),
         "coefficients": (io.coefficients_to_json(coeff),
@@ -140,3 +146,30 @@ def test_valid_inputs_pass(workdir, kind):
     path.write_text(io.dumps(valid))
     gp.write_text(io.dumps(io.groupoid_to_json(groupoid)))
     assert run(argv, path, gp) == 0
+
+
+GROUPOIDS = [standard.cyclic_group(3, "inversion"), standard.cyclic_group(4),
+             standard.pair_groupoid(2, [1, 0]), standard.flip_action_groupoid()]
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_groupoids_with_other_structure_maps_exit_with_a_code(workdir, data):
+    # a node mutant rarely gives a map that still reads but breaks an
+    # axiom; here a structure map is replaced whole by one in range
+    g = data.draw(st.sampled_from(GROUPOIDS))
+    valid = io.groupoid_to_json(g)
+    key = data.draw(st.sampled_from(("rho_arr", "rho_arr", "rho_obj", "inv", "comp")))
+    if key == "comp":
+        products = st.lists(st.integers(0, g.n_arrows - 1), min_size=len(valid["comp"]),
+                            max_size=len(valid["comp"]))
+        valid["comp"] = [[a, b, c] for (a, b, _), c in zip(valid["comp"], data.draw(products))]
+    else:
+        bound = g.n_objects if key == "rho_obj" else g.n_arrows
+        valid[key] = data.draw(st.lists(st.integers(0, bound - 1), min_size=len(valid[key]),
+                                        max_size=len(valid[key])))
+    path = workdir / "structure.json"
+    path.write_text(json.dumps(valid))
+    for argv in (["cohomology", "FILE", "--coeff", "mu(4)_conj", "--n", "2"],
+                 ["validate", "FILE"]):
+        assert run(argv, path, path) in (0, 1, 2)

@@ -399,3 +399,28 @@ def test_fibres_build_their_rules_once(count_calls):
     # distinct matrix objects, share the identity's key
     assert len(rc.fibre.rules) == 3
     assert rc.fibre.act_keys[g.unit].tolist() == [0, 0]
+
+
+def test_contraction_reads_the_differentials_of_the_vanishing_check(count_calls):
+    from realcech import cochains
+    built = count_calls(cochains, "coboundary_matrix")
+    z3 = standard.cyclic_group(3)
+    rep = RealRepresentation.trivial(z3, 1, 1)
+    assert [row["free_rank"] for row in vanishing_check(z3, rep, 3)] == [0, 0, 0]
+    cx = RepComplex(z3, rep)
+    assert all(contraction_is_homotopy(cx, n) for n in (1, 2, 3))
+    # d^0..d^3, each once: the new complex reads the representation's state
+    assert sorted(src.n for src, _ in built) == [0, 1, 2, 3]
+
+
+def test_a_cutoff_has_its_own_contraction():
+    z3 = standard.cyclic_group(3)
+    rep = RealRepresentation.trivial(z3, 1, 1)
+    good = RepComplex(z3, rep)
+    bad = RepComplex(z3, rep, cutoff=[2 * c for c in canonical_cutoff(z3)])
+    h, doubled = good.contraction_matrix(1), bad.contraction_matrix(1)
+    assert (fractions(doubled) == 2 * fractions(h)).all() and fractions(h).any()
+    # equal values read one h, and every cutoff reads the one d
+    assert RepComplex(z3, rep, cutoff=[Fraction(1, 3)]).contraction_matrix(1) is h
+    assert bad.differential_matrix(1) is good.differential_matrix(1)
+    assert not contraction_is_homotopy(bad, 1) and contraction_is_homotopy(good, 1)
