@@ -69,9 +69,9 @@ class SBlocks:
     last_keys = None
 
     def __init__(self, S):
+        self.S = S
         self.k = S.ngens
         self.identity = exact.eye(self.k)
-        self.tau = S.tau
         self.moduli_S = [0] * S.free_rank + list(S.invariant_factors)
         fixed, E = S.fixed_part()
         self.embed = E  # k x (generators of the fixed subgroup)
@@ -97,7 +97,7 @@ class SBlocks:
         return None if sol is None else tuple(int(v) for v in sol)
 
     def element(self, value):
-        return tuple(int(v) % d if d else int(v) for v, d in zip(value, self.moduli_S, strict=True))
+        return self.S.reduce_tuple(value)
 
     def keys(self, x):
         one = np.ones_like(x)
@@ -107,7 +107,7 @@ class SBlocks:
         return self.embed
 
     def partner(self, x):
-        return self.tau
+        return self.S.tau
 
     def corestriction(self, x):
         return self.rules[1]
@@ -347,14 +347,14 @@ class LevelBasis(OrbitBasis):
     def values(self, vector):
         """Evaluate a stored coordinate vector at every tuple of the level:
         a (count, k) object array of reduced S-values in level order."""
-        vector, torsion = np.asarray(vector, dtype=object), self.fibre.moduli_S.count(0)
+        S, vector = self.fibre.S, np.asarray(vector, dtype=object)
         out = exact.zeros(len(self.level), self.fibre.k)
         for key in np.unique(self.value_key).tolist():
             at = np.flatnonzero(self.value_key == key)
             M = self.value_matrix(key)
             cols = self.offsets[self.orbit_of[at]][:, None] + np.arange(M.shape[1])
             out[at] = vector[cols] @ M.T
-        out[:, torsion:] %= np.array(self.fibre.moduli_S[torsion:], dtype=object)
+        out[:, S.free_rank:] %= np.array(S.invariant_factors, dtype=object)
         return out
 
 
@@ -407,7 +407,7 @@ def stored(store, key, build):
 class Shared(dict):
     """What every complex on one groupoid and one coefficient object reads:
     the fibre; by key, the orbit basis ("basis", n), d^n ("d", n), h^n under
-    a cutoff ("h", n, its values) and the solver of is_coboundary
+    the canonical cutoff ("h", n) and the solver of is_coboundary
     ("solver", n); and the cohomology groups, held weakly (a group holds
     its complex).  It refers to neither object, so reference counting
     frees it.  A representation keeps it by groupoid while it lives; a
@@ -605,11 +605,13 @@ def _over_moduli(basis, X, message):
 
 def complex_for(groupoid, S):
     """RealComplex for integral S; for rational S the representation
-    complex of the constant fibre Q^(p+q) with involution diag(1_p, -1_q)."""
+    complex of the constant fibre Q^(p+q) with involution diag(1_p, -1_q),
+    one representation per pair while a complex on it lives."""
     if S.mode == "rational":
         from .proper import RepComplex
         from .coefficients import RealRepresentation
-        return RepComplex(groupoid, RealRepresentation.trivial(groupoid, *_pq_of(S)))
+        rep = stored(groupoid.complexes, S, lambda: RealRepresentation.trivial(groupoid, *_pq_of(S)))
+        return RepComplex(groupoid, rep)
     return RealComplex(groupoid, S)
 
 

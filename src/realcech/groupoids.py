@@ -77,7 +77,8 @@ class FiniteRealGroupoid:
     index range of every array; validate() reports violated axioms.
     `levels` holds the levels of its nerve built so far by degree, filled
     by `nerve.nerve` and kept for the groupoid's lifetime; `complexes`
-    finds a `cochains.Shared` state by coefficient group.
+    finds, by coefficient group, a `cochains.Shared` state or, for a
+    rational group, its trivial representation.
     """
 
     def __init__(self, n_objects, src, tgt, unit, comp_table, inv,

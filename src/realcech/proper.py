@@ -158,6 +158,8 @@ class RepComplex(Complex):
         Complex.__init__(self, groupoid, rep.complexes, groupoid, lambda: RepFibre(rep))
         self.rep = rep
         self.cutoff = cutoff if cutoff is not None else canonical_cutoff(groupoid)
+        # h is shared under the canonical cutoff, and kept by this complex under its own
+        self._contractions = self.shared if cutoff is None else {}
 
     def differential_matrix(self, n):
         """d: C^n -> C^(n+1) as Scaled(num, scale), the matrix num / scale
@@ -170,11 +172,10 @@ class RepComplex(Complex):
 
     def contraction_matrix(self, n):
         """h: C^(n+1) -> C^n as Scaled(num, scale), num an `exact.Sparse`
-        integer matrix, one per degree and values of the cutoff."""
-        cut = tuple(Fraction(c) for c in self.cutoff)
-        return stored(self.shared, ("h", n, cut), lambda: self._contraction(n, cut))
+        integer matrix (requires the cutoff), built once per degree."""
+        return stored(self._contractions, ("h", n), lambda: self._contraction(n))
 
-    def _contraction(self, n, cut):
+    def _contraction(self, n):
         dst, src = self.basis(n), self.basis(n + 1)
         G, mats = self.groupoid, self.fibre.mats
         # one term per representative tup and arrow gamma into its anchor,
@@ -183,7 +184,7 @@ class RepComplex(Complex):
         longer = dst.level.extend(dst.reps[rows], gammas)
         sign = 1 if (n + 1) % 2 == 0 else -1
         # arrows with one action key and one cutoff share a factor
-        cuts, cut_at = np.unique(np.array(cut, dtype=object), return_inverse=True)
+        cuts, cut_at = np.unique(np.array([Fraction(c) for c in self.cutoff]), return_inverse=True)
         acts = self.fibre.act_keys[gammas]
         pairs, fkeys = distinct(acts * len(cuts) + cut_at[G.src[gammas]], len(mats) * len(cuts))
         factors = []

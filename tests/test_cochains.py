@@ -341,6 +341,18 @@ def test_complexes_on_one_pair_read_one_state():
     assert other.shared[("solver", 2)] is cx.shared[("solver", 2)]
 
 
+def test_rational_groups_on_one_pair_share_their_differentials(count_calls):
+    from realcech import cochains
+    built = count_calls(cochains, "coboundary_matrix")
+    g, Q = standard.pair_groupoid(3), make_standard("Q(1,1)")
+    held = [cohomology(g, Q, n) for n in (1, 2, 3)]
+    # d^0..d^3, each once, while the groups are held
+    assert sorted(src.n for src, _ in built) == [0, 1, 2, 3]
+    assert held[0].complex.rep is cochains.complex_for(g, Q).rep
+    del held
+    assert len(g.complexes) == 0
+
+
 def test_shared_state_dies_with_what_holds_it():
     # with the cyclic collector off, reference counting alone frees the
     # shared state: over a coefficient group once no complex on the pair

@@ -420,7 +420,12 @@ def test_a_cutoff_has_its_own_contraction():
     bad = RepComplex(z3, rep, cutoff=[2 * c for c in canonical_cutoff(z3)])
     h, doubled = good.contraction_matrix(1), bad.contraction_matrix(1)
     assert (fractions(doubled) == 2 * fractions(h)).all() and fractions(h).any()
-    # equal values read one h, and every cutoff reads the one d
-    assert RepComplex(z3, rep, cutoff=[Fraction(1, 3)]).contraction_matrix(1) is h
+    # the canonical cutoff's h is shared; a cutoff passed in, even one of
+    # equal values, has an h of its own, kept by its complex alone
+    assert RepComplex(z3, rep).contraction_matrix(1) is h
+    same = RepComplex(z3, rep, cutoff=[Fraction(1, 3)]).contraction_matrix(1)
+    assert same is not h and (fractions(same) == fractions(h)).all()
+    assert [key for key in good.shared if key[0] == "h"] == [("h", 1)]
+    # every cutoff reads the one d
     assert bad.differential_matrix(1) is good.differential_matrix(1)
     assert not contraction_is_homotopy(bad, 1) and contraction_is_homotopy(good, 1)

@@ -1,16 +1,15 @@
-"""Time passes of a benchmark workload whose inputs are rebuilt before
-every pass.
+"""Time passes of the assembly_and_rational workload with its inputs
+rebuilt before every pass.
 
-    python3 tools/rebuilt_passes.py [--tree DIR] [--workload NAME] [--passes N] [--seed S]
+    python3 tools/rebuilt_passes.py [--tree DIR] [--seed S]
 
 `bench/run.py` builds a workload's inputs once and then repeats passes
 over them, so state that a groupoid or a representation keeps serves
-every pass after the first.  This tool runs the passes of one workload
-(assembly_and_rational by default) in this process, calling the
-workload's `setup` again before each pass, so that each pass starts from
-fresh groupoids, coefficients and representations: what the repeated
-passes gain through such state is left out, and what sharing does within
-one pass stays in.  It imports `bench/workloads.py` and `bench/run.py`
+every pass after the first.  This tool runs 30 passes of
+assembly_and_rational in this process, calling the workload's `setup`
+again before each pass, so that each pass starts from fresh groupoids,
+coefficients and representations: what the repeated passes gain through
+such state is left out, and what sharing does within one pass stays in.  It imports `bench/workloads.py` and `bench/run.py`
 of the tree DIR (by default the one this tool lives in) and `realcech`
 from DIR/src, unedited, and times each op with `run.run_pass`, checking
 every result against `bench/expected.json`.
@@ -31,13 +30,12 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOAD, PASSES = "assembly_and_rational", 30
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--tree", default=ROOT)
-    ap.add_argument("--workload", default="assembly_and_rational")
-    ap.add_argument("--passes", type=int, default=30)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
     tree = os.path.abspath(args.tree)
@@ -52,15 +50,15 @@ def main(argv=None):
     expected, rng = workloads.load_expected(), random.Random(args.seed)
     walls, failures = [], []
     with tempfile.TemporaryDirectory() as workdir:
-        for i in range(args.passes + 1):
-            workload = workloads.WORKLOADS[args.workload](expected)
+        for i in range(PASSES + 1):
+            workload = workloads.WORKLOADS[WORKLOAD](expected)
             failures += workload.setup(workdir)
             p = run.run_pass(workload, workload.ops(rng))
             failures += p.failures
             if i:
                 walls.append(p.wall)
     q1, median, q3 = statistics.quantiles(walls, n=4) if len(walls) > 1 else walls * 3
-    print(json.dumps({"workload": args.workload, "passes": len(walls),
+    print(json.dumps({"workload": WORKLOAD, "passes": len(walls),
                       "pass_s": {"median": median, "q1": q1, "q3": q3,
                                  "min": min(walls), "max": max(walls)},
                       "failed": len(failures)}))
