@@ -64,13 +64,14 @@ class SBlocks:
     rule corestricts S-values to them (`to_fixed_coords` one value).  The
     fibre is the same at every object: its matrices are I, tau and E
     (keys 0, 1 and 2), with one rule, at every anchor, and the value at
-    the last face of a tuple needs no transport (`last_keys` is None)."""
+    the last face of a tuple needs no transport (`last_keys` is None).
+    It keeps S's arrays and not S, so that the state it is part of does
+    not keep its key alive (see `Complex`)."""
 
     last_keys = None
 
     def __init__(self, S):
-        self.S = S
-        self.k = S.ngens
+        self.k, self.free_rank, self.tau = S.ngens, S.free_rank, S.tau
         self.identity = exact.eye(self.k)
         self.moduli_S = [0] * S.free_rank + list(S.invariant_factors)
         fixed, E = S.fixed_part()
@@ -97,7 +98,8 @@ class SBlocks:
         return None if sol is None else tuple(int(v) for v in sol)
 
     def element(self, value):
-        return self.S.reduce_tuple(value)
+        """value with its torsion coordinates reduced, as S.reduce_tuple."""
+        return tuple(int(v) % d if d else int(v) for v, d in zip(value, self.moduli_S, strict=True))
 
     def keys(self, x):
         one = np.ones_like(x)
@@ -107,7 +109,7 @@ class SBlocks:
         return self.embed
 
     def partner(self, x):
-        return self.S.tau
+        return self.tau
 
     def corestriction(self, x):
         return self.rules[1]
@@ -347,14 +349,14 @@ class LevelBasis(OrbitBasis):
     def values(self, vector):
         """Evaluate a stored coordinate vector at every tuple of the level:
         a (count, k) object array of reduced S-values in level order."""
-        S, vector = self.fibre.S, np.asarray(vector, dtype=object)
+        sb, vector = self.fibre, np.asarray(vector, dtype=object)
         out = exact.zeros(len(self.level), self.fibre.k)
         for key in np.unique(self.value_key).tolist():
             at = np.flatnonzero(self.value_key == key)
             M = self.value_matrix(key)
             cols = self.offsets[self.orbit_of[at]][:, None] + np.arange(M.shape[1])
             out[at] = vector[cols] @ M.T
-        out[:, S.free_rank:] %= np.array(S.invariant_factors, dtype=object)
+        out[:, sb.free_rank:] %= np.array(sb.moduli_S[sb.free_rank:], dtype=object)
         return out
 
 
@@ -409,9 +411,9 @@ class Shared(dict):
     the fibre; by key, the orbit basis ("basis", n), d^n ("d", n), h^n under
     the canonical cutoff ("h", n) and the solver of is_coboundary
     ("solver", n); and the cohomology groups, held weakly (a group holds
-    its complex).  It refers to neither object, so reference counting
-    frees it.  A representation keeps it by groupoid while it lives; a
-    groupoid finds it by coefficient group while a complex on the two lives."""
+    its complex).  The groupoid keeps it by coefficient object while both
+    live; it refers to neither, so reference counting frees it when
+    either goes."""
 
     def __init__(self, fibre):
         self.fibre = fibre
@@ -419,14 +421,15 @@ class Shared(dict):
 
 
 class Complex:
-    """A cochain complex over a fibre: a view on the `Shared` state under
-    key in registry, made with the fibre fibre() if there is none, and the
-    ranks of its differentials, its own.  A subclass names its `Basis` and
-    `Group` classes and supplies `differential_matrix` and `_rank`."""
+    """A cochain complex over a fibre: a view on the `Shared` state that
+    groupoid.complexes keeps under the coefficient object, made with the
+    fibre fibre() if there is none, and the ranks of its differentials,
+    its own.  A subclass names its `Basis` and `Group` classes and
+    supplies `differential_matrix` and `_rank`."""
 
-    def __init__(self, groupoid, registry, key, fibre):
-        self.groupoid = groupoid
-        self.shared = stored(registry, key, lambda: Shared(fibre()))
+    def __init__(self, groupoid, coefficients, fibre):
+        self.groupoid, self.coefficients = groupoid, coefficients
+        self.shared = stored(groupoid.complexes, coefficients, lambda: Shared(fibre()))
         self.fibre = self.shared.fibre
         self._ranks = {}
 
@@ -503,7 +506,7 @@ class RealComplex(Complex):
     def __init__(self, groupoid, S):
         if S.mode != "integral":
             raise ValueError("RealComplex requires integral coefficients")
-        Complex.__init__(self, groupoid, groupoid.complexes, S, lambda: SBlocks(S))
+        Complex.__init__(self, groupoid, S, lambda: SBlocks(S))
         self.S = S
 
     def cochain(self, n, vector):
@@ -605,13 +608,10 @@ def _over_moduli(basis, X, message):
 
 def complex_for(groupoid, S):
     """RealComplex for integral S; for rational S the representation
-    complex of the constant fibre Q^(p+q) with involution diag(1_p, -1_q),
-    one representation per pair while a complex on it lives."""
+    complex of the constant fibre Q^(p+q) with involution diag(1_p, -1_q)."""
     if S.mode == "rational":
         from .proper import RepComplex
-        from .coefficients import RealRepresentation
-        rep = stored(groupoid.complexes, S, lambda: RealRepresentation.trivial(groupoid, *_pq_of(S)))
-        return RepComplex(groupoid, rep)
+        return RepComplex(groupoid, S)
     return RealComplex(groupoid, S)
 
 
@@ -629,14 +629,6 @@ def differential(groupoid, S, n):
 
 def cohomology(groupoid, S, n):
     return complex_for(groupoid, S).cohomology(n)
-
-
-def _pq_of(S):
-    # a rational coefficient space is diag(1_p, -1_q) after base change;
-    # recover (p, q) from the involution's eigenvalue multiplicities
-    fixed, _ = S.fixed_part()
-    p = fixed.free_rank
-    return p, S.free_rank - p
 
 
 def invariant_sections(groupoid, S):

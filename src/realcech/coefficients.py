@@ -18,7 +18,6 @@ action matrix per arrow, and fiberwise involution maps nu_x: E_x -> E_rho(x).
 import itertools
 import math
 import re
-import weakref
 
 import numpy as np
 
@@ -313,7 +312,6 @@ class RealRepresentation:
     `action` and `nu` are stacked Fraction arrays of shape
     (n_arrows, dim, dim) and (n_objects, dim, dim); the constructor
     refuses a matrix that is not dim x dim, naming its arrow or object.
-    `complexes` keeps the `cochains.Shared` states on it by groupoid.
     """
 
     def __init__(self, groupoid, p, q, action, nu):
@@ -323,7 +321,6 @@ class RealRepresentation:
         self.dim = self.p + self.q
         self.action = _stacked(action, groupoid.n_arrows, self.dim, "action", "arrow")
         self.nu = _stacked(nu, groupoid.n_objects, self.dim, "involution", "object")
-        self.complexes = weakref.WeakKeyDictionary()
 
     @classmethod
     def trivial(cls, groupoid, p, q):

@@ -77,8 +77,8 @@ class FiniteRealGroupoid:
     index range of every array; validate() reports violated axioms.
     `levels` holds the levels of its nerve built so far by degree, filled
     by `nerve.nerve` and kept for the groupoid's lifetime; `complexes`
-    finds, by coefficient group, a `cochains.Shared` state or, for a
-    rational group, its trivial representation.
+    keeps, by coefficient object, the `cochains.Shared` state of the
+    complexes on the two while both live.
     """
 
     def __init__(self, n_objects, src, tgt, unit, comp_table, inv,
@@ -100,7 +100,7 @@ class FiniteRealGroupoid:
                   self.rho_obj, self.rho_arr):
             a.setflags(write=False)
         self.levels = {}
-        self.complexes = weakref.WeakValueDictionary()
+        self.complexes = weakref.WeakKeyDictionary()
 
     # -- basic structure ------------------------------------------------
 

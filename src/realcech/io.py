@@ -211,10 +211,9 @@ def cochain_from_json(cx, data):
     basis = cx.basis(n)
     vec = [0] * basis.total
     for oid, coeffs in values:
-        if not (0 <= oid < len(basis.orbits)):
+        if not (0 <= oid < len(basis.reps)):
             raise FormatError(f"orbit index {oid} out of range in degree {n}")
-        off = basis.offsets[oid]
-        w = basis.width(oid)
+        off, w = basis.offsets[oid], int(basis.widths[oid])
         if len(coeffs) != w:
             raise FormatError(
                 f"orbit {oid} expects {w} coordinates, got {len(coeffs)}")

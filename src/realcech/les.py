@@ -185,14 +185,10 @@ def long_exact_sequence_check(ses, groupoid, through_degree=2):
     at the first), each slot one `exactness` on class coordinates.  Returns
     a report dict; report['exact'] summarizes."""
     d = through_degree
-    coeffs = (ses.s_prime, ses.s_mid, ses.s_dprime)
-    # one complex per distinct coefficient group object, shared by all degrees
-    complexes = {S: RealComplex(groupoid, S) for S in coeffs}
-    cx_p, cx_m, cx_d = (complexes[S] for S in coeffs)
+    cx_p, cx_m, cx_d = (RealComplex(groupoid, S) for S in (ses.s_prime, ses.s_mid, ses.s_dprime))
     F_i = [induced_cochain_map(cx_p, cx_m, ses.i, n) for n in range(d + 1)]
     F_p = [induced_cochain_map(cx_m, cx_d, ses.p, n) for n in range(d + 1)]
-    H = {S: [cx.cohomology(n) for n in range(d + 1)] for S, cx in complexes.items()}
-    H_p, H_m, H_d = (H[S] for S in coeffs)
+    H_p, H_m, H_d = ([cx.cohomology(n) for n in range(d + 1)] for cx in (cx_p, cx_m, cx_d))
     conn = [ConnectingMap(ses, cx_p, cx_m, cx_d, n) for n in range(d)]
 
     names, terms, maps = [], [], []

@@ -25,10 +25,12 @@ is h c, checked by d h c = c.
 
 import math
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from . import exact
+from .coefficients import RealRepresentation
 from .cochains import Complex, Corestriction, OrbitBasis, face_sum, rule_table, stored
 from .nerve import arrows_into, distinct, nerve
 from .nerve import face  # noqa: F401 -- bench/spans.py patches face here
@@ -150,16 +152,27 @@ class RationalCohomology(exact.GroupKey):
 
 
 class RepComplex(Complex):
-    """Cochain complex with coefficients in a rational representation."""
+    """Cochain complex with coefficients in a rational representation, or
+    in a rational coefficient group read as its trivial representation."""
 
     Basis, Group = RepLevelBasis, RationalCohomology
 
     def __init__(self, groupoid, rep, cutoff=None):
-        Complex.__init__(self, groupoid, rep.complexes, groupoid, lambda: RepFibre(rep))
-        self.rep = rep
+        Complex.__init__(self, groupoid, rep, lambda: RepFibre(self.rep))
         self.cutoff = cutoff if cutoff is not None else canonical_cutoff(groupoid)
         # h is shared under the canonical cutoff, and kept by this complex under its own
         self._contractions = self.shared if cutoff is None else {}
+
+    @cached_property
+    def rep(self):
+        """The representation; over a rational coefficient group, which is
+        diag(1_p, -1_q) after base change, the trivial one on Q^(p+q),
+        built on first use (p the rank of the fixed part)."""
+        S = self.coefficients
+        if isinstance(S, RealRepresentation):
+            return S
+        p = S.fixed_part()[0].free_rank
+        return RealRepresentation.trivial(self.groupoid, p, S.free_rank - p)
 
     def differential_matrix(self, n):
         """d: C^n -> C^(n+1) as Scaled(num, scale), the matrix num / scale

@@ -181,6 +181,19 @@ class TestCommands:
         assert r.returncode == 0
         assert json.loads(r.stdout)["all_zero"] is True
 
+    def test_vanish_without_a_valid_cutoff_exits_1(self, tmp_path, capsys):
+        # the arrow 2: 0 -> 1 is its own inverse: the reader takes the file,
+        # validate reports it, and the canonical cutoff has no unit mass
+        gp = write(tmp_path, "g.json", {
+            "objects": 2, "arrows": [{"src": 0, "tgt": 0}, {"src": 1, "tgt": 1}, {"src": 0, "tgt": 1}],
+            "comp": [[0, 0, 0], [1, 1, 1], [2, 0, 2], [1, 2, 2]], "inv": [0, 1, 2],
+            "rho_obj": [0, 1], "rho_arr": [0, 1, 2]})
+        rep = write(tmp_path, "rep.json", {"p": 1, "q": 0, "action": [[[1]]] * 3, "nu": [[[1]]] * 2})
+        assert cli.main(["validate", gp]) == 1
+        assert capsys.readouterr().err == "inverse of 2 has wrong endpoints\n"
+        assert cli.main(["vanish", gp, "--rep", rep]) == 1
+        assert capsys.readouterr() == ("", "unit mass fails at 1: 3/2\n")
+
     def test_les(self, tmp_path, z2_file):
         seq = write(tmp_path, "seq.json",
                     {"left": "mu(2)_trivial", "middle": "mu(4)_trivial",

@@ -7,10 +7,10 @@ import pytest
 
 from realcech import exact, standard
 from realcech.cochains import (RealComplex, SBlocks, cochain_group, cohomology,
-                               invariant_sections)
+                               complex_for, invariant_sections)
 from realcech.coefficients import RealRepresentation, make_standard
 from realcech.extensions import Z2
-from realcech.proper import RepComplex, vanishing_check
+from realcech.proper import RepComplex
 
 from oracles import LoopBasis, brute_cohomology_orders, orders_of_presentation
 
@@ -345,35 +345,58 @@ def test_rational_groups_on_one_pair_share_their_differentials(count_calls):
     from realcech import cochains
     built = count_calls(cochains, "coboundary_matrix")
     g, Q = standard.pair_groupoid(3), make_standard("Q(1,1)")
-    held = [cohomology(g, Q, n) for n in (1, 2, 3)]
-    # d^0..d^3, each once, while the groups are held
+    assert [cohomology(g, Q, n).free_rank for n in (1, 2, 3)] == [0, 0, 0]
+    # d^0..d^3, each once, with no group held: the groupoid keeps the state
+    # by the group itself, and stores no trivial representation beside it
     assert sorted(src.n for src, _ in built) == [0, 1, 2, 3]
-    assert held[0].complex.rep is cochains.complex_for(g, Q).rep
-    del held
-    assert len(g.complexes) == 0
+    assert list(g.complexes.keys()) == [Q]
+    assert cochains.complex_for(g, Q).shared is g.complexes[Q]
+
+
+def _state(g, coefficients):
+    """A weak reference to the shared state of the complex of g over the
+    coefficients, with its bases, d, a group and (integral) a solver built."""
+    if isinstance(coefficients, RealRepresentation):
+        cx = RepComplex(g, coefficients)
+    else:
+        cx = complex_for(g, coefficients)
+    assert cx.cohomology(2).free_rank == 0
+    if isinstance(cx, RealComplex):
+        assert cx.is_coboundary(cx.zero_cochain(2)) is not None
+    else:
+        assert cx.is_coboundary(2, [0] * cx.basis(2).total) is not None
+    return weakref.ref(cx.shared)
 
 
 def test_shared_state_dies_with_what_holds_it():
-    # with the cyclic collector off, reference counting alone frees the
-    # shared state: over a coefficient group once no complex on the pair
-    # (nor a group of one) lives, over a representation with it
+    # with the cyclic collector off, reference counting alone frees a state
+    # when its coefficient object goes while the groupoid lives, and when
+    # the groupoid goes while the object lives; no complex need live
+    def groupoid():
+        return standard.pair_groupoid(3, [1, 0, 2])
+
+    def coefficients(kind, g):
+        # a representation keeps its own groupoid, so it is made on g only
+        # where g is to outlive it
+        return RealRepresentation.trivial(g, 1, 1) if kind == "rep" else make_standard(kind)
+
     gc.disable()
     try:
-        g, S = standard.pair_groupoid(3, [1, 0, 2]), make_standard("mu(4)_conj")
-        rep = RealRepresentation.trivial(g, 1, 1)
-        cx = RealComplex(g, S)
-        h = cx.cohomology(2)
-        assert vanishing_check(g, rep, 2)[-1]["free_rank"] == 0
-        integral, rational = weakref.ref(cx.basis(2)), weakref.ref(RepComplex(g, rep).fibre)
-        assert RealComplex(g, S).basis(2) is integral()
-        del cx
-        assert integral() is h.complex.basis(2)
-        del h
-        assert integral() is None and len(g.complexes) == 0
-        assert rational() is RepComplex(g, rep).fibre
-        level = weakref.ref(g.levels[3])
-        del g, S, rep
-        assert rational() is None and level() is None
+        for kind in ("mu(4)_conj", "Q(1,1)", "rep"):
+            g = groupoid()
+            S = coefficients(kind, g)
+            state = _state(g, S)
+            assert state() is g.complexes[S] and len(g.complexes) == 1, kind
+            del S
+            assert state() is None and len(g.complexes) == 0, kind
+
+            g, S = groupoid(), coefficients(kind, groupoid())
+            state, level = _state(g, S), weakref.ref(g.levels[3])
+            assert state() is g.complexes[S], kind
+            del g
+            assert state() is None and level() is None, kind
+            state = _state(groupoid(), S)
+            assert state() is None, kind
     finally:
         gc.enable()
 
@@ -400,4 +423,27 @@ def test_fresh_groupoids_with_one_preset_keep_a_flat_peak():
         tracemalloc.stop()
     # a state kept per job would add about 37 KiB a job; the interpreter's
     # free lists of small objects still fill, by about 0.6 KiB a job
+    assert last[1] - first[1] < 180 * 4096, (first, last)
+
+
+def test_fresh_groups_on_one_groupoid_keep_a_flat_peak():
+    # one long-lived groupoid and a fresh preset per job: each job's state
+    # goes with its group
+    g = standard.cyclic_group(4, "inversion")
+
+    def jobs(count):
+        for _ in range(count):
+            assert cohomology(g, make_standard("mu(4)_conj"), 2).group_key() == (0, (2, 2))
+        return tracemalloc.get_traced_memory()
+
+    tracemalloc.start()
+    try:
+        jobs(20)
+        tracemalloc.reset_peak()
+        first = jobs(20)
+        tracemalloc.reset_peak()
+        last = jobs(180)
+    finally:
+        tracemalloc.stop()
+    # the bound of test_fresh_groupoids_with_one_preset_keep_a_flat_peak
     assert last[1] - first[1] < 180 * 4096, (first, last)

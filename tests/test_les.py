@@ -274,6 +274,11 @@ def test_complexes_are_shared(count_calls):
     from realcech import cochains
     bases = count_calls(cochains.LevelBasis, "__init__")
     diffs = count_calls(cochains, "coboundary_matrix")
-    long_exact_sequence_check(mu_sequence(), z4, 2)
+    # a groupoid of its own: the module's z4 keeps what earlier tests built
+    g = standard.cyclic_group(4)
+    long_exact_sequence_check(mu_sequence(), g, 2)
     # levels 0-3 and d^0-d^2 of mu(2) (S' and S'') and of mu(4)
+    assert (len(bases), len(diffs)) == (8, 6)
+    # the groupoid keeps them while it and the groups live: none is built again
+    long_exact_sequence_check(mu_sequence(), g, 2)
     assert (len(bases), len(diffs)) == (8, 6)
