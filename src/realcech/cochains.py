@@ -322,7 +322,7 @@ class LevelBasis(OrbitBasis):
 
     def presentation(self):
         """The cochain group as an abelian group presentation."""
-        return exact.quotient(exact.eye(self.total), self.relation_matrix())
+        return exact.quotient(exact.eye(self.total), self.relations())
 
     def relations(self):
         """The relation lattice as a Sparse matrix: a column d e_i for each
@@ -330,9 +330,6 @@ class LevelBasis(OrbitBasis):
         rows = np.flatnonzero(self.moduli)
         return exact.Sparse((self.total, len(rows)), rows, np.arange(len(rows)),
                             exact._packed(self.moduli[rows]))
-
-    def relation_matrix(self):
-        return exact.to_dense(self.relations())
 
     def in_relation_lattice(self, vec):
         return all(v % d == 0 if d else v == 0 for v, d in zip(vec, self.moduli))
@@ -466,11 +463,11 @@ class CohomologyGroup(exact.GroupKey):
     @cached_property
     def presentation(self):
         cx, n = self.complex, self.degree
-        img = cx.basis(n).relation_matrix()
+        img = cx.basis(n).relations()
         if n:
-            img = np.concatenate([cx.differential_matrix(n - 1), img], axis=1)
-        return exact.lattice_mod_relations(cx.differential_matrix(n), img,
-                                           cx.basis(n + 1).relation_matrix())
+            img = exact.block([[cx.coboundary(n - 1).num, img]])
+        return exact.lattice_mod_relations(cx.coboundary(n).num, img,
+                                           cx.basis(n + 1).relations())
 
     def representatives(self):
         """One representative cocycle per generator of the group."""
@@ -544,7 +541,7 @@ class RealComplex(Complex):
             zero = self.basis(0).in_relation_lattice(cochain.vector)
             return self.zero_cochain(0) if zero else None
         sol = stored(self.shared, ("solver", n), lambda: exact.IntSolver(
-            self.differential_matrix(n - 1), self.basis(n).relation_matrix())).solve(cochain.vector)
+            self.coboundary(n - 1).num, self.basis(n).relations())).solve(cochain.vector)
         return None if sol is None else RealCochain(self, n - 1, sol)
 
     def _rank(self, n):
@@ -584,11 +581,7 @@ def cohomology_key(cx, n):
     G = _over_moduli(there, exact.product(D_n, D_prev),
                      f"d^{n} o d^{n - 1} does not vanish modulo the "
                      f"relations of degree {n + 1}")
-    # the nonzeros of each block of M_n, offset to its rows and columns
-    k, m = D_prev.shape[1], here.total
-    parts = [(B.rows + r, B.cols + c, B.vals) for B, r, c in
-             ((D_prev, 0, 0), (R_n, 0, k), (G, m, 0), (E, m, k))]
-    M = exact.sparse((m + there.total, k + R_n.shape[1]), *map(np.concatenate, zip(*parts)))
+    M = exact.block([[D_prev, R_n], [G, E]])
     torsion = [d for d in exact.invariant_factors(M) if d > 1]
     free = int((here.moduli == 0).sum()) - cx.rank(n) - (cx.rank(n - 1) if n else 0)
     return free, torsion

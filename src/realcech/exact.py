@@ -14,10 +14,11 @@ nonzeros, and only the residual goes through the loop.
 
 `Sparse` keeps an integer matrix as its nonzero entries (int64 indices,
 int64 values below 2^62 in size, Python ints past that); `product`
-multiplies them as triplets, and the unit-pivot pass reads them directly.
-The cochain complexes keep their differentials `Sparse` from assembly
-on.  Rational matrices are `Scaled` integer ones, num standing for num /
-scale, and have the rank of num;
+multiplies them as triplets.  The Smith forms, kernels, solvers and
+presentations read every integer matrix through `as_sparse`: a Sparse one
+as it is, any other coerced.  The cochain complexes keep their
+differentials `Sparse` from assembly on.  Rational matrices are `Scaled`
+integer ones, num standing for num / scale, and have the rank of num;
 `cleared` scales a Fraction matrix to that pair, and rational kernels
 row-reduce the Fractions.  No floating point anywhere.
 
@@ -34,9 +35,11 @@ import numpy as np
 
 
 def as_int_matrix(rows):
-    """Coerce a list-of-lists / array into an object-dtype integer matrix."""
+    """Coerce a list-of-lists / array / Sparse into an object-dtype integer matrix."""
     if isinstance(rows, np.ndarray) and rows.dtype == object:
         return rows
+    if isinstance(rows, Sparse):
+        return to_dense(rows)
     arr = np.array(rows, dtype=object)
     if arr.ndim == 1:
         arr = arr.reshape(len(arr), 1) if len(arr) else arr.reshape(0, 1)
@@ -88,11 +91,13 @@ class Sparse:
     row-major order: int64 arrays `rows` and `cols` and the values `vals`,
     int64 while every |value| < 2^62 and Python ints in an object array
     past that.  `sparse` builds one from entries, `as_sparse` from a dense
-    matrix, and `to_dense` goes back.  Two are equal when their shapes
-    and entries are; `A @ x` for a dense vector or matrix x is dense, and
-    `A + B` and `A * f` (f an int) are exact."""
+    matrix, `block` from blocks, and `to_dense` goes back.  Two are equal
+    when their shapes and entries are; `A @ x` and `x @ A` for a dense x
+    are dense, and `A + B` and `A * f` (f an int) are exact."""
 
     __slots__ = ("shape", "rows", "cols", "vals")
+    # numpy defers `x @ A` to __rmatmul__
+    __array_ufunc__ = None
 
     def __init__(self, shape, rows, cols, vals):
         self.shape = (int(shape[0]), int(shape[1]))
@@ -108,9 +113,8 @@ class Sparse:
             and np.array_equal(self.vals, other.vals)
 
     def __add__(self, other):
-        return sparse(self.shape, np.concatenate([self.rows, other.rows]),
-                      np.concatenate([self.cols, other.cols]),
-                      np.concatenate([self.vals, other.vals]))
+        return sparse(self.shape, *map(np.concatenate, zip(
+            (self.rows, self.cols, self.vals), (other.rows, other.cols, other.vals))))
 
     def __mul__(self, f):
         f = int(f)
@@ -122,14 +126,22 @@ class Sparse:
 
     def __matmul__(self, x):
         """self @ x for a dense vector or matrix x of Python ints or
-        Fractions, as an object array."""
+        Fractions, as an object array; a matrix column by column, so that
+        no intermediate holds more than one term per nonzero."""
         x = np.asarray(x, dtype=object)
         out = np.zeros((self.shape[0],) + x.shape[1:], dtype=object)
-        if self.nnz:
-            vals = self.vals.astype(object).reshape((-1,) + (1,) * (x.ndim - 1))
+        if x.ndim == 2:
+            for j in range(x.shape[1]):
+                out[:, j] = self @ x[:, j]
+        elif self.nnz:
             starts = np.flatnonzero(run_starts(self.rows))
-            out[self.rows[starts]] = np.add.reduceat(vals * x[self.cols], starts)
+            out[self.rows[starts]] = np.add.reduceat(self.vals.astype(object) * x[self.cols], starts)
         return out
+
+    def __rmatmul__(self, x):
+        """x @ self for a dense matrix x, as an object array."""
+        return (sparse(self.shape[::-1], self.cols, self.rows, self.vals)
+                @ np.asarray(x, dtype=object).T).T
 
 
 def sparse(shape, rows, cols, vals):
@@ -160,6 +172,18 @@ def as_sparse(mat):
     M = mat if isinstance(mat, np.ndarray) and mat.ndim == 2 else as_int_matrix(mat)
     r, c = np.nonzero(M)
     return Sparse(M.shape, r, c, _packed(M[r, c]))
+
+
+def block(grid):
+    """The Sparse matrix made of the blocks in the rows of grid; the blocks
+    of a row share a height, those of a column a width."""
+    grid = [[as_sparse(B) for B in row] for row in grid]
+    h, w = [row[0].shape[0] for row in grid], [B.shape[1] for B in grid[0]]
+    if [[B.shape for B in row] for row in grid] != [[(a, b) for b in w] for a in h]:
+        raise ValueError("the blocks do not fit together")
+    r, c = np.cumsum([0] + h), np.cumsum([0] + w)
+    return sparse((r[-1], c[-1]), *map(np.concatenate, zip(*[
+        (B.rows + r[i], B.cols + c[j], B.vals) for i, row in enumerate(grid) for j, B in enumerate(row)])))
 
 
 def to_dense(A):
@@ -390,10 +414,10 @@ def _eliminate(M, U, V, Uinv, Vinv):
     have changed the row: the pivot is the first least entry in row-major
     order, and it divides everything below and right of it exactly when
     it divides the gcd of every row below."""
-    m, n = M.shape
+    A = as_sparse(M)
+    m, n = A.shape
     rows, cols = [{} for _ in range(m)], [{} for _ in range(n)]
-    r, c = np.nonzero(M != 0)
-    for i, j, v in zip(r.tolist(), c.tolist(), M[r, c].tolist()):
+    for i, j, v in zip(A.rows.tolist(), A.cols.tolist(), A.vals.tolist()):
         rows[i][j] = cols[j][i] = int(v)
     # the caches: least is valid outside `dirty`, gcds outside `stale`
     least, gcds = [math.inf] * m, [0] * m
@@ -474,7 +498,7 @@ def smith_normal_form(mat, need_u=True, need_v=True, need_inverses=False,
     operations in the same order, on sparse rows of Python ints.  For
     the diagonal alone, `invariant_factors` is faster.
     """
-    M = as_int_matrix(mat)
+    M = as_sparse(mat)
     m, n = M.shape
     U = _lines(m, m, need_u or need_inverses)
     v_rows = n if v_rows is None else v_rows
@@ -532,14 +556,7 @@ def product(A, B):
 def int_kernel(mat, rows=None):
     """Basis (columns) of the integer kernel {x : mat @ x == 0}; with
     `rows`, only the first `rows` coordinates of each basis vector."""
-    M = as_int_matrix(mat)
-    m, n = M.shape
-    r = n if rows is None else rows
-    if n == 0:
-        return zeros(0, 0)
-    if m == 0:
-        return np.eye(r, n, dtype=object)
-    _, D, V = smith_normal_form(M, need_u=False, v_rows=r)
+    _, D, V = smith_normal_form(mat, need_u=False, v_rows=rows)
     # the columns of V past the rank of M
     return V[:, sum(1 for d in diagonal_of(D) if d):]
 
@@ -553,10 +570,10 @@ class IntSolver:
     case: b is then solvable exactly when it lies in span(R)."""
 
     def __init__(self, mat, relations=None):
-        M = as_int_matrix(mat)
+        M = as_sparse(mat)
         n = M.shape[1]
         if relations is not None:
-            M = np.concatenate([M, as_int_matrix(relations)], axis=1)
+            M = block([[M, relations]])
         self.m, self.n = M.shape
         # column operations act on each row of V on its own, so its
         # first n rows are those of the full transform
@@ -568,11 +585,10 @@ class IntSolver:
 
     def solve(self, b):
         """A particular integer solution of M x = b (mod R), or None.  A
-        matrix b is solved column by column with one product U @ b, and
-        gives None if any column has no solution."""
-        B = np.array(b, dtype=object)
-        one = B.ndim == 1
-        if one:
+        matrix b (dense or Sparse) is solved column by column with one
+        product U @ b, and gives None if any column has no solution."""
+        B = b if isinstance(b, Sparse) else np.array(b, dtype=object)
+        if one := len(B.shape) == 1:
             B = B.reshape(-1, 1)
         C = self.U @ B
         r = len(self._divisors)
@@ -622,12 +638,11 @@ class AbelianGroupPresentation(GroupKey):
 
     def __init__(self, basis, sub_gens):
         B = as_int_matrix(basis)
-        G = as_int_matrix(sub_gens)
+        G = as_sparse(sub_gens)
         k, mdim = B.shape
-        if G.shape[0] != k and G.size == 0:
-            G = zeros(k, 0)
-        self.ambient_dim = k
-        self.basis = B
+        if G.shape[0] != k and 0 in G.shape:
+            G = Sparse((k, 0), G.rows, G.cols, G.vals)
+        self.ambient_dim, self.basis = k, B
         self._solver = IntSolver(B)
         Umat = self._solver.solve(G)
         if Umat is None:
@@ -638,7 +653,7 @@ class AbelianGroupPresentation(GroupKey):
         self.free_rank = mdim - sum(1 for d in diag if d)
         # the diagonal is 1, ..., 1, the invariant factors, then 0 (free)
         live = slice(sum(1 for d in diag if d == 1), mdim)
-        self.gens = B @ Pinv[:, live]
+        self.gens = as_sparse(B) @ Pinv[:, live]
         self.orders = self.invariant_factors + [0] * self.free_rank
         self._P = P[live]
 
@@ -677,30 +692,23 @@ def lattice_mod_relations(constraint, relations, modulus_relations):
 
     The common pattern behind kernels of maps between groups given as
     Z^k / relations: `constraint` maps into an ambient whose relation
-    lattice is `modulus_relations`.
-    """
-    C = as_int_matrix(constraint)
-    MR = as_int_matrix(modulus_relations)
-    n = C.shape[1]
-    stacked = np.concatenate([C, MR], axis=1) if MR.shape[1] else C
+    lattice is `modulus_relations`."""
+    C = as_sparse(constraint)
     # the projected kernel columns may be dependent; re-extract a basis
-    B = lattice_basis(int_kernel(stacked, rows=n))
+    B = lattice_basis(int_kernel(block([[C, modulus_relations]]), rows=C.shape[1]))
     return AbelianGroupPresentation(B, relations)
 
 
 def lattice_basis(gens):
-    """A basis of the lattice spanned by the given generator columns.
+    """A basis of the lattice spanned by the given generator columns, as
+    a dense matrix.
 
     span(G) == span(G @ V) for unimodular V, and in SNF coordinates
     G @ V = U^-1 D, whose first rank columns are independent and whose
-    others are zero.
-    """
-    G = as_int_matrix(gens)
-    n, g = G.shape
-    if g == 0:
-        return zeros(n, 0)
+    others are zero."""
+    G = as_sparse(gens)
     _, D, V = smith_normal_form(G, need_u=False)
-    return (G @ V)[:, :sum(1 for d in diagonal_of(D) if d)]
+    return G @ V[:, :sum(1 for d in diagonal_of(D) if d)]
 
 
 # ----------------------------------------------------------------------

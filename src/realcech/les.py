@@ -28,8 +28,7 @@ def exactness(A, R, B, R_next):
     """(im A == ker B, |im A|, |ker B|) in Z^b / span(R), for A mapping
     into that group and B mapping it to Z^c / span(R_next).  The orders
     are those of `AbelianGroupPresentation.order`: 0 if infinite."""
-    image = exact.AbelianGroupPresentation(
-        exact.lattice_basis(np.concatenate([A, R], axis=1)), R)
+    image = exact.AbelianGroupPresentation(exact.lattice_basis(exact.block([[A, R]])), R)
     kernel = exact.lattice_mod_relations(B, R, R_next)
     # each lattice lies in the other: class_coords is None off the lattice
     same = (all(kernel.class_coords(v) is not None for v in image.basis.T)
@@ -76,16 +75,16 @@ class CoefficientSES:
 
 
 def induced_cochain_map(cx_a, cx_b, f, n):
-    """Matrix of the coefficient map f: S_a -> S_b on degree-n real
-    cochain coordinates of two complexes over one groupoid (the orbit
-    structure is identical on both sides)."""
+    """The `exact.Sparse` matrix of the coefficient map f: S_a -> S_b on
+    degree-n real cochain coordinates of two complexes over one groupoid
+    (the orbit structure is identical on both sides)."""
     ba, bb = cx_a.basis(n), cx_b.basis(n)
     # orbit o of ba maps to orbit o of bb by f @ (the value matrix of its kind)
     mats = [exact.Scaled(exact.as_int_matrix(f) @ _values(ba, fixed), 1)
             for fixed in (False, True)]
-    return exact.to_dense(assemble(
+    return assemble(
         bb, ba.total, np.arange(len(ba.reps)), ba.offsets, mats, ba.fixed.astype(int),
-        lambda _: SequenceError("map does not respect the fixed subgroups")).num)
+        lambda _: SequenceError("map does not respect the fixed subgroups")).num
 
 
 def _values(basis, fixed):
@@ -111,24 +110,24 @@ class ConnectingMap:
     """The snake map HR^n(S'') -> HR^(n+1)(S') for one groupoid degree,
     on the complexes cx_p, cx_mid and cx_dp of S', S and S''.  Each orbit
     kind has one lift block through p and one corestriction solver
-    through i, applied to all orbits of the kind at once."""
+    through i, applied to all orbits of the kind at once; the lift is Sparse."""
 
     def __init__(self, ses, cx_p, cx_mid, cx_dp, n):
         self.ses, self.n = ses, n
         self.cx_p, self.cx_mid, self.cx_dp = cx_p, cx_mid, cx_dp
         # the coordinate lift CR^n(S'') -> CR^n(S) through p, equivariant:
-        # a block per orbit kind present, scattered into its orbits
+        # assembled from the S-values of a lift block per orbit kind present
+        # (an absent kind keeps an empty matrix, which no term reads)
         bd, bm = cx_dp.basis(n), cx_mid.basis(n)
-        self.lift_matrix = L = exact.zeros(bm.total, bd.total)
+        mats = [exact.Scaled(exact.zeros(0, 0), 1)] * 2
         for fixed in dict.fromkeys(bd.fixed.tolist()):  # the kinds present, in order
             X = exact.IntSolver(ses.p @ _values(bm, fixed),
                                 ses.s_dprime.relations()).solve(_values(bd, fixed))
             if X is None:
                 raise SequenceError(_LIFT_ERRORS[fixed])
-            sel = bd.fixed == fixed
-            rows = _blocks(bm.offsets[sel], len(X))
-            cols = _blocks(bd.offsets[sel], X.shape[1])
-            L[rows[:, :, None], cols[:, None, :]] = X
+            mats[fixed] = exact.Scaled(_values(bm, fixed) @ X, 1)
+        self.lift_matrix = assemble(bm, bd.total, np.arange(len(bd.reps)), bd.offsets,
+                                    mats, bd.fixed.astype(int)).num
         self._bm1, self._bp1 = cx_mid.basis(n + 1), cx_p.basis(n + 1)
         R_m = ses.s_mid.relations()
         self._solvers = {fixed: exact.IntSolver(ses.i @ _values(self._bp1, fixed), R_m)
@@ -195,7 +194,7 @@ def long_exact_sequence_check(ses, groupoid, through_degree=2):
     for n in range(d + 1):
         names += [f"HR^{n}(S')", f"HR^{n}(S)", f"HR^{n}(S'')"]
         terms += [H_p[n], H_m[n], H_d[n]]
-        maps += [F_i[n].dot, F_p[n].dot] + ([conn[n].apply_to_vector] if n < d else [])
+        maps += [F_i[n].__matmul__, F_p[n].__matmul__] + [c.apply_to_vector for c in conn[n:n + 1]]
     data = [_class_data(h) for h in terms]
     A = [_on_classes(f(G), h) for f, (G, _), h in zip(maps, data, terms[1:])]
 

@@ -223,7 +223,7 @@ def kernel_matrices(corpus, presets, top):
         for _, S in presets:
             cx = RealComplex(g, S)
             for n in range(top + 1):
-                R = cx.basis(n + 1).relation_matrix()
+                R = exact.to_dense(cx.basis(n + 1).relations())
                 D = cx.differential_matrix(n)
                 M = np.concatenate([D, R], axis=1) if R.shape[1] else D
                 key = (M.shape, tuple(M.flat))

@@ -89,3 +89,24 @@ def test_large_presets_cases_smoke():
                   ("pair2_presets_key:1",)):
         got = run(*cases)
         assert got.returncode == 2 and not got.stdout and "usage" in got.stderr, cases
+
+
+def test_large_les_cases_smoke():
+    from realcech.les import CoefficientSES, long_exact_sequence_check
+    got = run("pair2_les:1", "Z4_inv_les:2")
+    assert got.returncode == 0, got.stderr
+    lines = [json.loads(line) for line in got.stdout.splitlines()]
+    assert [line["case"] for line in lines] == ["pair2_les:1", "Z4_inv_les:2"]
+    mu2, mu4 = make_standard("mu(2)_trivial"), make_standard("mu(4)_trivial")
+    for line, g, n in zip(lines, (standard.pair_groupoid(2),
+                                  standard.cyclic_group(4, "inversion")), (1, 2)):
+        report = long_exact_sequence_check(CoefficientSES(mu2, mu4, mu2, [[2]], [[1]]), g, n)
+        assert set(line) == {"case", "coefficients", "les_s", "exact", "report_md5",
+                             "peak_rss_mib"}
+        assert line["exact"] is report["exact"] is True
+        assert line["report_md5"] == hashlib.md5(
+            json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert line["les_s"] >= 0 and line["peak_rss_mib"] > 0
+    for cases in (("pair2_les",), ("Z4_les:1",), ("pair2_les:7",), ("pair2_les_key:1",)):
+        got = run(*cases)
+        assert got.returncode == 2 and not got.stdout and "usage" in got.stderr, cases

@@ -3,13 +3,14 @@ own process.
 
     PYTHONPATH=src python3 tools/large_cases.py CASE [CASE ...]
 
-A case is `<groupoid>:<n>`, `<groupoid>_key:<n>`, `<groupoid>_presets:<n>`
-or `<groupoid>_vanish:<n>`, the groupoid `pairK` (the pair groupoid on K objects) or `ZK_inv` (Z/K with
+A case is `<groupoid>:<n>`, `<groupoid>_key:<n>`, `<groupoid>_presets:<n>`,
+`<groupoid>_vanish:<n>` or `<groupoid>_les:<n>`, the groupoid `pairK` (the pair groupoid on K objects) or `ZK_inv` (Z/K with
 the inversion involution), with 1 <= K <= 16 and n <= 6, so that no case
 name asks for an absurd allocation.  The integral cases of the ROADMAP
 baseline table are Z8_inv:3, pair5:3, pair4:3 and Z6_inv:4; the key-only
 ones pair6_key:3, pair7_key:3, pair8_key:3, Z8_inv_key:4, Z12_inv_key:3 and
-Z6_inv_key:5; the rational ones pair6_vanish:3 and pair7_vanish:3.
+Z6_inv_key:5; the rational ones pair6_vanish:3 and pair7_vanish:3; the LES
+ones pair4_les:3 and Z8_inv_les:3.
 
 For each case one JSON line goes to stdout, with `peak_rss_mib`, the
 maximum resident set size of the case's process.  An integral case, with
@@ -25,7 +26,10 @@ for all five keys: the cost, in time and memory, of several complexes
 that share the groupoid's nerve levels.  A rational case, with the trivial
 representation Q(1,1), gives `vanish_s` (the vanishing report through
 degree n, whose free ranks it lists), `identity_s` (h d + d h = 1 in
-degree n on a new complex) and whether the identity holds.  A case that
+degree n on a new complex) and whether the identity holds.  An LES case
+gives `les_s`, the time of `les.long_exact_sequence_check` through degree
+n of 0 -> mu(2)_trivial -> mu(4)_trivial -> mu(2)_trivial -> 0, its
+`exact` flag and `report_md5`, a hash of the whole report.  A case that
 fails prints its error and makes the exit code 1; a malformed case name
 gives exit code 2.
 """
@@ -41,13 +45,13 @@ import time
 COEFFICIENTS = "mu(4)_conj"
 PRESETS = ("Z2_trivial", "Z_sign", "mu(2)_conj", "mu(4)_conj", "mu(4)_trivial")
 BASELINE = ("Z8_inv:3", "pair5:3", "pair4:3", "Z6_inv:4", "pair7_key:3", "Z6_inv_key:5",
-            "pair6_vanish:3", "pair7_vanish:3")
-_CASE = re.compile(r"(pair|Z)(\d+)(_inv)?(_vanish|_key|_presets)?:(\d+)$")
+            "pair6_vanish:3", "pair7_vanish:3", "pair4_les:3", "Z8_inv_les:3")
+_CASE = re.compile(r"(pair|Z)(\d+)(_inv)?(_vanish|_key|_presets|_les)?:(\d+)$")
 
 
 def parse(case):
     """(groupoid kind, K, n, suffix) of a case name, the suffix "_vanish",
-    "_key", "_presets" or None; None if the name is malformed."""
+    "_key", "_presets", "_les" or None; None if the name is malformed."""
     match = _CASE.match(case)
     if not match or (match.group(1) == "Z") != bool(match.group(3)):
         return None
@@ -65,6 +69,8 @@ def run_case(case):
         record = _rational(G, n)
     elif suffix == "_presets":
         record = _presets(G, n)
+    elif suffix == "_les":
+        record = _les(G, n)
     else:
         record = _integral(G, n, suffix != "_key")
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -113,6 +119,19 @@ def _rational(G, n):
             "identity_holds": holds}
 
 
+def _les(G, n):
+    from realcech.coefficients import make_standard
+    from realcech.les import CoefficientSES, long_exact_sequence_check
+
+    mu2, mu4 = make_standard("mu(2)_trivial"), make_standard("mu(4)_trivial")
+    t0 = time.perf_counter()
+    report = long_exact_sequence_check(CoefficientSES(mu2, mu4, mu2, [[2]], [[1]]), G, n)
+    t1 = time.perf_counter()
+    digest = hashlib.md5(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    return {"coefficients": "0 -> mu(2)_trivial -> mu(4)_trivial -> mu(2)_trivial -> 0",
+            "les_s": round(t1 - t0, 3), "exact": report["exact"], "report_md5": digest}
+
+
 def main(argv):
     if argv[:1] == ["--in-process"]:
         print(json.dumps(run_case(argv[1])), flush=True)
@@ -121,7 +140,7 @@ def main(argv):
     if not argv or bad:
         print(f"usage: large_cases.py CASE [CASE ...], a case being pairK:n, ZK_inv:n, "
               f"pairK_key:n, ZK_inv_key:n, pairK_presets:n, ZK_inv_presets:n, "
-              f"pairK_vanish:n or ZK_inv_vanish:n with "
+              f"pairK_vanish:n, ZK_inv_vanish:n, pairK_les:n or ZK_inv_les:n with "
               f"1 <= K <= 16 and n <= 6; the "
               f"baseline cases are {' '.join(BASELINE)}"
               + (f" (malformed: {' '.join(bad)})" if bad else ""), file=sys.stderr)
